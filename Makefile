@@ -15,7 +15,8 @@ race:
 
 vet:
 	$(GO) vet ./...
-	gofmt -l .
+	@unformatted=$$(gofmt -l .); if [ -n "$$unformatted" ]; then \
+		echo "gofmt needed:"; echo "$$unformatted"; exit 1; fi
 
 # Root bench_test.go: end-to-end experiment timings with allocation counts.
 bench:

@@ -138,22 +138,17 @@ func apPrefix(cfg radram.Config) string {
 	return "rad."
 }
 
-// MeasureObserved is Measure plus the pair's merged metrics snapshot: the
-// conventional machine's counters under "conv.", the Active-Page
-// machine's under its backend namespace ("rad." for RADram, else the
-// backend name).
-func MeasureObserved(b Benchmark, cfg radram.Config, pages float64) (Measurement, obs.Snapshot, error) {
-	return MeasureObservedWith(nil, b, cfg, pages)
-}
-
-// MeasureObservedWith is MeasureObserved through a runner (see
-// MeasureWith). When the runner carries a checkpoint cache, each machine's
-// namespace additionally gets one diag.checkpoint_* event recording how
-// this point was satisfied: checkpoint_cold (a full simulation ran),
-// or checkpoint_hit plus checkpoint_branch (a cached checkpoint was found
-// and successfully restored into a branch machine). Diagnostic keys
-// describe the simulation pipeline, not the simulated machine, so the
-// equivalence suites strip them while -json and /metrics expose them.
+// MeasureObservedWith is MeasureWith plus the pair's merged metrics
+// snapshot: the conventional machine's counters under "conv.", the
+// Active-Page machine's under its backend namespace ("rad." for RADram,
+// else the backend name). When the runner carries a checkpoint cache,
+// each machine's namespace additionally gets one diag.checkpoint_* event
+// recording how this point was satisfied: checkpoint_cold (a full
+// simulation ran), or checkpoint_hit plus checkpoint_branch (a cached
+// checkpoint was found and successfully restored into a branch machine).
+// Diagnostic keys describe the simulation pipeline, not the simulated
+// machine, so the equivalence suites strip them while -json and /metrics
+// expose them.
 func MeasureObservedWith(r *run.Runner, b Benchmark, cfg radram.Config, pages float64) (Measurement, obs.Snapshot, error) {
 	m, conv, rad, hits, err := measure(r, b, cfg, pages)
 	if err != nil {

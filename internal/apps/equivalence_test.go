@@ -19,9 +19,10 @@ import (
 )
 
 // measureMode is apps.Measure with every fast path switched off when
-// reference is set: the CPUs issue one scalar access per element and the
-// hierarchies probe every line through the full chain. A non-nil tr
-// additionally wires simulated-time tracing through both machines.
+// reference is set: each hierarchy's Reference switch makes its CPU issue
+// one scalar access per element and the hierarchy probe every line through
+// the full chain. A non-nil tr additionally wires simulated-time tracing
+// through both machines.
 func measureMode(t *testing.T, b apps.Benchmark, cfg radram.Config, pages float64, reference bool, tr *obs.Tracer) (apps.Measurement, obs.Snapshot, memsys.FoldStats) {
 	t.Helper()
 	conv, rad, err := run.NewPair(cfg)
@@ -29,7 +30,6 @@ func measureMode(t *testing.T, b apps.Benchmark, cfg radram.Config, pages float6
 		t.Fatalf("%s: build pair: %v", b.Name(), err)
 	}
 	for _, m := range []*run.Machine{conv, rad} {
-		m.CPU.ForceScalar = reference
 		m.Hier.Reference = reference
 		if tr != nil {
 			m.EnableTracing(tr)

@@ -85,11 +85,17 @@ type FoldStats struct {
 	Folded        uint64 // invocations that fast-forwarded at least one period
 	FoldedPeriods uint64
 	FoldedIters   uint64 // innermost iterations skipped by folding
-	ScalarIters   uint64 // innermost iterations simulated scalar (incl. tails)
+	// ScalarIters counts innermost iterations simulated scalar outside a
+	// fold attempt's warm-up: whole fallback streams plus whatever a fold
+	// attempt leaves after it. The warm-up periods themselves are counted
+	// in neither ScalarIters nor FoldedIters, so the folded share computed
+	// from the two overstates coverage.
+	ScalarIters uint64
 
-	// Fallback classification: one increment per StreamRun invocation that
-	// could not fold, by the first disqualifier hit.
-	FallbackIneligible uint64 // Reference/tracing mode, zero or huge stride, non-pow2 sets, uncacheable kind
+	// Fallback classification: one increment per StreamRun or
+	// NestedStreamRun invocation that could not fold, by the first
+	// disqualifier hit.
+	FallbackIneligible uint64 // Reference/tracing mode, zero or huge stride, per-entry stride in a flat stream, non-pow2 sets, uncacheable kind
 	FallbackShort      uint64 // too few whole periods for warm-up plus verification
 	FallbackWrap       uint64 // footprint could wrap the 2^64 address space
 	FallbackUnverified uint64 // warm-up exhausted without verifying periodicity
@@ -241,29 +247,154 @@ func (h *Hierarchy) StrideStream(base, elemBytes uint64, stride int64, n uint64,
 // exactly equivalent — in returned latency, statistics, histograms, and
 // final state — to the scalar loop that calls AccessRange (Count == 1) or
 // AccessElems (Count > 1) for each entry in order.
+//
+// The fold sees a flat stream as a nest whose macro-iteration is one
+// iteration of the pattern: accs are the nest's tail, with no inner loop.
+// Whatever the fold leaves unsimulated runs on the batched scalar path.
 func (h *Hierarchy) StreamRun(base uint64, stride int64, n uint64, accs []StreamAcc) sim.Duration {
 	h.Folds.Streams++
 	if n == 0 || len(accs) == 0 {
 		return 0
 	}
-	if !h.foldEligible(stride, accs) {
-		h.Folds.FallbackIneligible++
-		h.Folds.ScalarIters += n
-		return h.streamScalar(base, stride, 0, n, accs)
+	// A per-entry stride override breaks the single per-iteration address
+	// delta the uniform tag-shift fold is built on.
+	uniform := true
+	for k := range accs {
+		uniform = uniform && accs[k].stride(stride) == stride
 	}
-	P, delta, ok := h.foldPeriod(stride)
+	s := streamNest{base: base, stride: stride, n: n, tail: accs}
+	total, it := h.foldStream(&s, uniform)
+	return total + h.streamScalar(base, stride, it, n, accs)
+}
+
+// NestedStreamRun simulates a two-level loop nest of outerN macro-
+// iterations. Macro-iteration i, based at base + i·outerStride, first runs
+// innerN iterations of the inner pattern — entry k of accs at
+// base + i·outerStride + j·innerStride + Off for inner index j, with
+// per-entry Stride overrides honored — and then performs every entry of
+// tail once at base + i·outerStride + Off. It is exactly equivalent — in
+// returned latency, statistics, histograms, and final state — to the loop
+// that issues each macro-iteration's inner stream scalar followed by its
+// tail accesses, but the periodicity detector operates at macro-iteration
+// granularity: the inner stream is treated as the body of one outer
+// iteration, and once consecutive outer periods verify as exact
+// delta-translations (same conditions as StreamRun, with the outer period
+// delta), whole outer periods — inner iterations, tails and all —
+// fast-forward in closed form.
+//
+// This is the shape of row sweeps whose inner trip count is far below the
+// inner fold period (a stride-2 filter row is thousands of iterations
+// against a 32 Ki-iteration period) but whose rows repeat under a uniform
+// row-pitch translation: flat folding can never engage, outer folding can.
+// Inner iterations always run through the guaranteed-hit batcher, never
+// through a nested fold — the fold scratch state and DRAM recording hook
+// are single-level.
+//
+// Patterns with a stationary per-macro-iteration region (an operand re-read
+// every row at a fixed address) fail outer verification — the stationary
+// lines cannot participate in the uniform tag shift — and fall back to the
+// per-macro-iteration batched path, still byte-identical to scalar.
+func (h *Hierarchy) NestedStreamRun(base uint64, outerStride int64, outerN uint64,
+	innerStride int64, innerN uint64, accs, tail []StreamAcc) sim.Duration {
+	h.Folds.Streams++
+	h.Folds.NestedStreams++
+	if len(accs) == 0 || innerN == 0 {
+		// An empty inner loop performs none of its entries.
+		accs, innerN = nil, 0
+	}
+	if outerN == 0 || (innerN == 0 && len(tail) == 0) {
+		return 0
+	}
+	s := streamNest{base, outerStride, outerN, innerStride, innerN, accs, tail}
+	total, it := h.foldStream(&s, true)
+	for ; it < outerN; it++ {
+		total += h.nestIter(&s, it)
+	}
+	return total
+}
+
+// streamNest is the fold's unit of work: n macro-iterations, the i-th based
+// at base + i·stride, each running innerN iterations of accs at innerStride
+// and then every entry of tail once. A flat stream is the nest with no
+// inner loop whose tail is its pattern.
+type streamNest struct {
+	base        uint64
+	stride      int64
+	n           uint64
+	innerStride int64
+	innerN      uint64
+	accs, tail  []StreamAcc
+}
+
+// weight is how many innermost iterations one macro-iteration stands for
+// in the FoldedIters and ScalarIters diagnostics.
+func (s *streamNest) weight() uint64 { return max(s.innerN, 1) }
+
+// span returns the byte range [lo, hi), relative to a macro-iteration's
+// base, that entry k covers within one macro-iteration — the whole sweep
+// of an inner entry, the single access of a tail entry (entries index accs
+// first, then tail) — and ok=false when that range is too large to fold.
+func (s *streamNest) span(k int) (lo, hi int64, ok bool) {
+	var a *StreamAcc
+	stride, n := int64(0), uint64(1)
+	if k < len(s.accs) {
+		a = &s.accs[k]
+		stride, n = a.stride(s.innerStride), s.innerN
+	} else {
+		a = &s.tail[k-len(s.accs)]
+	}
+	if a.Size > 1<<32 || a.Count > 1<<32 || n > 1<<32 {
+		return 0, 0, false
+	}
+	over, sweep := bits.Mul64(magnitude(stride), n-1)
+	if over != 0 || sweep > 1<<40 {
+		return 0, 0, false
+	}
+	lo, hi = a.Off, a.Off+int64(a.Size*max(a.Count, 1))
+	if stride < 0 {
+		lo -= int64(sweep)
+	} else {
+		hi += int64(sweep)
+	}
+	return lo, hi, true
+}
+
+// nestIter simulates macro-iteration i: the inner stream on the batched
+// scalar path, then the tail as one iteration of its pattern based there.
+func (h *Hierarchy) nestIter(s *streamNest, i uint64) sim.Duration {
+	b := s.base + uint64(s.stride)*i
+	var t sim.Duration
+	if s.innerN > 0 {
+		t = h.streamScalar(b, s.innerStride, 0, s.innerN, s.accs)
+	}
+	return t + h.streamIter(b, 0, 0, s.tail)
+}
+
+// foldStream is the fold's classify-then-run step, shared by flat and
+// nested streams. It files s under the first disqualifier it hits —
+// eligible=false marks a pattern its caller has already ruled out — and
+// otherwise warms up, verifies and fast-forwards it. It returns the latency
+// simulated and the first macro-iteration left for the caller to run
+// scalar (0 when s never qualified), counting the outcome in Folds.
+func (h *Hierarchy) foldStream(s *streamNest, eligible bool) (sim.Duration, uint64) {
+	P, delta, ok := h.foldPeriod(s.stride)
 	switch {
-	case !ok:
+	case !eligible || !h.foldEligible(s) || !ok:
 		h.Folds.FallbackIneligible++
-	case n/P < foldMinPeriods:
+	case s.n/P < foldMinPeriods:
 		h.Folds.FallbackShort++
-	case !foldNoWrap(base, stride, n, accs):
+	case !foldNoWrap(s):
 		h.Folds.FallbackWrap++
 	default:
-		return h.streamFold(base, stride, n, accs, P, delta)
+		fs := h.foldScratch()
+		fs.reset()
+		h.foldMarkTouched(fs, s, P)
+		total, it := h.runFold(fs, s, P, delta)
+		h.Folds.ScalarIters += (s.n - it) * s.weight()
+		return total, it
 	}
-	h.Folds.ScalarIters += n
-	return h.streamScalar(base, stride, 0, n, accs)
+	h.Folds.ScalarIters += s.n * s.weight()
+	return 0, 0
 }
 
 // streamScalar simulates iterations [from, to) on the exact scalar path.
@@ -306,11 +437,8 @@ func (h *Hierarchy) streamScalarBatched(base uint64, stride int64, from, to uint
 	for j := range accs {
 		a := &accs[j]
 		s := a.stride(stride)
-		mag := uint64(s)
-		if s < 0 {
-			mag = uint64(-s)
-			neg[j] = true
-		}
+		mag := magnitude(s)
+		neg[j] = s < 0
 		if mag == 0 || mag >= line {
 			return 0, false
 		}
@@ -412,23 +540,22 @@ func (h *Hierarchy) streamIter(base uint64, stride int64, i uint64, accs []Strea
 	return t
 }
 
-// foldEligible applies the up-front disqualifiers.
-func (h *Hierarchy) foldEligible(stride int64, accs []StreamAcc) bool {
-	if h.Reference || h.tracer != nil || stride == 0 {
+// foldEligible applies the up-front disqualifiers. Per-entry inner stride
+// overrides are legal: whatever rate an entry advances at inside a
+// macro-iteration, its addresses still translate uniformly by s.stride from
+// one macro-iteration to the next, which is all the fold needs.
+func (h *Hierarchy) foldEligible(s *streamNest) bool {
+	if h.Reference || h.tracer != nil || s.stride == 0 {
 		return false
 	}
 	if !h.L1D.SetsPow2() || !h.L2.SetsPow2() {
 		return false
 	}
-	for i := range accs {
-		a := &accs[i]
-		if (a.Kind != Read && a.Kind != Write) || a.Size == 0 {
-			return false
-		}
-		// A per-entry stride override breaks the single per-iteration
-		// address delta the uniform tag-shift fold is built on.
-		if a.Stride != 0 && a.Stride != stride {
-			return false
+	for _, part := range [2][]StreamAcc{s.accs, s.tail} {
+		for i := range part {
+			if a := &part[i]; (a.Kind != Read && a.Kind != Write) || a.Size == 0 {
+				return false
+			}
 		}
 	}
 	return true
@@ -446,10 +573,7 @@ func (h *Hierarchy) foldPeriod(stride int64) (P uint64, delta int64, ok bool) {
 	if L%span1 != 0 || L%span2 != 0 || L%sub != 0 {
 		return 0, 0, false
 	}
-	mag := uint64(stride)
-	if stride < 0 {
-		mag = uint64(-stride)
-	}
+	mag := magnitude(stride)
 	if mag > 1<<40 {
 		return 0, 0, false
 	}
@@ -458,50 +582,47 @@ func (h *Hierarchy) foldPeriod(stride int64) (P uint64, delta int64, ok bool) {
 	return P, stride * int64(P), true
 }
 
-// foldNoWrap reports whether the stream's full address footprint stays
-// inside [0, 2^64) without wrapping around. Cache tags and DRAM subarray
-// indices are quotients of the address, and division does not commute with
-// 64-bit wraparound: a descending stream crossing zero jumps from tag 0 to
-// the maximum tag, not to tag-1, so the true per-period state shift is
-// discontinuous at the boundary and the uniform tag-shift fold cannot
-// represent it. Wrapping streams run scalar.
-func foldNoWrap(base uint64, stride int64, n uint64, accs []StreamAcc) bool {
-	var extLo, extHi int64 // one iteration's footprint, relative to its base
-	for i := range accs {
-		a := &accs[i]
-		if a.Size > 1<<32 || a.Count > 1<<32 {
-			return false
-		}
-		extLo = min(extLo, a.Off)
-		extHi = max(extHi, a.Off+int64(a.Size*max(a.Count, 1)))
+// magnitude returns |stride| in bytes.
+func magnitude(stride int64) uint64 {
+	if stride < 0 {
+		return uint64(-stride)
 	}
-	return spanNoWrap(base, stride, n, extLo, extHi)
+	return uint64(stride)
 }
 
-// spanNoWrap applies the wrap rules to a walk of n iterations whose
-// per-iteration footprint spans [extLo, extHi) relative to the iteration
-// base.
-func spanNoWrap(base uint64, stride int64, n uint64, extLo, extHi int64) bool {
+// foldNoWrap reports whether the nest's full address footprint — every
+// entry's span in every macro-iteration — stays inside [0, 2^64) without
+// wrapping around. Cache tags and DRAM subarray indices are quotients of
+// the address, and division does not commute with 64-bit wraparound: a
+// descending stream crossing zero jumps from tag 0 to the maximum tag, not
+// to tag-1, so the true per-period state shift is discontinuous at the
+// boundary and the uniform tag-shift fold cannot represent it. Wrapping
+// streams run scalar.
+func foldNoWrap(s *streamNest) bool {
+	var extLo, extHi int64 // one macro-iteration's footprint, relative to its base
+	for k := range len(s.accs) + len(s.tail) {
+		lo, hi, ok := s.span(k)
+		if !ok {
+			return false
+		}
+		extLo, extHi = min(extLo, lo), max(extHi, hi)
+	}
 	if extLo < -(1<<40) || extHi > 1<<40 {
 		return false
 	}
-	mag := uint64(stride)
-	if stride < 0 {
-		mag = uint64(-stride)
-	}
-	hi, span := bits.Mul64(mag, n-1)
-	if hi != 0 || span > 1<<62 {
+	over, walk := bits.Mul64(magnitude(s.stride), s.n-1)
+	if over != 0 || walk > 1<<62 {
 		return false
 	}
-	lo, hiAddr := base, base
-	if stride < 0 {
-		if span > base {
+	lo, hiAddr := s.base, s.base
+	if s.stride < 0 {
+		if walk > s.base {
 			return false
 		}
-		lo = base - span
+		lo = s.base - walk
 	} else {
-		hiAddr = base + span
-		if hiAddr < base {
+		hiAddr = s.base + walk
+		if hiAddr < s.base {
 			return false
 		}
 	}
@@ -511,41 +632,38 @@ func spanNoWrap(base uint64, stride int64, n uint64, extLo, extHi int64) bool {
 	// Keep the whole footprint well below the top of the address space:
 	// extents are bounded by 2^40 above, so this leaves no way for any
 	// touched byte — or a line walk over it — to reach the 2^64 boundary.
-	if hiAddr > 1<<63 {
-		return false
-	}
-	return true
+	return hiAddr <= 1<<63
 }
 
-// foldMarkTouched computes the per-cache touched-set bitmaps by replaying
-// one period of address arithmetic — no model calls. The bitmaps are
-// period-invariant: the period delta is a multiple of both set spans.
-func (h *Hierarchy) foldMarkTouched(fs *foldScratch, base uint64, stride int64, P uint64, accs []StreamAcc) {
+// foldMarkTouched computes the per-cache touched-set bitmaps for one period
+// of the nest by address arithmetic alone — no model calls. The bitmaps are
+// period-invariant: the period delta is a multiple of both set spans. Each
+// inner entry's sweep is marked as a contiguous line range — exact for
+// dense sweeps (|stride| no larger than the footprint width, the shapes
+// applications issue), a safe over-approximation when the sweep has gaps:
+// over-marking can only make verification stricter, never unsound.
+func (h *Hierarchy) foldMarkTouched(fs *foldScratch, s *streamNest, P uint64) {
 	fs.touched1 = resetBitmap(fs.touched1, h.L1D.NumSets())
 	fs.touched2 = resetBitmap(fs.touched2, h.L2.NumSets())
-	line1, line2 := h.L1D.LineBytes(), h.L2.LineBytes()
-	sameLine := line1 == line2
-	for i := uint64(0); i < P; i++ {
-		a0 := base + uint64(stride)*i
-		for k := range accs {
-			a := &accs[k]
-			start := a0 + uint64(a.Off)
-			size := a.Size * max(a.Count, 1)
-			for x := start &^ (line1 - 1); x <= (start+size-1)&^(line1-1); x += line1 {
-				s := h.L1D.SetIndex(x)
-				fs.touched1[s>>6] |= 1 << (s & 63)
-				if sameLine {
-					s2 := h.L2.SetIndex(x)
-					fs.touched2[s2>>6] |= 1 << (s2 & 63)
-				}
-			}
-			if !sameLine {
-				for x := start &^ (line2 - 1); x <= (start+size-1)&^(line2-1); x += line2 {
-					s2 := h.L2.SetIndex(x)
-					fs.touched2[s2>>6] |= 1 << (s2 & 63)
-				}
-			}
+	for k := range len(s.accs) + len(s.tail) {
+		lo, hi, _ := s.span(k)
+		for i := uint64(0); i < P; i++ {
+			h.markTouchedRange(fs, s.base+uint64(s.stride)*i+uint64(lo), uint64(hi-lo))
 		}
+	}
+}
+
+// markTouchedRange marks every set either cache maps any line of
+// [start, start+size) to.
+func (h *Hierarchy) markTouchedRange(fs *foldScratch, start, size uint64) {
+	line1, line2 := h.L1D.LineBytes(), h.L2.LineBytes()
+	for x := start &^ (line1 - 1); x <= (start+size-1)&^(line1-1); x += line1 {
+		s := h.L1D.SetIndex(x)
+		fs.touched1[s>>6] |= 1 << (s & 63)
+	}
+	for x := start &^ (line2 - 1); x <= (start+size-1)&^(line2-1); x += line2 {
+		s2 := h.L2.SetIndex(x)
+		fs.touched2[s2>>6] |= 1 << (s2 & 63)
 	}
 }
 
@@ -576,31 +694,14 @@ func (h *Hierarchy) foldSnapshot(fs *foldScratch) {
 	h.L2.SnapshotInto(&fs.snaps[fs.cur].l2)
 }
 
-// streamFold is the warm-up / verify / fast-forward pipeline for a flat
-// stream: the generic fold core drives streamIter, and whatever it leaves
-// unsimulated runs on the batched scalar path.
-func (h *Hierarchy) streamFold(base uint64, stride int64, n uint64, accs []StreamAcc, P uint64, delta int64) sim.Duration {
-	fs := h.foldScratch()
-	fs.reset()
-	h.foldMarkTouched(fs, base, stride, P, accs)
-	total, iter := h.runFold(fs, n, P, delta, 1, func(i uint64) sim.Duration {
-		return h.streamIter(base, stride, i, accs)
-	})
-	h.Folds.ScalarIters += n - iter
-	total += h.streamScalar(base, stride, iter, n, accs)
-	return total
-}
-
-// runFold is the generic warm-up / verify / fast-forward core, shared by
-// flat and nested streams. It simulates whole periods of P iterations
-// through iter until periodicity verifies at a boundary, fast-forwards as
-// many whole periods as the DRAM fresh-subarray guard allows, and returns
-// the accumulated latency plus the first iteration index left unsimulated
-// (the caller runs the remainder its own way). itersPer weights the
-// FoldedIters diagnostic: how many innermost iterations one call to iter
-// stands for (1 for a flat stream). Touched-set bitmaps must be marked and
-// fs reset before the call.
-func (h *Hierarchy) runFold(fs *foldScratch, n, P uint64, delta int64, itersPer uint64, iter func(i uint64) sim.Duration) (sim.Duration, uint64) {
+// runFold is the warm-up / verify / fast-forward core. It simulates whole
+// periods of P macro-iterations of s until periodicity verifies at a
+// boundary, fast-forwards as many whole periods as the DRAM fresh-subarray
+// guard allows, and returns the accumulated latency plus the first
+// macro-iteration left unsimulated (the caller runs the remainder its own
+// way). Touched-set bitmaps must be marked and fs reset before the call.
+func (h *Hierarchy) runFold(fs *foldScratch, s *streamNest, P uint64, delta int64) (sim.Duration, uint64) {
+	n := s.n
 	tag1 := delta / int64(h.L1D.SetSpan())
 	tag2 := delta / int64(h.L2.SetSpan())
 
@@ -615,7 +716,7 @@ func (h *Hierarchy) runFold(fs *foldScratch, n, P uint64, delta int64, itersPer 
 			break
 		}
 		for end := it + P; it < end; it++ {
-			total += iter(it)
+			total += h.nestIter(s, it)
 		}
 		fs.periodStart = append(fs.periodStart, len(fs.recs))
 		fs.pushBoundary(h.foldBoundaryNow(total))
@@ -636,7 +737,7 @@ func (h *Hierarchy) runFold(fs *foldScratch, n, P uint64, delta int64, itersPer 
 			it += M * P
 			h.Folds.Folded++
 			h.Folds.FoldedPeriods += M
-			h.Folds.FoldedIters += M * P * itersPer
+			h.Folds.FoldedIters += M * P * s.weight()
 		} else {
 			h.Folds.FallbackGuard++
 		}
@@ -838,213 +939,5 @@ func (h *Hierarchy) foldApply(fs *foldScratch, delta int64, tag1, tag2 int64, M 
 			}
 		}
 		h.DRAM.SetLast(fs.recs[len(fs.recs)-1].addr + uint64(delta)*M)
-	}
-}
-
-// ---------------------------------------------------------------------------
-// Nested streams: two-level fixed-stride patterns.
-
-// NestedStreamRun simulates a two-level loop nest of outerN macro-
-// iterations. Macro-iteration i, based at base + i·outerStride, first runs
-// innerN iterations of the inner pattern — entry k of accs at
-// base + i·outerStride + j·innerStride + Off for inner index j, with
-// per-entry Stride overrides honored — and then performs every entry of
-// tail once at base + i·outerStride + Off. It is exactly equivalent — in
-// returned latency, statistics, histograms, and final state — to the loop
-// that issues each macro-iteration's inner stream scalar followed by its
-// tail accesses, but the periodicity detector operates at macro-iteration
-// granularity: the inner stream is treated as the body of one outer
-// iteration, and once consecutive outer periods verify as exact
-// delta-translations (same conditions as StreamRun, with the outer period
-// delta), whole outer periods — inner iterations, tails and all —
-// fast-forward in closed form.
-//
-// This is the shape of row sweeps whose inner trip count is far below the
-// inner fold period (a stride-2 filter row is thousands of iterations
-// against a 32 Ki-iteration period) but whose rows repeat under a uniform
-// row-pitch translation: flat folding can never engage, outer folding can.
-// Inner iterations always run through the guaranteed-hit batcher, never
-// through a nested fold — the fold scratch state and DRAM recording hook
-// are single-level.
-//
-// Patterns with a stationary per-macro-iteration region (an operand re-read
-// every row at a fixed address) fail outer verification — the stationary
-// lines cannot participate in the uniform tag shift — and fall back to the
-// per-macro-iteration batched path, still byte-identical to scalar.
-func (h *Hierarchy) NestedStreamRun(base uint64, outerStride int64, outerN uint64,
-	innerStride int64, innerN uint64, accs, tail []StreamAcc) sim.Duration {
-	h.Folds.Streams++
-	h.Folds.NestedStreams++
-	if len(accs) == 0 {
-		innerN = 0
-	}
-	if outerN == 0 || (innerN == 0 && len(tail) == 0) {
-		return 0
-	}
-	iter := func(i uint64) sim.Duration {
-		b := base + uint64(outerStride)*i
-		var t sim.Duration
-		if innerN > 0 {
-			t = h.streamScalar(b, innerStride, 0, innerN, accs)
-		}
-		for k := range tail {
-			a := &tail[k]
-			addr := b + uint64(a.Off)
-			if a.Count > 1 {
-				t += h.AccessElems(addr, a.Size, a.Count, a.Kind)
-			} else {
-				t += h.AccessRange(addr, a.Size, a.Kind)
-			}
-		}
-		return t
-	}
-	scalarRest := func(from uint64) sim.Duration {
-		var t sim.Duration
-		for i := from; i < outerN; i++ {
-			t += iter(i)
-		}
-		return t
-	}
-	// FoldedIters/ScalarIters count innermost work: inner iterations when
-	// the nest has an inner pattern, macro-iterations otherwise.
-	w := innerN
-	if w == 0 {
-		w = 1
-	}
-	if !h.foldEligibleNested(outerStride, accs, tail) {
-		h.Folds.FallbackIneligible++
-		h.Folds.ScalarIters += outerN * w
-		return scalarRest(0)
-	}
-	P, delta, ok := h.foldPeriod(outerStride)
-	switch {
-	case !ok:
-		h.Folds.FallbackIneligible++
-	case outerN/P < foldMinPeriods:
-		h.Folds.FallbackShort++
-	case !h.nestedNoWrap(base, outerStride, outerN, innerStride, innerN, accs, tail):
-		h.Folds.FallbackWrap++
-	default:
-		fs := h.foldScratch()
-		fs.reset()
-		h.foldMarkTouchedNested(fs, base, outerStride, P, innerStride, innerN, accs, tail)
-		total, it := h.runFold(fs, outerN, P, delta, w, iter)
-		h.Folds.ScalarIters += (outerN - it) * w
-		return total + scalarRest(it)
-	}
-	h.Folds.ScalarIters += outerN * w
-	return scalarRest(0)
-}
-
-// foldEligibleNested applies the up-front disqualifiers at the outer level.
-// Per-entry inner stride overrides are legal here: whatever rate an entry
-// advances at inside a macro-iteration, its addresses still translate
-// uniformly by outerStride from one macro-iteration to the next, which is
-// all the outer fold needs.
-func (h *Hierarchy) foldEligibleNested(outerStride int64, accs, tail []StreamAcc) bool {
-	if h.Reference || h.tracer != nil || outerStride == 0 {
-		return false
-	}
-	if !h.L1D.SetsPow2() || !h.L2.SetsPow2() {
-		return false
-	}
-	for _, s := range [2][]StreamAcc{accs, tail} {
-		for i := range s {
-			if a := &s[i]; (a.Kind != Read && a.Kind != Write) || a.Size == 0 {
-				return false
-			}
-		}
-	}
-	return true
-}
-
-// nestedNoWrap bounds one macro-iteration's full footprint — every inner
-// entry's sweep plus the tail — and applies the flat stream's wrap rules to
-// the outer walk.
-func (h *Hierarchy) nestedNoWrap(base uint64, outerStride int64, outerN uint64,
-	innerStride int64, innerN uint64, accs, tail []StreamAcc) bool {
-	var extLo, extHi int64
-	for i := range accs {
-		a := &accs[i]
-		if a.Size > 1<<32 || a.Count > 1<<32 || innerN > 1<<32 {
-			return false
-		}
-		s := a.stride(innerStride)
-		mag := uint64(s)
-		if s < 0 {
-			mag = uint64(-s)
-		}
-		hi, sweep := bits.Mul64(mag, innerN-1)
-		if hi != 0 || sweep > 1<<40 {
-			return false
-		}
-		lo, hiOff := a.Off, a.Off+int64(a.Size*max(a.Count, 1))
-		if s < 0 {
-			lo -= int64(sweep)
-		} else {
-			hiOff += int64(sweep)
-		}
-		extLo = min(extLo, lo)
-		extHi = max(extHi, hiOff)
-	}
-	for i := range tail {
-		a := &tail[i]
-		if a.Size > 1<<32 || a.Count > 1<<32 {
-			return false
-		}
-		extLo = min(extLo, a.Off)
-		extHi = max(extHi, a.Off+int64(a.Size*max(a.Count, 1)))
-	}
-	return spanNoWrap(base, outerStride, outerN, extLo, extHi)
-}
-
-// foldMarkTouchedNested marks the per-cache touched-set bitmaps for one
-// outer period of the nest. Each inner entry's sweep is marked as a
-// contiguous line range — exact for dense sweeps (|stride| no larger than
-// the footprint width, the shapes applications issue), a safe
-// over-approximation when the sweep has gaps: over-marking can only make
-// verification stricter, never unsound.
-func (h *Hierarchy) foldMarkTouchedNested(fs *foldScratch, base uint64, outerStride int64, P uint64,
-	innerStride int64, innerN uint64, accs, tail []StreamAcc) {
-	fs.touched1 = resetBitmap(fs.touched1, h.L1D.NumSets())
-	fs.touched2 = resetBitmap(fs.touched2, h.L2.NumSets())
-	for i := uint64(0); i < P; i++ {
-		b := base + uint64(outerStride)*i
-		for k := range accs {
-			a := &accs[k]
-			size := a.Size * max(a.Count, 1)
-			start := b + uint64(a.Off)
-			if innerN > 0 {
-				s := a.stride(innerStride)
-				sweep := uint64(s) * (innerN - 1)
-				if s < 0 {
-					sweep = uint64(-s) * (innerN - 1)
-					start -= sweep
-				}
-				size += sweep
-			}
-			h.markTouchedRange(fs, start, size)
-		}
-		for k := range tail {
-			a := &tail[k]
-			h.markTouchedRange(fs, b+uint64(a.Off), a.Size*max(a.Count, 1))
-		}
-	}
-}
-
-// markTouchedRange marks every set either cache maps any line of
-// [start, start+size) to.
-func (h *Hierarchy) markTouchedRange(fs *foldScratch, start, size uint64) {
-	if size == 0 {
-		return
-	}
-	line1, line2 := h.L1D.LineBytes(), h.L2.LineBytes()
-	for x := start &^ (line1 - 1); x <= (start+size-1)&^(line1-1); x += line1 {
-		s := h.L1D.SetIndex(x)
-		fs.touched1[s>>6] |= 1 << (s & 63)
-	}
-	for x := start &^ (line2 - 1); x <= (start+size-1)&^(line2-1); x += line2 {
-		s2 := h.L2.SetIndex(x)
-		fs.touched2[s2>>6] |= 1 << (s2 & 63)
 	}
 }

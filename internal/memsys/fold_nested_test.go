@@ -3,6 +3,7 @@ package memsys
 import (
 	"bytes"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"activepages/internal/sim"
@@ -156,6 +157,48 @@ func TestNestedStreamFoldEngages(t *testing.T) {
 	}
 	if f.FoldedIters == 0 || f.FoldedIters%innerN != 0 {
 		t.Fatalf("folded-iteration accounting off: %+v", f)
+	}
+}
+
+// TestNestedEmptyInnerLoop pins the empty-inner-loop spelling of a nest:
+// with innerN == 0 the inner entries never run, so the nest must classify,
+// fold, and leave the hierarchy exactly as the same nest written without
+// them — the shape of the median filter's interior rows on a one-pixel-wide
+// image. Both spellings must also match the scalar reference.
+func TestNestedEmptyInnerLoop(t *testing.T) {
+	rowB := int64(65536)
+	base := uint64(1) << 25
+	accs := []StreamAcc{
+		{Off: -rowB + 2, Size: 2, Count: 1, Kind: Read},
+		{Off: 2, Size: 2, Count: 1, Kind: Read},
+		{Off: rowB + 2, Size: 2, Count: 1, Kind: Read},
+	}
+	tail := []StreamAcc{
+		{Off: -rowB, Size: 2, Count: 1, Kind: Read},
+		{Off: 0, Size: 2, Count: 1, Kind: Read},
+		{Off: rowB, Size: 2, Count: 1, Kind: Read},
+		{Off: 1 << 24, Size: 2, Count: 1, Kind: Write},
+	}
+	ref := New(DefaultConfig())
+	ref.Reference = true
+	want := refNested(ref, base, rowB, 200, 2, 0, accs, tail)
+	var cks [2]Checkpoint
+	for i, inner := range [][]StreamAcc{accs, nil} {
+		h := New(DefaultConfig())
+		if got := h.NestedStreamRun(base, rowB, 200, 2, 0, inner, tail); got != want {
+			t.Fatalf("spelling %d: NestedStreamRun = %v, want %v", i, got, want)
+		}
+		statesEqual(t, i, h, ref)
+		if !bytes.Equal(snapshotJSON(t, h), snapshotJSON(t, ref)) {
+			t.Fatalf("spelling %d: snapshot diverges from the reference", i)
+		}
+		if f := h.Folds; f.Folded != 1 || f.FallbackWrap != 0 {
+			t.Fatalf("spelling %d: empty-inner-loop nest did not fold: %+v", i, f)
+		}
+		h.Checkpoint(&cks[i])
+	}
+	if !reflect.DeepEqual(cks[0], cks[1]) {
+		t.Fatal("the two spellings left different hierarchy state or fold counts")
 	}
 }
 

@@ -75,14 +75,17 @@ type Hierarchy struct {
 
 	// Reference disables the batched fast paths: AccessElems degrades to a
 	// per-element Access loop, AccessRange probes every line through the
-	// full chain, and StreamRun never folds. Timing and statistics must be
-	// identical either way — the equivalence tests run one machine in each
-	// mode and diff everything.
+	// full chain, and StreamRun never folds. It is the single reference
+	// switch: a proc.CPU over a Reference hierarchy also issues its slice
+	// and stream accesses one scalar access at a time. Timing and
+	// statistics must be identical either way — the equivalence tests run
+	// one machine in each mode and diff everything.
 	Reference bool
 
-	// Folds counts the stream-folding layer's decisions. It is diagnostic
-	// state for tests and tuning, deliberately not registered in Observe:
-	// folded and scalar runs must produce identical metric snapshots.
+	// Folds counts the stream-folding layer's decisions. Observe registers
+	// every counter under "diag.", the namespace the equivalence checks
+	// strip (obs.Snapshot.WithoutDiag): folded and scalar runs count
+	// differently here while every other metric stays identical.
 	Folds FoldStats
 
 	// fold holds the folding layer's reusable scratch, allocated on first

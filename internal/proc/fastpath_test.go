@@ -9,14 +9,13 @@ import (
 )
 
 // newStack builds an isolated CPU + hierarchy + store. When reference is
-// set, every fast path in the stack is disabled: the CPU issues scalar
-// accesses and the hierarchy walks the full chain per element.
+// set, the hierarchy's Reference switch disables every fast path in the
+// stack: the CPU issues scalar accesses and the hierarchy walks the full
+// chain per element.
 func newStack(reference bool) *CPU {
 	h := memsys.New(memsys.DefaultConfig())
 	h.Reference = reference
-	c := New(DefaultConfig(), h, mem.NewStore())
-	c.ForceScalar = reference
-	return c
+	return New(DefaultConfig(), h, mem.NewStore())
 }
 
 // TestBulkOpsMatchScalar drives a fast and a reference stack through the

@@ -82,11 +82,6 @@ type CPU struct {
 	now   sim.Time
 	Stats Stats
 
-	// ForceScalar makes the typed slice accessors issue one scalar access
-	// per element instead of batching through AccessElems. The ledger must
-	// come out identical either way; the equivalence tests flip this.
-	ForceScalar bool
-
 	// Interrupt, when set, is polled periodically from the access paths (and
 	// once per Stream call). A non-nil return unwinds the simulated program
 	// with a CancelPanic carrying that error; run.Map translates it back
@@ -251,8 +246,16 @@ func (c *CPU) access(addr, size uint64, kind memsys.AccessKind) {
 // pass. The ledger split is exactly n scalar access calls' worth: every
 // cached access costs at least L1HitTime (a hit is L1HitTime, a miss is
 // L1HitTime plus the lower levels), so each access's compute share is the
-// full hit time and the remainder of the batch is memory stall.
+// full hit time and the remainder of the batch is memory stall. On a
+// Reference hierarchy it issues those n scalar access calls instead: the
+// oracle the batch must match.
 func (c *CPU) bulkAccess(addr, elemBytes, n uint64, kind memsys.AccessKind) {
+	if c.hier.Reference {
+		for i := uint64(0); i < n; i++ {
+			c.access(addr+i*elemBytes, elemBytes, kind)
+		}
+		return
+	}
 	if n == 0 {
 		return
 	}
@@ -352,24 +355,12 @@ func (c *CPU) WriteBlock(addr uint64, p []byte) {
 
 // LoadU8Slice loads len(dst) consecutive bytes, one timed load each.
 func (c *CPU) LoadU8Slice(addr uint64, dst []uint8) {
-	if c.ForceScalar {
-		for i := range dst {
-			dst[i] = c.LoadU8(addr + uint64(i))
-		}
-		return
-	}
 	c.bulkAccess(addr, 1, uint64(len(dst)), memsys.Read)
 	c.store.Read(addr, dst)
 }
 
 // StoreU8Slice stores src as consecutive bytes, one timed store each.
 func (c *CPU) StoreU8Slice(addr uint64, src []uint8) {
-	if c.ForceScalar {
-		for i, v := range src {
-			c.StoreU8(addr+uint64(i), v)
-		}
-		return
-	}
 	c.bulkAccess(addr, 1, uint64(len(src)), memsys.Write)
 	c.store.Write(addr, src)
 }
@@ -377,12 +368,6 @@ func (c *CPU) StoreU8Slice(addr uint64, src []uint8) {
 // LoadU16Slice loads len(dst) consecutive 16-bit values, one timed load
 // each.
 func (c *CPU) LoadU16Slice(addr uint64, dst []uint16) {
-	if c.ForceScalar {
-		for i := range dst {
-			dst[i] = c.LoadU16(addr + uint64(i)*2)
-		}
-		return
-	}
 	c.bulkAccess(addr, 2, uint64(len(dst)), memsys.Read)
 	c.store.ReadU16Slice(addr, dst)
 }
@@ -390,12 +375,6 @@ func (c *CPU) LoadU16Slice(addr uint64, dst []uint16) {
 // StoreU16Slice stores src as consecutive 16-bit values, one timed store
 // each.
 func (c *CPU) StoreU16Slice(addr uint64, src []uint16) {
-	if c.ForceScalar {
-		for i, v := range src {
-			c.StoreU16(addr+uint64(i)*2, v)
-		}
-		return
-	}
 	c.bulkAccess(addr, 2, uint64(len(src)), memsys.Write)
 	c.store.WriteU16Slice(addr, src)
 }
@@ -403,12 +382,6 @@ func (c *CPU) StoreU16Slice(addr uint64, src []uint16) {
 // LoadU32Slice loads len(dst) consecutive 32-bit values, one timed load
 // each.
 func (c *CPU) LoadU32Slice(addr uint64, dst []uint32) {
-	if c.ForceScalar {
-		for i := range dst {
-			dst[i] = c.LoadU32(addr + uint64(i)*4)
-		}
-		return
-	}
 	c.bulkAccess(addr, 4, uint64(len(dst)), memsys.Read)
 	c.store.ReadU32Slice(addr, dst)
 }
@@ -416,12 +389,6 @@ func (c *CPU) LoadU32Slice(addr uint64, dst []uint32) {
 // StoreU32Slice stores src as consecutive 32-bit values, one timed store
 // each.
 func (c *CPU) StoreU32Slice(addr uint64, src []uint32) {
-	if c.ForceScalar {
-		for i, v := range src {
-			c.StoreU32(addr+uint64(i)*4, v)
-		}
-		return
-	}
 	c.bulkAccess(addr, 4, uint64(len(src)), memsys.Write)
 	c.store.WriteU32Slice(addr, src)
 }
@@ -429,12 +396,6 @@ func (c *CPU) StoreU32Slice(addr uint64, src []uint32) {
 // LoadU64Slice loads len(dst) consecutive 64-bit values, one timed load
 // each.
 func (c *CPU) LoadU64Slice(addr uint64, dst []uint64) {
-	if c.ForceScalar {
-		for i := range dst {
-			dst[i] = c.LoadU64(addr + uint64(i)*8)
-		}
-		return
-	}
 	c.bulkAccess(addr, 8, uint64(len(dst)), memsys.Read)
 	c.store.ReadU64Slice(addr, dst)
 }
@@ -442,12 +403,6 @@ func (c *CPU) LoadU64Slice(addr uint64, dst []uint64) {
 // StoreU64Slice stores src as consecutive 64-bit values, one timed store
 // each.
 func (c *CPU) StoreU64Slice(addr uint64, src []uint64) {
-	if c.ForceScalar {
-		for i, v := range src {
-			c.StoreU64(addr+uint64(i)*8, v)
-		}
-		return
-	}
 	c.bulkAccess(addr, 8, uint64(len(src)), memsys.Write)
 	c.store.WriteU64Slice(addr, src)
 }
@@ -459,8 +414,8 @@ func (c *CPU) StoreU64Slice(addr uint64, src []uint64) {
 // pattern entry as an access (Count == 1) or slice access (Count > 1)
 // followed by Compute(computePerIter); every bucket is a sum, and sums are
 // order-independent — so folding changes wall-clock only, never a
-// measurement. With ForceScalar or tracing on, the scalar loop itself runs,
-// preserving the per-access trace span structure.
+// measurement. On a Reference hierarchy or with tracing on, the scalar loop
+// itself runs, preserving the per-access trace span structure.
 //
 // Stream performs no functional data movement: callers mirror values
 // host-side or move bytes in bulk on the store, exactly as the Active-Page
@@ -469,61 +424,9 @@ func (c *CPU) Stream(base uint64, stride int64, n uint64, accs []memsys.StreamAc
 	if n == 0 {
 		return
 	}
-	// One forced poll per stream call: a single Stream can stand in for an
-	// arbitrarily long loop, so the paced per-access poll never fires inside
-	// its fast path.
-	if c.Interrupt != nil {
-		if err := c.Interrupt(); err != nil {
-			panic(CancelPanic{Err: err})
-		}
-	}
-	fast := !c.ForceScalar && c.tracer == nil
-	for k := range accs {
-		if accs[k].Kind != memsys.Read && accs[k].Kind != memsys.Write {
-			// The bulk ledger split below assumes every access is cached
-			// (each costs at least L1HitTime); route anything else scalar.
-			fast = false
-		}
-	}
-	if !fast {
-		for i := uint64(0); i < n; i++ {
-			for k := range accs {
-				a := &accs[k]
-				addr := streamAddr(base, stride, i, a)
-				if a.Count > 1 {
-					c.bulkAccess(addr, a.Size, a.Count, a.Kind)
-				} else {
-					c.access(addr, a.Size, a.Kind)
-				}
-			}
-			if computePerIter > 0 {
-				c.Compute(computePerIter)
-			}
-		}
-		return
-	}
-	t := c.hier.StreamRun(base, stride, n, accs)
-	var perIter, loads uint64
-	for k := range accs {
-		cnt := max(accs[k].Count, 1)
-		perIter += cnt
-		if accs[k].Kind == memsys.Read {
-			loads += cnt
-		}
-	}
-	total := n * perIter
-	hitTotal := sim.Duration(total) * c.hier.L1HitTime()
-	if t < hitTotal {
-		hitTotal = t // cannot happen for cached accesses; defensive
-	}
-	c.now += t
-	c.Stats.ComputeTime += hitTotal
-	c.Stats.MemStallTime += t - hitTotal
-	c.Stats.Instructions += total
-	c.Stats.Loads += n * loads
-	c.Stats.Stores += total - n*loads
-	if computePerIter > 0 {
-		c.Compute(n * computePerIter)
+	l := loopNest{base: base, outerN: 1, innerStride: stride, innerN: n, accs: accs, innerCpi: computePerIter}
+	if !c.runScalar(&l) {
+		c.chargeNest(&l, c.hier.StreamRun(base, stride, n, accs))
 	}
 }
 
@@ -535,16 +438,6 @@ func (c *CPU) StrideStream(base, elemBytes uint64, stride int64, n uint64, kind 
 	c.Stream(base, stride, n, accs[:], computePerIter)
 }
 
-// streamAddr resolves one stream entry's address for iteration i, honoring
-// its per-entry stride override.
-func streamAddr(base uint64, stride int64, i uint64, a *memsys.StreamAcc) uint64 {
-	s := stride
-	if a.Stride != 0 {
-		s = a.Stride
-	}
-	return base + uint64(s)*i + uint64(a.Off)
-}
-
 // NestedStream charges a two-level loop nest through the hierarchy's
 // nested stream layer: outerN macro-iterations, each running innerN inner
 // iterations of accs (at base + i·outerStride + j·innerStride + Off, with
@@ -552,81 +445,103 @@ func streamAddr(base uint64, stride int64, i uint64, a *memsys.StreamAcc) uint64
 // of tail once (at base + i·outerStride + Off) plus tailCpi instructions.
 // The ledger comes out exactly as the equivalent two-level scalar loop's
 // would — every bucket is a sum, and sums are order-independent — so outer
-// folding changes wall-clock only, never a measurement. With ForceScalar or
-// tracing on, the scalar nest itself runs. Like Stream, NestedStream moves
-// no data: callers mirror values host-side.
+// folding changes wall-clock only, never a measurement. On a Reference
+// hierarchy or with tracing on, the scalar nest itself runs. Like Stream,
+// NestedStream moves no data: callers mirror values host-side.
 func (c *CPU) NestedStream(base uint64, outerStride int64, outerN uint64,
 	innerStride int64, innerN uint64, accs []memsys.StreamAcc, innerCpi uint64,
 	tail []memsys.StreamAcc, tailCpi uint64) {
 	if outerN == 0 {
 		return
 	}
-	// One forced poll per nest, mirroring Stream: the whole nest can stand
-	// in for a very long loop the paced per-access poll never sees.
+	l := loopNest{base, outerStride, outerN, innerStride, innerN, accs, innerCpi, tail, tailCpi}
+	if !c.runScalar(&l) {
+		c.chargeNest(&l, c.hier.NestedStreamRun(base, outerStride, outerN, innerStride, innerN, accs, tail))
+	}
+}
+
+// loopNest is the loop Stream and NestedStream charge: outerN
+// macro-iterations, the i-th based at base + i·outerStride, each running
+// innerN iterations of accs plus innerCpi instructions apiece, then every
+// entry of tail once plus tailCpi instructions. A flat stream is the nest
+// of one macro-iteration whose inner loop is the stream.
+type loopNest struct {
+	base        uint64
+	outerStride int64
+	outerN      uint64
+	innerStride int64
+	innerN      uint64
+	accs        []memsys.StreamAcc
+	innerCpi    uint64
+	tail        []memsys.StreamAcc
+	tailCpi     uint64
+}
+
+// runScalar polls the cancellation hook once — a single stream call can
+// stand in for an arbitrarily long loop, so the paced per-access poll never
+// fires inside its fast path — and then, unless the stream layer may take
+// l, runs l as the scalar loop itself and reports true. The scalar loop is
+// the oracle on a Reference hierarchy, keeps the per-access span structure
+// when tracing, and takes any uncached entry: chargeNest's ledger split
+// assumes every access costs at least L1HitTime.
+func (c *CPU) runScalar(l *loopNest) bool {
 	if c.Interrupt != nil {
 		if err := c.Interrupt(); err != nil {
 			panic(CancelPanic{Err: err})
 		}
 	}
-	fast := !c.ForceScalar && c.tracer == nil
-	for _, s := range [2][]memsys.StreamAcc{accs, tail} {
+	scalar := c.hier.Reference || c.tracer != nil
+	for _, s := range [2][]memsys.StreamAcc{l.accs, l.tail} {
 		for k := range s {
-			if s[k].Kind != memsys.Read && s[k].Kind != memsys.Write {
-				// The bulk ledger split assumes cached accesses only.
-				fast = false
-			}
+			scalar = scalar || (s[k].Kind != memsys.Read && s[k].Kind != memsys.Write)
 		}
 	}
-	if !fast {
-		for i := uint64(0); i < outerN; i++ {
-			b := base + uint64(outerStride)*i
-			for j := uint64(0); j < innerN; j++ {
-				for k := range accs {
-					a := &accs[k]
-					addr := streamAddr(b, innerStride, j, a)
-					if a.Count > 1 {
-						c.bulkAccess(addr, a.Size, a.Count, a.Kind)
-					} else {
-						c.access(addr, a.Size, a.Kind)
-					}
-				}
-				if innerCpi > 0 {
-					c.Compute(innerCpi)
-				}
+	if !scalar {
+		return false
+	}
+	for i := uint64(0); i < l.outerN; i++ {
+		b := l.base + uint64(l.outerStride)*i
+		for j := uint64(0); j < l.innerN; j++ {
+			for k := range l.accs {
+				c.streamAccess(b, l.innerStride, j, &l.accs[k])
 			}
-			for k := range tail {
-				a := &tail[k]
-				addr := b + uint64(a.Off)
-				if a.Count > 1 {
-					c.bulkAccess(addr, a.Size, a.Count, a.Kind)
-				} else {
-					c.access(addr, a.Size, a.Kind)
-				}
-			}
-			if tailCpi > 0 {
-				c.Compute(tailCpi)
+			if l.innerCpi > 0 {
+				c.Compute(l.innerCpi)
 			}
 		}
-		return
-	}
-	t := c.hier.NestedStreamRun(base, outerStride, outerN, innerStride, innerN, accs, tail)
-	var perInner, innerLoads, perTail, tailLoads uint64
-	for k := range accs {
-		cnt := max(accs[k].Count, 1)
-		perInner += cnt
-		if accs[k].Kind == memsys.Read {
-			innerLoads += cnt
+		for k := range l.tail {
+			c.streamAccess(b, 0, 0, &l.tail[k])
+		}
+		if l.tailCpi > 0 {
+			c.Compute(l.tailCpi)
 		}
 	}
-	for k := range tail {
-		cnt := max(tail[k].Count, 1)
-		perTail += cnt
-		if tail[k].Kind == memsys.Read {
-			tailLoads += cnt
-		}
+	return true
+}
+
+// streamAccess charges entry a of iteration i of a stream based at base: a
+// slice access when Count > 1, a single access otherwise. The entry's own
+// Stride, when set, overrides stride.
+func (c *CPU) streamAccess(base uint64, stride int64, i uint64, a *memsys.StreamAcc) {
+	if a.Stride != 0 {
+		stride = a.Stride
 	}
-	total := outerN * (innerN*perInner + perTail)
-	loads := outerN * (innerN*innerLoads + tailLoads)
+	addr := base + uint64(stride)*i + uint64(a.Off)
+	if a.Count > 1 {
+		c.bulkAccess(addr, a.Size, a.Count, a.Kind)
+	} else {
+		c.access(addr, a.Size, a.Kind)
+	}
+}
+
+// chargeNest books t, the stream layer's latency for l, into the ledger
+// exactly as l's scalar loop would have: every cached access costs at least
+// L1HitTime, so the hit share of the batch is compute and the rest stall.
+func (c *CPU) chargeNest(l *loopNest, t sim.Duration) {
+	inner, innerLoads := accessCount(l.accs)
+	tail, tailLoads := accessCount(l.tail)
+	total := l.outerN * (l.innerN*inner + tail)
+	loads := l.outerN * (l.innerN*innerLoads + tailLoads)
 	hitTotal := sim.Duration(total) * c.hier.L1HitTime()
 	if t < hitTotal {
 		hitTotal = t // cannot happen for cached accesses; defensive
@@ -637,9 +552,22 @@ func (c *CPU) NestedStream(base uint64, outerStride int64, outerN uint64,
 	c.Stats.Instructions += total
 	c.Stats.Loads += loads
 	c.Stats.Stores += total - loads
-	if cpi := innerN*innerCpi + tailCpi; cpi > 0 {
-		c.Compute(outerN * cpi)
+	if cpi := l.innerN*l.innerCpi + l.tailCpi; cpi > 0 {
+		c.Compute(l.outerN * cpi)
 	}
+}
+
+// accessCount returns how many accesses one pass over accs performs, and
+// how many of them are loads.
+func accessCount(accs []memsys.StreamAcc) (n, loads uint64) {
+	for k := range accs {
+		cnt := max(accs[k].Count, 1)
+		n += cnt
+		if accs[k].Kind == memsys.Read {
+			loads += cnt
+		}
+	}
+	return n, loads
 }
 
 // TouchLoad charges the timing of a size-byte load whose value the caller

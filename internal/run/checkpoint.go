@@ -123,13 +123,6 @@ func (c *CheckpointCache) Len() int {
 	return len(c.entries)
 }
 
-// TotalBytes reports the cache's accounted checkpoint footprint.
-func (c *CheckpointCache) TotalBytes() uint64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.total
-}
-
 // ConvCheckpointKey is the canonical checkpoint key of a conventional-
 // machine run: benchmark, problem size, and exactly the configuration a
 // conventional machine observes. Every Active-Page-only knob (backend,

@@ -288,7 +288,6 @@ func TestPprofGated(t *testing.T) {
 	}
 }
 
-
 // TestWriteJSONEncodeError checks an unencodable value surfaces in the
 // debug log instead of vanishing.
 func TestWriteJSONEncodeError(t *testing.T) {
