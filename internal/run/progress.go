@@ -93,6 +93,7 @@ func (s ProgressSnapshot) ETA(jobs int) time.Duration {
 // The callback fields are read without synchronization and must be set
 // before the runner starts. Callbacks are invoked outside the tracker's
 // lock, from worker goroutines, so they must be safe for concurrent use.
+// OnPoint calls are serialized and arrive in completion order.
 type Progress struct {
 	// OnPoint, when set, is invoked after each scheduled point completes.
 	OnPoint func(PointEvent)
@@ -104,6 +105,9 @@ type Progress struct {
 
 	mu   sync.Mutex
 	snap ProgressSnapshot
+	// pointMu is held across a point's count and its OnPoint call, so
+	// events carry done counts in increasing order.
+	pointMu sync.Mutex
 }
 
 // SetLabel records the experiment now dispatching. Nil-safe.
@@ -136,6 +140,8 @@ func (p *Progress) pointDone(start time.Time, wall time.Duration, err error) {
 	if p == nil {
 		return
 	}
+	p.pointMu.Lock()
+	defer p.pointMu.Unlock()
 	p.mu.Lock()
 	p.snap.PointsDone++
 	p.snap.LastPointMS = wall.Milliseconds()
