@@ -99,6 +99,11 @@ func realMain() error {
 	}
 	flag.Parse()
 
+	cfg := radram.DefaultConfig().WithPageBytes(*pageBytes)
+	if err := cfg.Validate(); err != nil {
+		return fmt.Errorf("-pagebytes %d: %w", *pageBytes, err)
+	}
+
 	if *cpuProfile != "" {
 		f, err := os.Create(*cpuProfile)
 		if err != nil {
@@ -125,7 +130,6 @@ func realMain() error {
 		}()
 	}
 
-	cfg := radram.DefaultConfig().WithPageBytes(*pageBytes)
 	points := experiments.DefaultPagePoints()
 	if *quick {
 		points = experiments.QuickPagePoints()

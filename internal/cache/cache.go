@@ -76,8 +76,11 @@ type line struct {
 
 // Cache is one level of a write-back, write-allocate cache.
 type Cache struct {
-	cfg   Config
-	sets  [][]line
+	cfg Config
+	// lines holds every set's ways back to back: set s is
+	// lines[s*assoc : (s+1)*assoc].
+	lines []line
+	assoc uint64
 	nsets uint64
 	// lineShift/setMask/setShift turn locate's divisions into shifts.
 	// LineBytes is always a power of two; the set count is in every real
@@ -88,9 +91,12 @@ type Cache struct {
 	setMask   uint64
 	setsPow2  bool
 	// mru[set] is the way hit most recently, checked before the full scan.
-	mru   []int32
-	clock uint64 // LRU sequence source
-	Stats Stats
+	mru []int32
+	// shared reports that lines and mru are shared with a Checkpoint; own
+	// copies them before the cache's next mutation.
+	shared bool
+	clock  uint64 // LRU sequence source
+	Stats  Stats
 	// OnMiss, when set, is invoked on every miss with the missing address —
 	// the tracing hook. It must be nil when tracing is off so the miss path
 	// pays only a nil check; the hit paths never consult it.
@@ -103,13 +109,10 @@ func New(cfg Config) *Cache {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
-	nsets := cfg.SizeBytes / cfg.LineBytes / uint64(cfg.Assoc)
-	sets := make([][]line, nsets)
-	backing := make([]line, nsets*uint64(cfg.Assoc))
-	for i := range sets {
-		sets[i] = backing[uint64(i)*uint64(cfg.Assoc) : (uint64(i)+1)*uint64(cfg.Assoc)]
-	}
-	c := &Cache{cfg: cfg, sets: sets, nsets: nsets, mru: make([]int32, nsets)}
+	assoc := uint64(cfg.Assoc)
+	nsets := cfg.SizeBytes / cfg.LineBytes / assoc
+	c := &Cache{cfg: cfg, lines: make([]line, nsets*assoc), assoc: assoc,
+		nsets: nsets, mru: make([]int32, nsets)}
 	c.lineShift = uint(bits.TrailingZeros64(cfg.LineBytes))
 	if nsets&(nsets-1) == 0 {
 		c.setsPow2 = true
@@ -124,6 +127,23 @@ func (c *Cache) Config() Config { return c.cfg }
 
 // LineBytes returns the line size.
 func (c *Cache) LineBytes() uint64 { return c.cfg.LineBytes }
+
+// ways returns set's lines. Writing through the slice is safe only if own
+// ran before it was taken.
+func (c *Cache) ways(set uint64) []line {
+	return c.lines[set*c.assoc : (set+1)*c.assoc]
+}
+
+// own makes the line and MRU arrays the cache's own, copying them if a
+// checkpoint shares them. Every method that mutates either array calls it
+// before its first write.
+func (c *Cache) own() {
+	if c.shared {
+		c.lines = append([]line(nil), c.lines...)
+		c.mru = append([]int32(nil), c.mru...)
+		c.shared = false
+	}
+}
 
 func (c *Cache) locate(addr uint64) (set uint64, tag uint64) {
 	lineAddr := addr >> c.lineShift
@@ -148,19 +168,21 @@ type Result struct {
 // line by line (see AccessRange).
 func (c *Cache) Access(addr uint64, write bool) Result {
 	set, tag := c.locate(addr)
+	c.own()
 	c.clock++
-	ways := c.sets[set]
+	base := set * c.assoc
 	// MRU fast path: repeated accesses to the hottest way of a set skip the
 	// associativity scan. Hitting any way is the same state transition
 	// whichever order the ways are probed in, so this cannot change stats.
-	if m := c.mru[set]; ways[m].valid && ways[m].tag == tag {
-		ways[m].lru = c.clock
+	if l := &c.lines[base+uint64(c.mru[set])]; l.valid && l.tag == tag {
+		l.lru = c.clock
 		if write {
-			ways[m].dirty = true
+			l.dirty = true
 		}
 		c.Stats.Hits++
 		return Result{Hit: true}
 	}
+	ways := c.lines[base : base+c.assoc]
 	for i := range ways {
 		if ways[i].valid && ways[i].tag == tag {
 			ways[i].lru = c.clock
@@ -201,19 +223,20 @@ func (c *Cache) Access(addr uint64, write bool) Result {
 // AccessFast is the MRU-only hit path: if the line containing addr is the
 // most recently used way of its set, it performs the access (identically to
 // Access) and reports true. Otherwise it reports false having changed
-// nothing, and the caller must fall back to Access. This keeps the
-// single-access fast path small enough to inline.
+// nothing, and the caller must fall back to Access. It skips Access's way
+// scan and victim choice, though it is still over the compiler's inlining
+// budget.
 func (c *Cache) AccessFast(addr uint64, write bool) bool {
 	set, tag := c.locate(addr)
-	ways := c.sets[set]
-	m := c.mru[set]
-	if !ways[m].valid || ways[m].tag != tag {
+	m := set*c.assoc + uint64(c.mru[set])
+	if !c.lines[m].valid || c.lines[m].tag != tag {
 		return false
 	}
+	c.own()
 	c.clock++
-	ways[m].lru = c.clock
+	c.lines[m].lru = c.clock
 	if write {
-		ways[m].dirty = true
+		c.lines[m].dirty = true
 	}
 	c.Stats.Hits++
 	return true
@@ -230,7 +253,8 @@ func (c *Cache) RepeatHit(addr uint64, n uint64, write bool) {
 		return
 	}
 	set, tag := c.locate(addr)
-	ways := c.sets[set]
+	c.own()
+	ways := c.ways(set)
 	for i := range ways {
 		if ways[i].valid && ways[i].tag == tag {
 			c.clock += n
@@ -265,11 +289,12 @@ func (c *Cache) StreamRepeat(addrs, counts []uint64, writes []bool, k uint64) ui
 	if k == 0 || perRound == 0 {
 		return 0
 	}
+	c.own()
 	base := c.clock + (k-1)*perRound
 	var prefix uint64
 	for j, addr := range addrs {
 		set, tag := c.locate(addr)
-		ways := c.sets[set]
+		ways := c.ways(set)
 		prefix += counts[j]
 		for i := range ways {
 			if ways[i].valid && ways[i].tag == tag {
@@ -296,7 +321,7 @@ func (c *Cache) lineAddr(set, tag uint64) uint64 {
 // touching LRU state or statistics.
 func (c *Cache) Lookup(addr uint64) bool {
 	set, tag := c.locate(addr)
-	for _, w := range c.sets[set] {
+	for _, w := range c.ways(set) {
 		if w.valid && w.tag == tag {
 			return true
 		}
@@ -326,10 +351,11 @@ func (c *Cache) InvalidateRange(addr, size uint64) uint64 {
 	first := addr &^ (c.cfg.LineBytes - 1)
 	for a := first; a < addr+size; a += c.cfg.LineBytes {
 		set, tag := c.locate(a)
-		ways := c.sets[set]
+		ways := c.ways(set)
 		for i := range ways {
 			if ways[i].valid && ways[i].tag == tag {
-				ways[i] = line{}
+				c.own() // ways may be shared: write through c.lines
+				c.lines[set*c.assoc+uint64(i)] = line{}
 				dropped++
 				c.Stats.Invalidates++
 				break
@@ -342,14 +368,13 @@ func (c *Cache) InvalidateRange(addr, size uint64) uint64 {
 // Flush invalidates the entire cache, returning the number of dirty lines
 // that would have been written back.
 func (c *Cache) Flush() uint64 {
+	c.own()
 	var dirty uint64
-	for s := range c.sets {
-		for i := range c.sets[s] {
-			if c.sets[s][i].valid && c.sets[s][i].dirty {
-				dirty++
-			}
-			c.sets[s][i] = line{}
+	for i := range c.lines {
+		if c.lines[i].valid && c.lines[i].dirty {
+			dirty++
 		}
+		c.lines[i] = line{}
 	}
 	return dirty
 }
@@ -357,11 +382,9 @@ func (c *Cache) Flush() uint64 {
 // ResidentLines counts valid lines, mostly for tests.
 func (c *Cache) ResidentLines() int {
 	n := 0
-	for s := range c.sets {
-		for i := range c.sets[s] {
-			if c.sets[s][i].valid {
-				n++
-			}
+	for _, l := range c.lines {
+		if l.valid {
+			n++
 		}
 	}
 	return n

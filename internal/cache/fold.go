@@ -46,7 +46,8 @@ func (c *Cache) SetIndex(addr uint64) uint64 {
 }
 
 // FoldSnapshot is a reusable value copy of a cache's replacement state,
-// captured at stream period boundaries.
+// captured at stream period boundaries. Unlike a Checkpoint it owns its
+// arrays: the fold compares it against a cache that keeps changing.
 type FoldSnapshot struct {
 	lines []line
 	mru   []int32
@@ -57,27 +58,17 @@ type FoldSnapshot struct {
 // Stats returns the statistics captured with the snapshot.
 func (s *FoldSnapshot) Stats() Stats { return s.stats }
 
-// Bytes estimates the snapshot's host-memory footprint, for checkpoint
-// cache accounting.
-func (s *FoldSnapshot) Bytes() uint64 {
-	return uint64(len(s.lines))*32 + uint64(len(s.mru))*4
-}
-
 // Clock returns the LRU clock captured with the snapshot.
 func (s *FoldSnapshot) Clock() uint64 { return s.clock }
 
 // SnapshotInto copies the cache's full replacement state into s, reusing
 // s's buffers when they are large enough.
 func (c *Cache) SnapshotInto(s *FoldSnapshot) {
-	assoc := c.cfg.Assoc
-	n := int(c.nsets) * assoc
-	if cap(s.lines) < n {
-		s.lines = make([]line, n)
+	if cap(s.lines) < len(c.lines) {
+		s.lines = make([]line, len(c.lines))
 	}
-	s.lines = s.lines[:n]
-	for i, set := range c.sets {
-		copy(s.lines[i*assoc:(i+1)*assoc], set)
-	}
+	s.lines = s.lines[:len(c.lines)]
+	copy(s.lines, c.lines)
 	if cap(s.mru) < int(c.nsets) {
 		s.mru = make([]int32, c.nsets)
 	}
@@ -85,21 +76,6 @@ func (c *Cache) SnapshotInto(s *FoldSnapshot) {
 	copy(s.mru, c.mru)
 	s.clock = c.clock
 	s.stats = c.Stats
-}
-
-// Restore overwrites the cache's full replacement state with a snapshot
-// previously captured by SnapshotInto from a cache of identical geometry
-// (set count and associativity). It is the state half of the machine
-// checkpoint/branch API; callers guarantee the geometry match by building
-// the target cache from the same configuration.
-func (c *Cache) Restore(s *FoldSnapshot) {
-	assoc := c.cfg.Assoc
-	for i, set := range c.sets {
-		copy(set, s.lines[i*assoc:(i+1)*assoc])
-	}
-	copy(c.mru, s.mru)
-	c.clock = s.clock
-	c.Stats = s.stats
 }
 
 // touchedBit reports whether set s is marked in the bitmap.
@@ -116,17 +92,17 @@ func touchedBit(touched []uint64, s uint64) bool {
 // streams (tags advance downward); arithmetic wraps identically on both
 // sides of the comparison.
 func (c *Cache) VerifyFoldShift(prev *FoldSnapshot, touched []uint64, tagShift int64, clockDelta uint64) bool {
-	assoc := c.cfg.Assoc
-	if len(prev.lines) != int(c.nsets)*assoc || c.clock-prev.clock != clockDelta {
+	assoc := c.assoc
+	if len(prev.lines) != len(c.lines) || c.clock-prev.clock != clockDelta {
 		return false
 	}
 	var used [64]bool
-	if assoc > len(used) {
+	if assoc > uint64(len(used)) {
 		return false
 	}
 	for s := uint64(0); s < c.nsets; s++ {
-		cur := c.sets[s]
-		old := prev.lines[int(s)*assoc : int(s+1)*assoc]
+		cur := c.ways(s)
+		old := prev.lines[s*assoc : (s+1)*assoc]
 		if !touchedBit(touched, s) {
 			for i := range cur {
 				if cur[i] != old[i] {
@@ -190,13 +166,14 @@ func (c *Cache) VerifyFoldShift(prev *FoldSnapshot, touched []uint64, tagShift i
 // and its stamp by periods·clockDelta, and the LRU clock advances the same
 // way. Statistics are advanced separately via AddFoldStats.
 func (c *Cache) ApplyFoldShift(touched []uint64, tagShift int64, clockDelta, periods uint64) {
+	c.own()
 	dTag := uint64(tagShift) * periods
 	dLRU := clockDelta * periods
 	for s := uint64(0); s < c.nsets; s++ {
 		if !touchedBit(touched, s) {
 			continue
 		}
-		ways := c.sets[s]
+		ways := c.ways(s)
 		for i := range ways {
 			if ways[i].valid {
 				ways[i].tag += dTag

@@ -33,64 +33,103 @@ const frameCacheSlots = 64
 type frameCacheEntry struct {
 	frame []byte
 	idx   uint64
+	// gen is the frame's ownership stamp when the entry was filled (see
+	// frame.gen); writeFrame trusts the entry only while it equals the
+	// store's current generation.
+	gen uint64
+}
+
+// frame is one allocation granule and its copy-on-write ownership stamp.
+type frame struct {
+	b []byte
+	// gen is the store generation in which this store allocated or copied
+	// b. While it equals Store.gen, b is the store's own; any other value
+	// means b may be shared with a checkpoint, or with other stores
+	// restored from one, and must be copied before it is written.
+	gen uint64
 }
 
 // Store is a sparse, byte-addressable simulated memory.
 //
 // The zero value is not usable; call NewStore.
 type Store struct {
-	frames map[uint64][]byte
+	// frames holds every frame ever touched; frames are never dropped.
+	frames map[uint64]frame
+	// gen is the current write generation, always >= 1. Checkpoint advances
+	// it, which demotes every frame to shared at once; restored frames
+	// carry gen 0 and so start out shared.
+	gen uint64
 	// fcache is a direct-mapped cache of resolved frames, indexed by the low
 	// bits of the frame number, so runs of accesses over a few frames — the
 	// overwhelmingly common case on the simulator's load/store path — skip
-	// the map lookup. Frames are never freed, so entries need no
-	// invalidation. frame == nil means the slot is empty.
+	// the map lookup. An entry stays valid for reads until Restore replaces
+	// the frame map, which clears the cache, or a write replaces the frame
+	// with a private copy, which refills the entry's slot. frame == nil
+	// means the slot is empty.
 	fcache [frameCacheSlots]frameCacheEntry
 	// moveBuf is the reusable bounce buffer for Move.
 	moveBuf []byte
-	// touched counts frames ever allocated, for footprint reporting.
-	touched uint64
 }
 
 // NewStore returns an empty store.
 func NewStore() *Store {
-	return &Store{frames: make(map[uint64][]byte)}
+	return &Store{frames: make(map[uint64]frame), gen: 1}
 }
 
-// frame returns the frame containing addr, allocating it if needed.
-func (s *Store) frame(addr uint64) []byte {
+// readFrame returns the frame containing addr for reading, allocating it
+// (zeroed, owned) if needed, and leaves it in its frame-cache slot. A frame
+// shared with a checkpoint is returned as is: reads never copy.
+func (s *Store) readFrame(addr uint64) []byte {
 	idx := addr / frameBytes
 	e := &s.fcache[idx&(frameCacheSlots-1)]
-	if e.frame != nil && e.idx == idx {
-		return e.frame
+	if e.frame == nil || e.idx != idx {
+		f, ok := s.frames[idx]
+		if !ok {
+			f = frame{make([]byte, frameBytes), s.gen}
+			s.frames[idx] = f
+		}
+		*e = frameCacheEntry{f.b, idx, f.gen}
 	}
-	f := s.frames[idx]
-	if f == nil {
-		f = make([]byte, frameBytes)
-		s.frames[idx] = f
-		s.touched++
+	return e.frame
+}
+
+// writeFrame returns the frame containing addr for writing. Every writer
+// resolves frames here: a frame the store does not own is replaced by a
+// private copy first, so no write reaches a checkpoint. An empty
+// frame-cache slot has gen 0, which never equals s.gen, so the fast path
+// needs no nil check.
+func (s *Store) writeFrame(addr uint64) []byte {
+	idx := addr / frameBytes
+	e := &s.fcache[idx&(frameCacheSlots-1)]
+	if e.idx != idx || e.gen != s.gen {
+		s.readFrame(addr) // resolves the frame into e
+		if e.gen != s.gen {
+			b := append([]byte(nil), e.frame...)
+			s.frames[idx] = frame{b, s.gen}
+			*e = frameCacheEntry{b, idx, s.gen}
+		}
 	}
-	e.frame, e.idx = f, idx
-	return f
+	return e.frame
 }
 
 // FootprintBytes reports how much simulated memory has ever been touched.
-func (s *Store) FootprintBytes() uint64 { return s.touched * frameBytes }
+// Copies made on write replace their frame, so they are not counted.
+func (s *Store) FootprintBytes() uint64 { return uint64(len(s.frames)) * frameBytes }
 
 // ByteAt returns the byte at addr.
 func (s *Store) ByteAt(addr uint64) byte {
-	return s.frame(addr)[addr&frameMask]
+	return s.readFrame(addr)[addr&frameMask]
 }
 
 // SetByte stores b at addr.
 func (s *Store) SetByte(addr uint64, b byte) {
-	s.frame(addr)[addr&frameMask] = b
+	s.writeFrame(addr)[addr&frameMask] = b
 }
 
 // Read copies len(p) bytes starting at addr into p.
 func (s *Store) Read(addr uint64, p []byte) {
 	for len(p) > 0 {
-		f := s.frame(addr)
+		f := s.readFrame(addr)
 		off := addr & frameMask
 		n := copy(p, f[off:])
 		p = p[n:]
@@ -101,7 +140,7 @@ func (s *Store) Read(addr uint64, p []byte) {
 // Write copies p into the store starting at addr.
 func (s *Store) Write(addr uint64, p []byte) {
 	for len(p) > 0 {
-		f := s.frame(addr)
+		f := s.writeFrame(addr)
 		off := addr & frameMask
 		n := copy(f[off:], p)
 		p = p[n:]
@@ -143,7 +182,7 @@ func (s *Store) Move(dst, src uint64, n uint64) {
 // Fill sets n bytes starting at addr to b.
 func (s *Store) Fill(addr uint64, n uint64, b byte) {
 	for n > 0 {
-		f := s.frame(addr)
+		f := s.writeFrame(addr)
 		off := addr & frameMask
 		c := min(n, frameBytes-off)
 		region := f[off : off+c]
@@ -167,7 +206,7 @@ func (s *Store) Fill(addr uint64, n uint64, b byte) {
 // ReadU16 loads a 16-bit value from addr.
 func (s *Store) ReadU16(addr uint64) uint16 {
 	if off := addr & frameMask; off <= frameBytes-2 {
-		return binary.LittleEndian.Uint16(s.frame(addr)[off:])
+		return binary.LittleEndian.Uint16(s.readFrame(addr)[off:])
 	}
 	var b [2]byte
 	s.Read(addr, b[:])
@@ -177,7 +216,7 @@ func (s *Store) ReadU16(addr uint64) uint16 {
 // WriteU16 stores a 16-bit value at addr.
 func (s *Store) WriteU16(addr uint64, v uint16) {
 	if off := addr & frameMask; off <= frameBytes-2 {
-		binary.LittleEndian.PutUint16(s.frame(addr)[off:], v)
+		binary.LittleEndian.PutUint16(s.writeFrame(addr)[off:], v)
 		return
 	}
 	var b [2]byte
@@ -188,7 +227,7 @@ func (s *Store) WriteU16(addr uint64, v uint16) {
 // ReadU32 loads a 32-bit value from addr.
 func (s *Store) ReadU32(addr uint64) uint32 {
 	if off := addr & frameMask; off <= frameBytes-4 {
-		return binary.LittleEndian.Uint32(s.frame(addr)[off:])
+		return binary.LittleEndian.Uint32(s.readFrame(addr)[off:])
 	}
 	var b [4]byte
 	s.Read(addr, b[:])
@@ -198,7 +237,7 @@ func (s *Store) ReadU32(addr uint64) uint32 {
 // WriteU32 stores a 32-bit value at addr.
 func (s *Store) WriteU32(addr uint64, v uint32) {
 	if off := addr & frameMask; off <= frameBytes-4 {
-		binary.LittleEndian.PutUint32(s.frame(addr)[off:], v)
+		binary.LittleEndian.PutUint32(s.writeFrame(addr)[off:], v)
 		return
 	}
 	var b [4]byte
@@ -209,7 +248,7 @@ func (s *Store) WriteU32(addr uint64, v uint32) {
 // ReadU64 loads a 64-bit value from addr.
 func (s *Store) ReadU64(addr uint64) uint64 {
 	if off := addr & frameMask; off <= frameBytes-8 {
-		return binary.LittleEndian.Uint64(s.frame(addr)[off:])
+		return binary.LittleEndian.Uint64(s.readFrame(addr)[off:])
 	}
 	var b [8]byte
 	s.Read(addr, b[:])
@@ -219,7 +258,7 @@ func (s *Store) ReadU64(addr uint64) uint64 {
 // WriteU64 stores a 64-bit value at addr.
 func (s *Store) WriteU64(addr uint64, v uint64) {
 	if off := addr & frameMask; off <= frameBytes-8 {
-		binary.LittleEndian.PutUint64(s.frame(addr)[off:], v)
+		binary.LittleEndian.PutUint64(s.writeFrame(addr)[off:], v)
 		return
 	}
 	var b [8]byte
@@ -242,7 +281,7 @@ func (s *Store) ReadU16Slice(addr uint64, dst []uint16) {
 			continue
 		}
 		n = min(n, uint64(len(dst)))
-		f := s.frame(addr)
+		f := s.readFrame(addr)
 		for i := uint64(0); i < n; i++ {
 			dst[i] = binary.LittleEndian.Uint16(f[off+2*i:])
 		}
@@ -261,7 +300,7 @@ func (s *Store) WriteU16Slice(addr uint64, src []uint16) {
 			continue
 		}
 		n = min(n, uint64(len(src)))
-		f := s.frame(addr)
+		f := s.writeFrame(addr)
 		for i := uint64(0); i < n; i++ {
 			binary.LittleEndian.PutUint16(f[off+2*i:], src[i])
 		}
@@ -280,7 +319,7 @@ func (s *Store) ReadU32Slice(addr uint64, dst []uint32) {
 			continue
 		}
 		n = min(n, uint64(len(dst)))
-		f := s.frame(addr)
+		f := s.readFrame(addr)
 		for i := uint64(0); i < n; i++ {
 			dst[i] = binary.LittleEndian.Uint32(f[off+4*i:])
 		}
@@ -299,7 +338,7 @@ func (s *Store) WriteU32Slice(addr uint64, src []uint32) {
 			continue
 		}
 		n = min(n, uint64(len(src)))
-		f := s.frame(addr)
+		f := s.writeFrame(addr)
 		for i := uint64(0); i < n; i++ {
 			binary.LittleEndian.PutUint32(f[off+4*i:], src[i])
 		}
@@ -318,7 +357,7 @@ func (s *Store) ReadU64Slice(addr uint64, dst []uint64) {
 			continue
 		}
 		n = min(n, uint64(len(dst)))
-		f := s.frame(addr)
+		f := s.readFrame(addr)
 		for i := uint64(0); i < n; i++ {
 			dst[i] = binary.LittleEndian.Uint64(f[off+8*i:])
 		}
@@ -337,7 +376,7 @@ func (s *Store) WriteU64Slice(addr uint64, src []uint64) {
 			continue
 		}
 		n = min(n, uint64(len(src)))
-		f := s.frame(addr)
+		f := s.writeFrame(addr)
 		for i := uint64(0); i < n; i++ {
 			binary.LittleEndian.PutUint64(f[off+8*i:], src[i])
 		}

@@ -13,13 +13,16 @@ import (
 // an Active-Page machine or vice versa.
 var errShapeMismatch = errors.New("radram: checkpoint/machine shape mismatch (conventional vs active-page)")
 
-// Checkpoint is a deep-copy snapshot of a whole machine's simulated state:
-// store contents, memory-hierarchy state, processor ledger, and (on an
+// Checkpoint is a snapshot of a whole machine's simulated state: store
+// contents, memory-hierarchy state, processor ledger, and (on an
 // Active-Page machine) the Active-Page system. Restoring it into a machine
 // built from the same configuration resumes simulation byte-identically —
 // in timing, statistics, histograms, and data — which is what lets a sweep
 // simulate a shared warm-up prefix once and branch every point from the
-// checkpoint.
+// checkpoint. Store frames and cache arrays are shared copy-on-write with
+// the source machine and with every machine restored from the checkpoint
+// (see mem.Checkpoint and cache.Checkpoint); the remaining, small state is
+// copied. Either way the checkpoint never changes.
 type Checkpoint struct {
 	store mem.Checkpoint
 	hier  memsys.Checkpoint
@@ -29,7 +32,8 @@ type Checkpoint struct {
 }
 
 // Bytes estimates the checkpoint's host-memory footprint, for cache
-// accounting. Store frames dominate.
+// accounting: the full frames and arrays it keeps alive, whether or not a
+// machine still shares them. Store frames dominate.
 func (c *Checkpoint) Bytes() uint64 {
 	n := c.store.Bytes() + c.hier.Bytes()
 	if c.ap != nil {

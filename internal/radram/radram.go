@@ -36,6 +36,22 @@ type Config struct {
 	AP  core.Config
 }
 
+// Validate checks the configuration the way the machine constructors
+// would: the three caches, the DRAM and the Active-Page system. The
+// constructors panic or fail on a configuration it rejects — a page smaller
+// than a DRAM row, say — so a configuration built from user input (a flag,
+// an API request) is validated here before anything runs.
+func (c Config) Validate() error {
+	for _, part := range []interface{ Validate() error }{
+		c.Mem.L1I, c.Mem.L1D, c.Mem.L2, c.Mem.DRAM, c.AP,
+	} {
+		if err := part.Validate(); err != nil {
+			return fmt.Errorf("radram: %w", err)
+		}
+	}
+	return nil
+}
+
 // DefaultConfig returns the Table 1 reference machine with the RADram
 // compute backend installed.
 func DefaultConfig() Config {

@@ -1,6 +1,7 @@
 package radram
 
 import (
+	"strings"
 	"testing"
 
 	"activepages/internal/sim"
@@ -94,6 +95,46 @@ func TestNewRejectsBadConfig(t *testing.T) {
 		}
 	}()
 	MustNew(cfg)
+}
+
+// TestConfigValidate pins the page-size floor: every page size from one
+// DRAM row up to the paper's 512 KiB validates, while a smaller page — on
+// which the machine constructors panic — and every component's own error
+// are rejected.
+func TestConfigValidate(t *testing.T) {
+	for pb := uint64(2048); pb <= 512*1024; pb *= 2 {
+		if err := DefaultConfig().WithPageBytes(pb).Validate(); err != nil {
+			t.Errorf("page %d: %v", pb, err)
+		}
+	}
+	for _, pb := range []uint64{0, 16, 1024, 3000} {
+		if err := DefaultConfig().WithPageBytes(pb).Validate(); err == nil {
+			t.Errorf("page %d accepted", pb)
+		}
+	}
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("NewConventional accepted a page smaller than a DRAM row")
+			}
+		}()
+		NewConventional(DefaultConfig().WithPageBytes(16))
+	}()
+
+	breaks := map[string]func(*Config){
+		"L1I":  func(c *Config) { c.Mem.L1I.Assoc = 0 },
+		"L1D":  func(c *Config) { c.Mem.L1D.LineBytes = 24 },
+		"L2":   func(c *Config) { c.Mem.L2.SizeBytes = 3 << 20 },
+		"dram": func(c *Config) { c.Mem.DRAM.RowHitTime = c.Mem.DRAM.AccessTime + 1 },
+		"core": func(c *Config) { c.AP.LogicDivisor = 0 },
+	}
+	for name, brk := range breaks {
+		cfg := DefaultConfig()
+		brk(&cfg)
+		if err := cfg.Validate(); err == nil || !strings.Contains(err.Error(), name) {
+			t.Errorf("%s: Validate() = %v, want an error naming %s", name, err, name)
+		}
+	}
 }
 
 func TestElapsedTracksCPU(t *testing.T) {

@@ -6,7 +6,9 @@
 // completed run's final machine state by the canonical configuration that
 // produced it; a later point with the same key builds a fresh machine,
 // restores the checkpoint, and reads its measurements — byte-identical to
-// re-simulating, at memcpy cost.
+// re-simulating. The restore shares the checkpoint's store frames and
+// cache arrays copy-on-write, so a branch that only reads its
+// measurements copies none of them.
 
 package run
 

@@ -3,10 +3,12 @@ package run_test
 import (
 	"bytes"
 	"math/rand"
+	"sync"
 	"testing"
 
 	"activepages/internal/apps"
 	"activepages/internal/apps/array"
+	"activepages/internal/apps/layout"
 	"activepages/internal/apps/median"
 	"activepages/internal/memsys"
 	"activepages/internal/obs"
@@ -28,12 +30,53 @@ func machineJSON(t *testing.T, m *radram.Machine) []byte {
 	return j
 }
 
-// TestCheckpointRoundTrip is the deep-copy property test: after any run, a
-// checkpoint restored into a fresh machine of the same configuration must
-// reproduce the source's observable state exactly; an identical suffix
-// simulated on both must keep them identical (nothing hidden was lost);
-// and mutating either machine afterwards must not disturb the checkpoint
-// (nothing is aliased).
+// dataSpan covers the pages the round trip's benchmarks lay out from
+// layout.DataBase (at most 3 pages of 64 KiB); the suffix writes there.
+const dataSpan = 4 * 64 * 1024
+
+// storeData reads the machine's data region.
+func storeData(m *radram.Machine) []byte {
+	b := make([]byte, dataSpan)
+	m.Store.Read(layout.DataBase, b)
+	return b
+}
+
+// suffix simulates a seeded run of timed loads, stores and a stream,
+// followed by functional stores into the benchmark's pages, whose frames a
+// checkpoint of the machine shares.
+func suffix(m *radram.Machine, seed int64) {
+	srng := rand.New(rand.NewSource(seed))
+	for i := 0; i < 512; i++ {
+		addr := uint64(srng.Intn(1 << 22))
+		size := uint64(srng.Intn(64) + 1)
+		if srng.Intn(3) == 0 {
+			m.CPU.TouchStore(addr, size)
+		} else {
+			m.CPU.TouchLoad(addr, size)
+		}
+	}
+	m.CPU.Stream(uint64(1)<<21, 8, 4096,
+		[]memsys.StreamAcc{{Size: 8, Count: 1, Kind: memsys.Read}}, 3)
+	for i := 0; i < 64; i++ {
+		addr := layout.DataBase + uint64(srng.Intn(dataSpan-256))
+		if srng.Intn(2) == 0 {
+			m.CPU.StoreU32(addr&^3, srng.Uint32())
+		} else {
+			p := make([]byte, srng.Intn(256)+1)
+			srng.Read(p)
+			m.CPU.WriteBlock(addr, p)
+		}
+	}
+}
+
+// TestCheckpointRoundTrip is the checkpoint property test: after any run,
+// a checkpoint restored into a fresh machine of the same configuration
+// must reproduce the source's observable state and store contents exactly;
+// an identical suffix simulated on both must keep them identical (nothing
+// hidden was lost); and mutating either machine afterwards — timing state
+// and store data — must not disturb the checkpoint, although the source,
+// the branch and the checkpoint share frames and cache arrays until
+// written.
 func TestCheckpointRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(98))
 	benches := []apps.Benchmark{array.Benchmark{}, median.Benchmark{}}
@@ -52,6 +95,7 @@ func TestCheckpointRoundTrip(t *testing.T) {
 		}
 		ck := m.Checkpoint()
 		atCkpt := machineJSON(t, m)
+		atCkptData := storeData(m)
 
 		m2 := build()
 		if err := m2.Restore(ck); err != nil {
@@ -60,29 +104,25 @@ func TestCheckpointRoundTrip(t *testing.T) {
 		if !bytes.Equal(machineJSON(t, m2), atCkpt) {
 			t.Fatalf("round %d: restored state differs from source at checkpoint", round)
 		}
+		if !bytes.Equal(storeData(m2), atCkptData) {
+			t.Fatalf("round %d: restored store differs from source at checkpoint", round)
+		}
 
 		// Identical suffix on source and branch: any state the checkpoint
 		// missed (cache lines, LRU stamps, DRAM open rows, ledger) makes
 		// the timing or statistics diverge here.
-		suffix := func(m *radram.Machine) {
-			srng := rand.New(rand.NewSource(int64(round)))
-			for i := 0; i < 512; i++ {
-				addr := uint64(srng.Intn(1 << 22))
-				size := uint64(srng.Intn(64) + 1)
-				if srng.Intn(3) == 0 {
-					m.CPU.TouchStore(addr, size)
-				} else {
-					m.CPU.TouchLoad(addr, size)
-				}
-			}
-			m.CPU.Stream(uint64(1)<<21, 8, 4096,
-				[]memsys.StreamAcc{{Size: 8, Count: 1, Kind: memsys.Read}}, 3)
-		}
-		suffix(m)
-		suffix(m2)
+		suffix(m, int64(round))
+		suffix(m2, int64(round))
 		afterSuffix := machineJSON(t, m)
 		if !bytes.Equal(machineJSON(t, m2), afterSuffix) {
 			t.Fatalf("round %d: source and branch diverge after identical suffix", round)
+		}
+		afterData := storeData(m)
+		if bytes.Equal(afterData, atCkptData) {
+			t.Fatalf("round %d: the suffix wrote no store data", round)
+		}
+		if !bytes.Equal(storeData(m2), afterData) {
+			t.Fatalf("round %d: source and branch stores diverge after identical suffix", round)
 		}
 
 		// Isolation: both machines have moved past the checkpoint; a third
@@ -94,6 +134,61 @@ func TestCheckpointRoundTrip(t *testing.T) {
 		if !bytes.Equal(machineJSON(t, m3), atCkpt) {
 			t.Fatalf("round %d: checkpoint mutated by later simulation", round)
 		}
+		if !bytes.Equal(storeData(m3), atCkptData) {
+			t.Fatalf("round %d: checkpoint store mutated by later writes", round)
+		}
+	}
+}
+
+// TestCheckpointConcurrentBranches runs the source machine and four
+// branches of one checkpoint at once, each simulating the same suffix, the
+// way parallel sweep workers share a cached checkpoint. All five must end
+// in the same state and data, and the checkpoint must still restore to
+// the state it was taken in. Run it under -race.
+func TestCheckpointConcurrentBranches(t *testing.T) {
+	cfg := radram.DefaultConfig().WithPageBytes(64 * 1024)
+	src := radram.MustNew(cfg)
+	if err := (array.Benchmark{}).Run(src, 2); err != nil {
+		t.Fatalf("prefix run: %v", err)
+	}
+	ck := src.Checkpoint()
+	atCkpt, atCkptData := machineJSON(t, src), storeData(src)
+
+	branches := make([]*radram.Machine, 4)
+	errs := make([]error, len(branches))
+	var wg sync.WaitGroup
+	for i := range branches {
+		branches[i] = radram.MustNew(cfg)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if errs[i] = branches[i].Restore(ck); errs[i] == nil {
+				suffix(branches[i], 7)
+			}
+		}()
+	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		suffix(src, 7)
+	}()
+	wg.Wait()
+
+	want, wantData := machineJSON(t, src), storeData(src)
+	for i, m := range branches {
+		if errs[i] != nil {
+			t.Fatalf("branch %d: restore: %v", i, errs[i])
+		}
+		if !bytes.Equal(machineJSON(t, m), want) || !bytes.Equal(storeData(m), wantData) {
+			t.Fatalf("branch %d diverges from the source after the same suffix", i)
+		}
+	}
+	m := radram.MustNew(cfg)
+	if err := m.Restore(ck); err != nil {
+		t.Fatalf("restore: %v", err)
+	}
+	if !bytes.Equal(machineJSON(t, m), atCkpt) || !bytes.Equal(storeData(m), atCkptData) {
+		t.Fatal("concurrent branches changed the checkpoint")
 	}
 }
 

@@ -7,7 +7,9 @@ import (
 	"sync"
 	"time"
 
+	"activepages/internal/experiments"
 	"activepages/internal/obs"
+	"activepages/internal/radram"
 	"activepages/internal/run"
 )
 
@@ -261,8 +263,8 @@ func (req Request) validate(known func(string) bool) error {
 	if !known(req.Experiment) {
 		return fmt.Errorf("unknown experiment %q", req.Experiment)
 	}
-	if req.PageBytes != 0 && (req.PageBytes&(req.PageBytes-1)) != 0 {
-		return fmt.Errorf("page_bytes must be a power of two, got %d", req.PageBytes)
+	if err := req.config().Validate(); err != nil {
+		return fmt.Errorf("page_bytes %d: %w", req.PageBytes, err)
 	}
 	switch req.Backend {
 	case "", "radram", "simdram", "all":
@@ -270,6 +272,15 @@ func (req Request) validate(known func(string) bool) error {
 		return fmt.Errorf("unknown backend %q (want radram, simdram, or all)", req.Backend)
 	}
 	return nil
+}
+
+// config is the machine configuration the request runs: the scaled page
+// size unless page_bytes overrides it.
+func (req Request) config() radram.Config {
+	if req.PageBytes != 0 {
+		return radram.DefaultConfig().WithPageBytes(req.PageBytes)
+	}
+	return radram.DefaultConfig().WithPageBytes(experiments.ScaledPageBytes)
 }
 
 // String renders the request compactly for logs.

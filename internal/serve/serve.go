@@ -29,7 +29,6 @@ import (
 	"activepages/internal/experiments"
 	"activepages/internal/httpmw"
 	"activepages/internal/obs"
-	"activepages/internal/radram"
 	"activepages/internal/report"
 	"activepages/internal/run"
 )
@@ -391,10 +390,7 @@ func (s *Server) execute(id string) {
 		var buf bytes.Buffer
 		runner := (&run.Runner{Jobs: s.cfg.JobsPerRun, Context: ctx,
 			Checkpoints: s.checkpoints, Progress: prog}).WithMetrics()
-		cfg := radram.DefaultConfig().WithPageBytes(experiments.ScaledPageBytes)
-		if req.PageBytes != 0 {
-			cfg = radram.DefaultConfig().WithPageBytes(req.PageBytes)
-		}
+		cfg := req.config()
 		points := experiments.DefaultPagePoints()
 		if req.Quick {
 			points = experiments.QuickPagePoints()

@@ -167,11 +167,17 @@ func TestSubmitValidation(t *testing.T) {
 		`not json`,
 		`{"experiment":"array","nope":1}`,
 		`{"experiment":"array","page_bytes":3000}`,
+		// A power of two below the 2 KiB DRAM row: the machine constructors
+		// would panic, so the POST must fail before anything is queued.
+		`{"experiment":"array","quick":true,"page_bytes":16}`,
 		`{"experiment":"array","backend":"fpga"}`,
 	} {
 		if resp, _ := submit(t, ts, body); resp.StatusCode != http.StatusBadRequest {
 			t.Errorf("submit(%s): HTTP %d, want 400", body, resp.StatusCode)
 		}
+	}
+	if code, body := get(t, ts.URL+"/api/v1/runs"); code != http.StatusOK || strings.Contains(string(body), `"id"`) {
+		t.Errorf("rejected submissions left runs behind: HTTP %d %s", code, body)
 	}
 
 	if code, _ := get(t, ts.URL+"/api/v1/runs/r999999"); code != http.StatusNotFound {
