@@ -1,6 +1,7 @@
-// Package sim provides the discrete-event simulation kernel shared by every
-// component of the RADram simulator: a picosecond-resolution clock, duration
-// helpers, and a deterministic event queue.
+// Package sim provides the simulated-time base shared by every component of
+// the RADram simulator: a picosecond-resolution time type, duration helpers,
+// and fixed-frequency clock domains. There is no central event queue: each
+// component advances its own clock.
 //
 // All timing in the simulator is expressed in Time (picoseconds). Using
 // picoseconds keeps every clock domain exact: a 1 GHz processor cycle is
@@ -8,10 +9,7 @@
 // is 10000 ps, so no clock-domain crossing ever rounds.
 package sim
 
-import (
-	"container/heap"
-	"fmt"
-)
+import "fmt"
 
 // Time is a point in simulated time, in picoseconds since simulation start.
 type Time uint64
@@ -109,124 +107,3 @@ func (c Clock) Cycles(n uint64) Duration { return Duration(n) * c.period }
 
 // CyclesIn reports how many full cycles fit in d.
 func (c Clock) CyclesIn(d Duration) uint64 { return uint64(d) / uint64(c.period) }
-
-// Event is a scheduled callback. Events with equal times fire in insertion
-// order, which keeps simulations deterministic.
-type Event struct {
-	At Time
-	Fn func(Time)
-
-	seq   uint64
-	index int
-}
-
-// Queue is a deterministic time-ordered event queue.
-//
-// The zero value is ready to use.
-type Queue struct {
-	h   eventHeap
-	seq uint64
-	now Time
-}
-
-// Now returns the current simulation time of the queue: the time of the most
-// recently dispatched event.
-func (q *Queue) Now() Time { return q.now }
-
-// Len reports the number of pending events.
-func (q *Queue) Len() int { return len(q.h) }
-
-// Schedule enqueues fn to run at time at. Scheduling in the past (before the
-// last dispatched event) is an error in the simulation and panics.
-func (q *Queue) Schedule(at Time, fn func(Time)) *Event {
-	if at < q.now {
-		panic(fmt.Sprintf("sim: event scheduled at %v, before current time %v", at, q.now))
-	}
-	ev := &Event{At: at, Fn: fn, seq: q.seq}
-	q.seq++
-	heap.Push(&q.h, ev)
-	return ev
-}
-
-// Cancel removes a pending event. Cancelling an already-fired or already-
-// cancelled event is a no-op.
-func (q *Queue) Cancel(ev *Event) {
-	if ev == nil || ev.index < 0 || ev.index >= len(q.h) || q.h[ev.index] != ev {
-		return
-	}
-	heap.Remove(&q.h, ev.index)
-	ev.index = -1
-}
-
-// Step dispatches the earliest pending event and returns true, or returns
-// false if the queue is empty.
-func (q *Queue) Step() bool {
-	if len(q.h) == 0 {
-		return false
-	}
-	ev := heap.Pop(&q.h).(*Event)
-	q.now = ev.At
-	ev.Fn(ev.At)
-	return true
-}
-
-// RunUntil dispatches events with At <= deadline and advances the clock to
-// the deadline. Events scheduled by fired events are dispatched too if they
-// fall within the deadline.
-func (q *Queue) RunUntil(deadline Time) {
-	for len(q.h) > 0 && q.h[0].At <= deadline {
-		q.Step()
-	}
-	if deadline > q.now {
-		q.now = deadline
-	}
-}
-
-// Run dispatches events until the queue is empty and returns the final time.
-func (q *Queue) Run() Time {
-	for q.Step() {
-	}
-	return q.now
-}
-
-// NextAt returns the time of the earliest pending event and true, or 0 and
-// false if none is pending.
-func (q *Queue) NextAt() (Time, bool) {
-	if len(q.h) == 0 {
-		return 0, false
-	}
-	return q.h[0].At, true
-}
-
-type eventHeap []*Event
-
-func (h eventHeap) Len() int { return len(h) }
-
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].At != h[j].At {
-		return h[i].At < h[j].At
-	}
-	return h[i].seq < h[j].seq
-}
-
-func (h eventHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].index = i
-	h[j].index = j
-}
-
-func (h *eventHeap) Push(x any) {
-	ev := x.(*Event)
-	ev.index = len(*h)
-	*h = append(*h, ev)
-}
-
-func (h *eventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	ev := old[n-1]
-	old[n-1] = nil
-	ev.index = -1
-	*h = old[:n-1]
-	return ev
-}
