@@ -10,6 +10,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"activepages/internal/httpmw"
@@ -106,13 +107,13 @@ type Router struct {
 	state map[string]*backendState
 
 	live        *obs.Registry
-	requests    obs.LiveCounter // submissions accepted for routing
-	retries     obs.LiveCounter // failovers to a later replica in ring order
-	shed        obs.LiveCounter // submissions that exhausted every replica
-	cacheHits   obs.LiveCounter // backend answered from its result cache
-	cacheMisses obs.LiveCounter // backend queued a cold execution
-	cacheDedup  obs.LiveCounter // backend attached the submission to an in-flight run
-	proxyErrors obs.LiveCounter // proxied reads that failed at the transport
+	requests    atomic.Uint64 // submissions accepted for routing
+	retries     atomic.Uint64 // failovers to a later replica in ring order
+	shed        atomic.Uint64 // submissions that exhausted every replica
+	cacheHits   atomic.Uint64 // backend answered from its result cache
+	cacheMisses atomic.Uint64 // backend queued a cold execution
+	cacheDedup  atomic.Uint64 // backend attached the submission to an in-flight run
+	proxyErrors atomic.Uint64 // proxied reads that failed at the transport
 
 	// mw is the shared HTTP middleware layer (per-route histograms under
 	// "router.http.*", access logs, request-id stamping); traces keeps each
@@ -317,17 +318,17 @@ func (rt *Router) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusBadRequest, map[string]string{"error": fmt.Sprintf("bad request body: %v", err)})
 		return
 	}
-	var req serve.Request
-	dec := json.NewDecoder(bytes.NewReader(body))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		writeJSON(w, http.StatusBadRequest, map[string]string{"error": fmt.Sprintf("bad request body: %v", err)})
+	// Validate before hashing: a body every shard would refuse gets its 400
+	// here instead of a ring walk and a proxy hop.
+	req, err := serve.DecodeRequest(bytes.NewReader(body))
+	if err != nil {
+		writeJSON(w, http.StatusBadRequest, map[string]string{"error": err.Error()})
 		return
 	}
-	rt.requests.Inc()
+	rt.requests.Add(1)
 	rid := httpmw.RequestID(r.Context())
 	submitStart := time.Now()
-	tr := obs.NewWallTracer(submitStart, routerTraceEvents)
+	tr := obs.NewWallTracer(submitStart)
 	tr.SetProcess(routerTracePID, "aprouted (router)")
 	tr.Log(submitStart, "submit received", map[string]string{"request_id": rid})
 
@@ -336,7 +337,7 @@ func (rt *Router) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	tr.Span(obs.TIDRouterLifecycle, "router", "ring_lookup", submitStart, time.Since(submitStart))
 	for attempt, backend := range order {
 		if attempt > 0 {
-			rt.retries.Inc()
+			rt.retries.Add(1)
 			tr.Instant(obs.TIDRouterAttempts, "router", "retry", time.Now())
 		}
 		attemptStart := time.Now()
@@ -367,11 +368,11 @@ func (rt *Router) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		tr.Span(obs.TIDRouterAttempts, "router", "attempt "+backend, attemptStart, time.Since(attemptStart))
 		switch resp.Header.Get(serve.CacheResultHeader) {
 		case "hit":
-			rt.cacheHits.Inc()
+			rt.cacheHits.Add(1)
 		case "miss":
-			rt.cacheMisses.Inc()
+			rt.cacheMisses.Add(1)
 		case "dedup":
-			rt.cacheDedup.Inc()
+			rt.cacheDedup.Add(1)
 		}
 		relayStart := time.Now()
 		id := runIDFromLocation(resp.Header.Get("Location"))
@@ -385,7 +386,7 @@ func (rt *Router) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		}
 		return
 	}
-	rt.shed.Inc()
+	rt.shed.Add(1)
 	writeJSON(w, http.StatusServiceUnavailable,
 		map[string]string{"error": fmt.Sprintf("no backend accepted the run (%d tried)", len(order))})
 }
@@ -417,14 +418,14 @@ func (rt *Router) handleList(w http.ResponseWriter, r *http.Request) {
 	for _, backend := range rt.cfg.Backends {
 		resp, err := rt.client.Get(backend + "/api/v1/runs")
 		if err != nil {
-			rt.proxyErrors.Inc()
+			rt.proxyErrors.Add(1)
 			continue
 		}
 		var one listing
 		err = json.NewDecoder(io.LimitReader(resp.Body, 64<<20)).Decode(&one)
 		resp.Body.Close()
 		if err != nil {
-			rt.proxyErrors.Inc()
+			rt.proxyErrors.Add(1)
 			continue
 		}
 		merged.Runs = append(merged.Runs, one.Runs...)
@@ -451,7 +452,7 @@ func (rt *Router) handleProxyGet(w http.ResponseWriter, r *http.Request) {
 	for _, backend := range rt.cfg.Backends {
 		resp, err := rt.do(r, backend)
 		if err != nil {
-			rt.proxyErrors.Inc()
+			rt.proxyErrors.Add(1)
 			continue
 		}
 		if resp.StatusCode == http.StatusNotFound {
@@ -516,7 +517,7 @@ func (rt *Router) do(r *http.Request, backend string) (*http.Response, error) {
 func (rt *Router) proxy(w http.ResponseWriter, r *http.Request, backend string) {
 	resp, err := rt.do(r, backend)
 	if err != nil {
-		rt.proxyErrors.Inc()
+		rt.proxyErrors.Add(1)
 		rt.markUnhealthy(backend)
 		writeJSON(w, http.StatusBadGateway,
 			map[string]string{"error": fmt.Sprintf("shard %s unreachable: %v", backend, err)})

@@ -302,14 +302,25 @@ func TestRouterShedsWhenFleetDown(t *testing.T) {
 }
 
 func TestRouterRejectsBadSubmission(t *testing.T) {
-	_, _, ts := startFleet(t, 1)
-	resp, err := http.Post(ts.URL+"/api/v1/runs", "application/json", strings.NewReader(`{nope`))
-	if err != nil {
-		t.Fatal(err)
+	_, backends, ts := startFleet(t, 1)
+	for _, body := range []string{
+		`{nope`,
+		`{"experiment":"nope"}`,
+		`{"experiment":"array","page_bytes":16}`,
+		`{"experiment":"array","bogus":true}`,
+	} {
+		resp, err := http.Post(ts.URL+"/api/v1/runs", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("body %s: HTTP %d, want 400", body, resp.StatusCode)
+		}
 	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("bad body: HTTP %d, want 400", resp.StatusCode)
+	// The router refuses before hashing: no bad body reaches the shard.
+	if n := backends[0].Server().MetricsSnapshot()["serve.http.post_api_v1_runs.h.count"]; n != 0 {
+		t.Errorf("shard received %d bad submissions, want 0", n)
 	}
 }

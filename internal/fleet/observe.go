@@ -22,10 +22,6 @@ const (
 	// from the shard pids (1, 2, ...) so Perfetto renders it as its own
 	// process band.
 	routerTracePID = 100
-	// routerTraceEvents bounds one submission's routing trace: a routing
-	// decision is a handful of spans (ring lookup, attempts, relay), so a
-	// small ring keeps the per-request cost trivial.
-	routerTraceEvents = 64
 	// routerTraceRuns bounds how many runs' routing traces the store
 	// retains before evicting oldest-first.
 	routerTraceRuns = 1024
@@ -84,7 +80,7 @@ func (rt *Router) handleRunTrace(w http.ResponseWriter, r *http.Request) {
 	for _, backend := range candidates {
 		resp, err := rt.do(r, backend)
 		if err != nil {
-			rt.proxyErrors.Inc()
+			rt.proxyErrors.Add(1)
 			rt.markUnhealthy(backend)
 			continue
 		}
@@ -100,7 +96,7 @@ func (rt *Router) handleRunTrace(w http.ResponseWriter, r *http.Request) {
 		base, err := io.ReadAll(io.LimitReader(resp.Body, 64<<20))
 		resp.Body.Close()
 		if err != nil {
-			rt.proxyErrors.Inc()
+			rt.proxyErrors.Add(1)
 			writeJSON(w, http.StatusBadGateway,
 				map[string]string{"error": fmt.Sprintf("shard trace read failed: %v", err)})
 			return
@@ -172,14 +168,14 @@ func (rt *Router) gatherFleet() (obs.Snapshot, map[string]shardScrape) {
 	for i, backend := range rt.cfg.Backends {
 		resp, err := rt.client.Get(backend + "/api/v1/metricsz")
 		if err != nil {
-			rt.proxyErrors.Inc()
+			rt.proxyErrors.Add(1)
 			continue
 		}
 		var snap obs.Snapshot
 		err = json.NewDecoder(io.LimitReader(resp.Body, 16<<20)).Decode(&snap)
 		resp.Body.Close()
 		if err != nil {
-			rt.proxyErrors.Inc()
+			rt.proxyErrors.Add(1)
 			continue
 		}
 		fleet.Merge(snap)

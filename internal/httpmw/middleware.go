@@ -23,10 +23,10 @@ import (
 	"net/http"
 	"runtime/debug"
 	"strings"
+	"sync/atomic"
 	"time"
 
 	"activepages/internal/obs"
-	"activepages/internal/sim"
 )
 
 // RequestIDHeader carries the fleet-wide request correlation id. The
@@ -50,13 +50,6 @@ func NewRequestID() string {
 func RequestID(ctx context.Context) string {
 	v, _ := ctx.Value(ridKey{}).(string)
 	return v
-}
-
-// wallDuration converts a wall-clock duration into the simulated-time unit
-// the histogram buckets use (picoseconds), so HTTP latencies land in the
-// same log2 bucket layout as every other histogram.
-func wallDuration(d time.Duration) sim.Duration {
-	return sim.Duration(d.Nanoseconds()) * sim.Nanosecond
 }
 
 // RouteMetricName turns a mux pattern into a metric name segment:
@@ -130,9 +123,9 @@ type Instrument struct {
 	live   *obs.Registry
 	prefix string
 
-	requests obs.LiveCounter
-	errors   obs.LiveCounter
-	panics   obs.LiveCounter
+	requests atomic.Uint64
+	errors   atomic.Uint64
+	panics   atomic.Uint64
 }
 
 // NewInstrument builds an Instrument and registers its counters as
@@ -145,12 +138,6 @@ func NewInstrument(log *slog.Logger, live *obs.Registry, prefix string) *Instrum
 	return m
 }
 
-// Requests returns how many instrumented requests completed.
-func (m *Instrument) Requests() uint64 { return m.requests.Load() }
-
-// Errors returns how many requests answered with a 5xx status.
-func (m *Instrument) Errors() uint64 { return m.errors.Load() }
-
 // Panics returns how many handler panics the recoverer converted to 500s.
 func (m *Instrument) Panics() uint64 { return m.panics.Load() }
 
@@ -161,8 +148,8 @@ func (m *Instrument) Panics() uint64 { return m.panics.Load() }
 // registration time keeps the route->histogram mapping static and
 // lock-free.
 func (m *Instrument) Handle(mux *http.ServeMux, pattern string, h http.HandlerFunc) {
-	hist := obs.NewLiveHistogram()
-	m.live.LiveHistogram(m.prefix+"http."+RouteMetricName(pattern), hist)
+	hist := &obs.LiveHistogram{}
+	m.live.Histogram(m.prefix+"http."+RouteMetricName(pattern), hist)
 	mux.HandleFunc(pattern, func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
 		rid := r.Header.Get(RequestIDHeader)
@@ -174,10 +161,10 @@ func (m *Instrument) Handle(mux *http.ServeMux, pattern string, h http.HandlerFu
 		sw := &StatusWriter{ResponseWriter: w}
 		h(sw, r)
 		elapsed := time.Since(start)
-		hist.Observe(wallDuration(elapsed))
-		m.requests.Inc()
+		hist.Observe(elapsed)
+		m.requests.Add(1)
 		if sw.status >= 500 {
-			m.errors.Inc()
+			m.errors.Add(1)
 		}
 		m.log.LogAttrs(r.Context(), slog.LevelInfo, "http",
 			slog.String("method", r.Method),
@@ -198,8 +185,8 @@ func (m *Instrument) Recoverer(next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		defer func() {
 			if v := recover(); v != nil {
-				m.panics.Inc()
-				m.errors.Inc()
+				m.panics.Add(1)
+				m.errors.Add(1)
 				m.log.Error("handler panic",
 					"method", r.Method, "path", r.URL.Path,
 					"panic", v, "stack", string(debug.Stack()))

@@ -22,7 +22,6 @@ import (
 	"io"
 	"math"
 	"runtime"
-	"sort"
 	"strconv"
 	"strings"
 )
@@ -55,49 +54,13 @@ func leBound(i int) string {
 	return strconv.FormatFloat(ns, 'g', -1, 64)
 }
 
-// expoHist is one reassembled histogram family.
-type expoHist struct {
-	buckets [histBuckets]int64
-	count   int64
-	sumNS   int64
-}
-
 // WriteExposition renders the snapshot in the Prometheus text exposition
 // format (version 0.0.4). See the package comment of this file for the
 // name mapping.
 func WriteExposition(w io.Writer, s Snapshot) error {
 	bw := bufio.NewWriter(w)
 
-	hists := make(map[string]*expoHist)
-	gethist := func(base string) *expoHist {
-		h := hists[base]
-		if h == nil {
-			h = &expoHist{}
-			hists[base] = h
-		}
-		return h
-	}
-	scalars := make([]string, 0, len(s))
-	for k, v := range s {
-		if i := strings.LastIndex(k, histBucketInfix); i >= 0 {
-			var b int
-			if _, err := fmt.Sscanf(k[i+len(histBucketInfix):], "%d", &b); err == nil && b >= 0 && b < histBuckets {
-				gethist(k[:i]).buckets[b] = v
-				continue
-			}
-		}
-		if base, ok := strings.CutSuffix(k, histCountSuffix); ok {
-			gethist(base).count = v
-			continue
-		}
-		if base, ok := strings.CutSuffix(k, histSumSuffix); ok {
-			gethist(base).sumNS = v
-			continue
-		}
-		scalars = append(scalars, k)
-	}
-
-	sort.Strings(scalars)
+	hists, bases, scalars := s.splitHists()
 	for _, k := range scalars {
 		name := "ap_" + sanitizeMetricName(k)
 		typ := "counter"
@@ -107,11 +70,6 @@ func WriteExposition(w io.Writer, s Snapshot) error {
 		fmt.Fprintf(bw, "# TYPE %s %s\n%s %d\n", name, typ, name, s[k])
 	}
 
-	bases := make([]string, 0, len(hists))
-	for base := range hists {
-		bases = append(bases, base)
-	}
-	sort.Strings(bases)
 	for _, base := range bases {
 		h := hists[base]
 		name := "ap_" + sanitizeMetricName(base) + "_ns"

@@ -22,7 +22,7 @@ func TestWriteExpositionGolden(t *testing.T) {
 		"conv.elapsed_max":     99,
 		"serve.runs_submitted": 3,
 	}
-	h.fold(s, "mem.lat")
+	h.Checkpoint().fold(s, "mem.lat")
 
 	var b strings.Builder
 	if err := WriteExposition(&b, s); err != nil {
@@ -54,7 +54,7 @@ func TestWriteExpositionOverflowBucket(t *testing.T) {
 	h := NewHistogram()
 	h.Observe(sim.Duration(1) << 63) // bucket 64
 	s := Snapshot{}
-	h.fold(s, "big")
+	h.Checkpoint().fold(s, "big")
 
 	var b strings.Builder
 	if err := WriteExposition(&b, s); err != nil {
@@ -77,7 +77,7 @@ func TestWriteExpositionWellFormed(t *testing.T) {
 		h.Observe(sim.Duration(i) * 7 * sim.Nanosecond)
 	}
 	s := Snapshot{"a.b-c/d": 1, "x_max": 2, "plain": 3}
-	h.fold(s, "lat")
+	h.Checkpoint().fold(s, "lat")
 
 	var b strings.Builder
 	if err := WriteExposition(&b, s); err != nil {

@@ -95,17 +95,6 @@ func (h *Histogram) AddDelta(d HistCheckpoint, times uint64) {
 	h.sum += d.sum * sim.Duration(times)
 }
 
-// ObserveN records the same duration n times, equivalent to n Observe
-// calls. A nil histogram ignores it.
-func (h *Histogram) ObserveN(d sim.Duration, n uint64) {
-	if h == nil || n == 0 {
-		return
-	}
-	h.buckets[bits.Len64(uint64(d))] += n
-	h.count += n
-	h.sum += d * sim.Duration(n)
-}
-
 // Count reports how many durations have been recorded.
 func (h *Histogram) Count() uint64 {
 	if h == nil {
@@ -198,14 +187,6 @@ const (
 	histSumSuffix   = ".h.sum_ns"
 )
 
-// fold adds the histogram's buckets to snapshot s under name.
-func (h *Histogram) fold(s Snapshot, name string) {
-	if h == nil {
-		return
-	}
-	h.Checkpoint().fold(s, name)
-}
-
 // fold adds the checkpoint's buckets to snapshot s under name. Empty
 // checkpoints contribute no keys.
 func (c HistCheckpoint) fold(s Snapshot, name string) {
@@ -221,48 +202,58 @@ func (c HistCheckpoint) fold(s Snapshot, name string) {
 	s[name+histSumSuffix] += int64(c.sum / sim.Nanosecond)
 }
 
-// Histograms reconstructs every histogram embedded in the snapshot's
-// ".h.*" keys and summarizes each, sorted by name.
-func (s Snapshot) Histograms() []HistSummary {
-	type raw struct {
-		buckets [histBuckets]int64
-		count   int64
-		sumNS   int64
-	}
-	found := make(map[string]*raw)
-	get := func(name string) *raw {
-		r := found[name]
-		if r == nil {
-			r = &raw{}
-			found[name] = r
+// rawHist is one histogram rebuilt from a snapshot's ".h.*" keys.
+type rawHist struct {
+	buckets [histBuckets]int64
+	count   int64
+	sumNS   int64
+}
+
+// splitHists rebuilds every histogram embedded in the snapshot's ".h.*"
+// keys, keyed by base name, and returns them with their sorted base names
+// and the sorted remaining (scalar) keys.
+func (s Snapshot) splitHists() (hists map[string]*rawHist, bases, scalars []string) {
+	hists = make(map[string]*rawHist)
+	get := func(base string) *rawHist {
+		h := hists[base]
+		if h == nil {
+			h = &rawHist{}
+			hists[base] = h
+			bases = append(bases, base)
 		}
-		return r
+		return h
 	}
 	for k, v := range s {
 		if i := strings.LastIndex(k, histBucketInfix); i >= 0 {
 			var b int
 			if _, err := fmt.Sscanf(k[i+len(histBucketInfix):], "%d", &b); err == nil && b >= 0 && b < histBuckets {
 				get(k[:i]).buckets[b] = v
+				continue
 			}
+		}
+		if base, ok := strings.CutSuffix(k, histCountSuffix); ok {
+			get(base).count = v
 			continue
 		}
-		if name, ok := strings.CutSuffix(k, histCountSuffix); ok {
-			get(name).count = v
+		if base, ok := strings.CutSuffix(k, histSumSuffix); ok {
+			get(base).sumNS = v
 			continue
 		}
-		if name, ok := strings.CutSuffix(k, histSumSuffix); ok {
-			get(name).sumNS = v
-		}
+		scalars = append(scalars, k)
 	}
-	names := make([]string, 0, len(found))
-	for name := range found {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	out := make([]HistSummary, 0, len(names))
-	for _, name := range names {
-		r := found[name]
-		out = append(out, summarize(name, r.buckets[:], r.count, r.sumNS))
+	sort.Strings(bases)
+	sort.Strings(scalars)
+	return hists, bases, scalars
+}
+
+// Histograms reconstructs every histogram embedded in the snapshot's
+// ".h.*" keys and summarizes each, sorted by name.
+func (s Snapshot) Histograms() []HistSummary {
+	hists, bases, _ := s.splitHists()
+	out := make([]HistSummary, 0, len(bases))
+	for _, name := range bases {
+		h := hists[name]
+		out = append(out, summarize(name, h.buckets[:], h.count, h.sumNS))
 	}
 	return out
 }

@@ -1,36 +1,34 @@
 package obs
 
 import (
+	"maps"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"activepages/internal/sim"
 )
 
-// TestLiveHistogramMatchesHistogram checks the lock-striped histogram folds
-// into exactly the same snapshot keys as the single-run histogram for the
-// same observations.
+// TestLiveHistogramMatchesHistogram checks a live histogram registers and
+// folds into exactly the same snapshot keys as a single-run histogram fed
+// the same durations.
 func TestLiveHistogramMatchesHistogram(t *testing.T) {
-	plain, live := NewHistogram(), NewLiveHistogram()
+	plain, live := NewHistogram(), &LiveHistogram{}
+	rp, rl := New(), New()
+	rp.Histogram("lat", plain)
+	rl.Histogram("lat", live)
 	for i := 0; i < 1000; i++ {
-		d := sim.Duration(i*i) * sim.Nanosecond / 3
-		plain.Observe(d)
+		d := time.Duration(i*i) * time.Nanosecond / 3
+		plain.Observe(wallDuration(d))
 		live.Observe(d)
 	}
-	a, b := Snapshot{}, Snapshot{}
-	plain.fold(a, "lat")
-	live.fold(b, "lat")
+	a, b := rp.Snapshot(), rl.Snapshot()
 	if len(a) == 0 {
 		t.Fatal("plain histogram folded no keys")
 	}
-	for k, v := range a {
-		if b[k] != v {
-			t.Errorf("key %s: live %d, plain %d", k, b[k], v)
-		}
-	}
-	if len(a) != len(b) {
-		t.Errorf("key count: live %d, plain %d", len(b), len(a))
+	if !maps.Equal(a, b) {
+		t.Errorf("live snapshot %v, plain %v", b, a)
 	}
 }
 
@@ -38,10 +36,10 @@ func TestLiveHistogramMatchesHistogram(t *testing.T) {
 // while snapshotting it, and checks (a) no observation is lost once the
 // writers finish and (b) every mid-flight checkpoint is internally
 // consistent: its count equals the sum of its buckets. Run under -race this
-// is also the data-race gate for the striping.
+// is also the data-race gate for the lock.
 func TestLiveHistogramConcurrent(t *testing.T) {
 	const writers, perWriter = 8, 5000
-	h := NewLiveHistogram()
+	h := &LiveHistogram{}
 
 	var torn atomic.Bool
 	stop := make(chan struct{})
@@ -73,7 +71,7 @@ func TestLiveHistogramConcurrent(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < perWriter; i++ {
-				h.Observe(sim.Duration(w*i) * sim.Nanosecond)
+				h.Observe(time.Duration(w * i))
 			}
 		}(w)
 	}
@@ -89,11 +87,11 @@ func TestLiveHistogramConcurrent(t *testing.T) {
 	}
 }
 
-// TestLiveCounterGauge covers the scalar live types and their registry
-// registration.
+// TestLiveCounterGauge covers the atomic counters and gauges services
+// register, and concurrent scrapes of them.
 func TestLiveCounterGauge(t *testing.T) {
-	var c LiveCounter
-	var g LiveGauge
+	var c atomic.Uint64
+	var g atomic.Int64
 	r := New()
 	r.Counter("serve.hits", c.Load)
 	r.Gauge("serve.depth", g.Load)
@@ -104,7 +102,7 @@ func TestLiveCounterGauge(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 1000; i++ {
-				c.Inc()
+				c.Add(1)
 				g.Add(1)
 				g.Add(-1)
 				r.Snapshot() // concurrent scrape must be race-free
@@ -119,11 +117,6 @@ func TestLiveCounterGauge(t *testing.T) {
 	if s["serve.depth_max"] != 0 {
 		t.Errorf("gauge = %d, want 0", s["serve.depth_max"])
 	}
-	c.Add(5)
-	g.Set(-3)
-	if c.Load() != 4005 || g.Load() != -3 {
-		t.Errorf("Load: counter %d gauge %d", c.Load(), g.Load())
-	}
 }
 
 // TestNilLiveHistogram checks the nil contract matches Histogram's.
@@ -133,14 +126,20 @@ func TestNilLiveHistogram(t *testing.T) {
 	if h.Count() != 0 {
 		t.Error("nil histogram counted an observation")
 	}
-	s := Snapshot{}
-	h.fold(s, "x")
-	if len(s) != 0 {
-		t.Error("nil histogram folded keys")
-	}
 	r := New()
-	r.LiveHistogram("x", nil)
-	if r.Len() != 0 {
-		t.Error("nil live histogram registration should be ignored")
+	r.Histogram("x", h)
+	if s := r.Snapshot(); len(s) != 0 {
+		t.Errorf("nil live histogram folded keys: %v", s)
+	}
+}
+
+// TestWallDurationClamps pins the one wall-to-simulated conversion: whole
+// nanoseconds become picoseconds, negative durations clamp to zero.
+func TestWallDurationClamps(t *testing.T) {
+	if got := wallDuration(1500 * time.Nanosecond); got != 1500*sim.Nanosecond {
+		t.Errorf("1500ns -> %d ps", got)
+	}
+	if got := wallDuration(-time.Second); got != 0 {
+		t.Errorf("negative duration -> %d ps, want 0", got)
 	}
 }

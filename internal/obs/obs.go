@@ -52,17 +52,16 @@ type metric struct {
 	read func() int64
 }
 
-// histFolder is the histogram side of a registration: both the single-run
-// Histogram and the concurrency-safe LiveHistogram fold their buckets into
-// a snapshot under the same ".h.*" keys.
-type histFolder interface {
-	fold(s Snapshot, name string)
+// histSource is anything that folds into a snapshot as a histogram: the
+// single-run *Histogram and the concurrency-safe *LiveHistogram.
+type histSource interface {
+	Checkpoint() HistCheckpoint
 }
 
 // histEntry is one registered histogram.
 type histEntry struct {
 	name string
-	h    histFolder
+	h    histSource
 }
 
 // Registry collects metric registrations for one machine instance.
@@ -108,22 +107,13 @@ func (r *Registry) Gauge(name string, read func() int64) {
 	r.metrics = append(r.metrics, metric{key, read})
 }
 
-// Histogram registers a latency histogram. Its buckets fold into the
-// snapshot under name + ".h.*" keys (see the package comment); merging
-// snapshots merges the histograms exactly. A nil registry — or a nil
-// histogram — ignores the registration.
-func (r *Registry) Histogram(name string, h *Histogram) {
-	if r == nil || h == nil {
-		return
-	}
-	r.hists = append(r.hists, histEntry{name, h})
-}
-
-// LiveHistogram registers a concurrency-safe histogram. It folds into the
-// snapshot exactly like Histogram; unlike Histogram it may keep receiving
-// observations while the registry is snapshotted. A nil registry — or a
-// nil histogram — ignores the registration.
-func (r *Registry) LiveHistogram(name string, h *LiveHistogram) {
+// Histogram registers a latency histogram: a single-run *Histogram, or a
+// *LiveHistogram that may keep receiving observations while the registry
+// is snapshotted. Its buckets fold into the snapshot under name + ".h.*"
+// keys (see the package comment); merging snapshots merges the histograms
+// exactly. A nil registry ignores the registration, and a nil histogram
+// folds no keys.
+func (r *Registry) Histogram(name string, h histSource) {
 	if r == nil || h == nil {
 		return
 	}
@@ -154,7 +144,7 @@ func (r *Registry) Snapshot() Snapshot {
 		}
 	}
 	for _, e := range r.hists {
-		e.h.fold(s, e.name)
+		e.h.Checkpoint().fold(s, e.name)
 	}
 	return s
 }

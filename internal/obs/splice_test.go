@@ -35,7 +35,7 @@ func parseChrome(t *testing.T, doc string) chromeDoc {
 // wall-aligned on their own process and "(router)" tracks.
 func TestSpliceChromeAlignsEpochs(t *testing.T) {
 	shardEpoch := time.Date(2026, 3, 4, 5, 6, 7, 0, time.UTC)
-	shard := NewWallTracer(shardEpoch, 16)
+	shard := NewWallTracer(shardEpoch)
 	shard.SetProcess(1, "b0-r000001 (wall clock)")
 	shard.Span(TIDWallLifecycle, "serve", "execute", shardEpoch.Add(time.Millisecond), 5*time.Millisecond)
 	var base strings.Builder
@@ -44,7 +44,7 @@ func TestSpliceChromeAlignsEpochs(t *testing.T) {
 	}
 
 	routerEpoch := shardEpoch.Add(-2 * time.Millisecond)
-	router := NewWallTracer(routerEpoch, 16)
+	router := NewWallTracer(routerEpoch)
 	router.SetProcess(100, "aprouted (router)")
 	// ring_lookup starts 1ms after the router epoch = 1ms before the shard
 	// epoch: it must clamp to 0 on the spliced timeline.
@@ -101,7 +101,7 @@ func TestSpliceChromeEmptyBase(t *testing.T) {
 		t.Fatal(err)
 	}
 	epoch := time.Unix(0, 0)
-	w := NewWallTracer(epoch, 4)
+	w := NewWallTracer(epoch)
 	w.Span(TIDRouterLifecycle, "router", "submit", epoch, time.Millisecond)
 	var out strings.Builder
 	if err := w.SpliceChrome(&out, []byte(base.String()), 0); err != nil {
@@ -130,7 +130,7 @@ func TestSpliceChromeNilAndBadBase(t *testing.T) {
 	}
 	parseChrome(t, out.String())
 
-	live := NewWallTracer(time.Unix(0, 0), 4)
+	live := NewWallTracer(time.Unix(0, 0))
 	if err := live.SpliceChrome(&out, []byte("not a trace"), 0); err == nil {
 		t.Fatal("want an error splicing into a non-trace document")
 	}

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"strconv"
+	"sync/atomic"
 
 	"activepages/internal/sim"
 )
@@ -66,29 +67,26 @@ type TraceEvent struct {
 	HasArg bool
 }
 
-// Tracer is a low-overhead simulated-time trace sink: a fixed-capacity ring
-// buffer of events that keeps the most recent writes once full. Components
-// emit into it through nil-guarded hooks installed at wiring time, so a
-// machine built without tracing pays nothing — a nil *Tracer ignores every
-// emission, mirroring the Registry's nil-safety contract.
+// Tracer is a low-overhead simulated-time trace sink: a bounded ring of
+// events that keeps the most recent writes once full. Components emit into
+// it through nil-guarded hooks installed at wiring time, so a machine built
+// without tracing pays nothing — a nil *Tracer ignores every emission,
+// mirroring the Registry's nil-safety contract.
 //
-// The buffer is preallocated and event names are static strings, so
-// emission never allocates; the simulation's timing and statistics are
-// never read or written by the tracer, so a traced run is observationally
-// identical to an untraced one.
+// The ring grows on demand up to its capacity, and event names are static
+// strings, so a full ring emits without allocating; the simulation's
+// timing and statistics are never read or written by the tracer, so a
+// traced run is observationally identical to an untraced one.
 type Tracer struct {
-	buf []TraceEvent
-	n   uint64 // events ever emitted; buf[n % cap] is the next slot
-	pid int64
+	events ring[TraceEvent]
+	pid    int64
 	// procName labels this tracer's machine in multi-machine trace files.
 	procName string
-	// dropped counts ring overwrites explicitly — every event the full
-	// ring discarded to make room. It used to be derived from n at read
-	// time, which made silent data loss invisible to anything that did not
-	// already know the ring capacity; now it is a first-class counter,
-	// registrable as a metric (Observe) and stamped into Chrome exports.
-	// Atomic so a live scrape may read it while the simulation emits.
-	dropped LiveCounter
+	// dropped counts ring overwrites — every event the full ring discarded
+	// to make room — as a first-class counter, registrable as a metric
+	// (Observe) and stamped into Chrome exports. Atomic so a live scrape
+	// may read it while the simulation emits.
+	dropped atomic.Uint64
 }
 
 // DefaultTraceEvents is the default ring capacity: enough to hold the tail
@@ -96,12 +94,13 @@ type Tracer struct {
 const DefaultTraceEvents = 1 << 20
 
 // NewTracer returns a tracer retaining at most capacity events; capacity
-// values < 1 use DefaultTraceEvents.
+// values < 1 use DefaultTraceEvents. Memory grows with the events emitted,
+// not with the capacity.
 func NewTracer(capacity int) *Tracer {
 	if capacity < 1 {
 		capacity = DefaultTraceEvents
 	}
-	return &Tracer{buf: make([]TraceEvent, capacity), pid: 1}
+	return &Tracer{events: ring[TraceEvent]{limit: capacity}, pid: 1}
 }
 
 // SetProcess labels the tracer's events with a process id and name, so
@@ -141,11 +140,9 @@ func (t *Tracer) Instant(tid int32, cat, name string, at sim.Time) {
 }
 
 func (t *Tracer) emit(ev TraceEvent) {
-	if t.n >= uint64(len(t.buf)) {
-		t.dropped.Inc()
+	if t.events.push(ev) {
+		t.dropped.Add(1)
 	}
-	t.buf[t.n%uint64(len(t.buf))] = ev
-	t.n++
 }
 
 // Len reports how many events are retained (at most the capacity).
@@ -153,7 +150,7 @@ func (t *Tracer) Len() int {
 	if t == nil {
 		return 0
 	}
-	return int(min(t.n, uint64(len(t.buf))))
+	return len(t.events.buf)
 }
 
 // Dropped reports how many events the ring has overwritten. Safe to read
@@ -182,17 +179,7 @@ func (t *Tracer) Events() []TraceEvent {
 	if t == nil {
 		return nil
 	}
-	k := uint64(len(t.buf))
-	if t.n <= k {
-		out := make([]TraceEvent, t.n)
-		copy(out, t.buf[:t.n])
-		return out
-	}
-	out := make([]TraceEvent, k)
-	head := t.n % k // oldest retained event
-	copy(out, t.buf[head:])
-	copy(out[k-head:], t.buf[:head])
-	return out
+	return t.events.items()
 }
 
 // writeTS writes a picosecond time as a microsecond decimal (the Chrome

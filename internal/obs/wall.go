@@ -37,17 +37,19 @@ type WallEvent struct {
 	Attrs map[string]string `json:"attrs,omitempty"`
 }
 
-// DefaultWallEvents bounds a WallTracer's ring and event log: run
+// DefaultWallEvents bounds a WallTracer's span ring and event log: run
 // lifecycles emit a handful of spans per sweep point, so a few thousand
-// entries hold any dispatchable experiment.
+// entries hold any dispatchable experiment. Both rings grow on demand, so
+// a tracer that records a few spans costs a few spans.
 const DefaultWallEvents = 1 << 13
 
 // WallTracer records wall-clock spans and a structured event log for one
-// run's lifecycle, reusing the simulated-time ring buffer and Chrome
-// exporter underneath: wall timestamps are taken relative to an epoch
+// run's lifecycle, reusing the simulated-time Tracer and Chrome exporter
+// underneath: wall timestamps are taken relative to an epoch
 // (conventionally the run's submission time) and mapped onto the trace
 // timeline at nanosecond granularity, so WriteChrome output opens in
-// Perfetto exactly like a simulated-time trace.
+// Perfetto exactly like a simulated-time trace. The event log is a bounded
+// ring of the same kind as the span buffer.
 //
 // Unlike Tracer — which is single-goroutine by design, because the
 // simulation is — a WallTracer is safe for concurrent use: a worker
@@ -58,22 +60,14 @@ type WallTracer struct {
 	mu    sync.Mutex
 	epoch time.Time
 	tr    *Tracer
-	log   []WallEvent
-	// logStart indexes the oldest retained log entry once the log has
-	// wrapped; the log is a ring just like the span buffer.
-	logStart int
-	logCap   int
-	wrapped  bool
+	log   ring[WallEvent]
 }
 
 // NewWallTracer returns a tracer whose timeline starts at epoch, retaining
-// at most capacity spans and capacity log entries (values < 1 use
-// DefaultWallEvents).
-func NewWallTracer(epoch time.Time, capacity int) *WallTracer {
-	if capacity < 1 {
-		capacity = DefaultWallEvents
-	}
-	return &WallTracer{epoch: epoch, tr: NewTracer(capacity), logCap: capacity}
+// at most DefaultWallEvents spans and DefaultWallEvents log entries.
+func NewWallTracer(epoch time.Time) *WallTracer {
+	return &WallTracer{epoch: epoch, tr: NewTracer(DefaultWallEvents),
+		log: ring[WallEvent]{limit: DefaultWallEvents}}
 }
 
 // SetProcess labels the tracer's process in multi-process trace files. The
@@ -91,11 +85,7 @@ func (w *WallTracer) SetProcess(pid int, name string) {
 // ts maps a wall-clock instant onto the trace timeline. Instants before
 // the epoch clamp to zero so a span can never start at a negative time.
 func (w *WallTracer) ts(t time.Time) sim.Time {
-	d := t.Sub(w.epoch)
-	if d < 0 {
-		d = 0
-	}
-	return sim.Time(d.Nanoseconds()) * sim.Nanosecond
+	return wallDuration(t.Sub(w.epoch))
 }
 
 // Span records a complete wall-clock span. A nil tracer ignores it.
@@ -103,12 +93,9 @@ func (w *WallTracer) Span(tid int32, cat, name string, start time.Time, d time.D
 	if w == nil {
 		return
 	}
-	if d < 0 {
-		d = 0
-	}
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	w.tr.Span(tid, cat, name, w.ts(start), sim.Duration(d.Nanoseconds())*sim.Nanosecond)
+	w.tr.Span(tid, cat, name, w.ts(start), wallDuration(d))
 }
 
 // SpanArg is Span with a numeric argument attached.
@@ -116,12 +103,9 @@ func (w *WallTracer) SpanArg(tid int32, cat, name string, start time.Time, d tim
 	if w == nil {
 		return
 	}
-	if d < 0 {
-		d = 0
-	}
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	w.tr.SpanArg(tid, cat, name, w.ts(start), sim.Duration(d.Nanoseconds())*sim.Nanosecond, arg)
+	w.tr.SpanArg(tid, cat, name, w.ts(start), wallDuration(d), arg)
 }
 
 // Instant records a wall-clock point event. A nil tracer ignores it.
@@ -143,14 +127,7 @@ func (w *WallTracer) Log(at time.Time, msg string, attrs map[string]string) {
 	}
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	ev := WallEvent{T: at, Msg: msg, Attrs: attrs}
-	if len(w.log) < w.logCap {
-		w.log = append(w.log, ev)
-		return
-	}
-	w.log[w.logStart] = ev
-	w.logStart = (w.logStart + 1) % w.logCap
-	w.wrapped = true
+	w.log.push(WallEvent{T: at, Msg: msg, Attrs: attrs})
 }
 
 // Events returns the retained log entries, oldest first. The slice is
@@ -161,23 +138,7 @@ func (w *WallTracer) Events() []WallEvent {
 	}
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	out := make([]WallEvent, 0, len(w.log))
-	if w.wrapped {
-		out = append(out, w.log[w.logStart:]...)
-		out = append(out, w.log[:w.logStart]...)
-		return out
-	}
-	return append(out, w.log...)
-}
-
-// SpanCount reports how many spans are retained. A nil tracer has none.
-func (w *WallTracer) SpanCount() int {
-	if w == nil {
-		return 0
-	}
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.tr.Len()
+	return w.log.items()
 }
 
 // Epoch returns the wall instant the tracer's timeline starts at. A nil
@@ -229,15 +190,4 @@ func (w *WallTracer) WriteChrome(out io.Writer) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	return WriteChrome(out, w.tr)
-}
-
-// Tracer exposes the underlying ring for callers combining a wall-clock
-// tracer with simulated-time tracers in one WriteChrome document. The
-// caller must ensure no concurrent emission while the combined document is
-// written. A nil tracer yields nil.
-func (w *WallTracer) Tracer() *Tracer {
-	if w == nil {
-		return nil
-	}
-	return w.tr
 }

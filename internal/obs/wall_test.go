@@ -15,11 +15,11 @@ import (
 // going negative.
 func TestWallTracerEpochMapping(t *testing.T) {
 	epoch := time.Date(2026, 1, 2, 3, 4, 5, 0, time.UTC)
-	w := NewWallTracer(epoch, 8)
+	w := NewWallTracer(epoch)
 	w.Span(TIDWallLifecycle, "serve", "queue_wait", epoch.Add(1500*time.Nanosecond), 250*time.Nanosecond)
 	w.Span(TIDWallLifecycle, "serve", "early", epoch.Add(-time.Hour), time.Nanosecond)
 
-	evs := w.Tracer().Events()
+	evs := w.tr.Events()
 	if len(evs) != 2 {
 		t.Fatalf("retained %d spans, want 2", len(evs))
 	}
@@ -42,7 +42,7 @@ func TestNilWallTracerIsNoOp(t *testing.T) {
 	w.SpanArg(TIDWallPoints, "point", "p", now, time.Second, 3)
 	w.Instant(TIDWallLifecycle, "serve", "pickup", now)
 	w.Log(now, "submitted", nil)
-	if w.SpanCount() != 0 || w.Events() != nil || w.Tracer() != nil {
+	if w.Events() != nil || !w.Epoch().IsZero() {
 		t.Fatal("nil wall tracer should retain nothing")
 	}
 	var b strings.Builder
@@ -58,7 +58,8 @@ func TestNilWallTracerIsNoOp(t *testing.T) {
 // recent entries, oldest first, once it wraps.
 func TestWallTracerEventLogRing(t *testing.T) {
 	epoch := time.Unix(0, 0)
-	w := NewWallTracer(epoch, 4)
+	w := NewWallTracer(epoch)
+	w.log.limit = 4
 	for i := 0; i < 7; i++ {
 		w.Log(epoch.Add(time.Duration(i)*time.Second), fmt.Sprintf("m%d", i),
 			map[string]string{"i": fmt.Sprint(i)})
@@ -77,7 +78,7 @@ func TestWallTracerEventLogRing(t *testing.T) {
 	}
 
 	// Pre-wrap, the log returns exactly what was appended.
-	small := NewWallTracer(epoch, 8)
+	small := NewWallTracer(epoch)
 	small.Log(epoch, "only", nil)
 	if evs := small.Events(); len(evs) != 1 || evs[0].Msg != "only" {
 		t.Fatalf("pre-wrap log wrong: %v", evs)
@@ -89,7 +90,7 @@ func TestWallTracerEventLogRing(t *testing.T) {
 // read the log. Run under -race, any unsynchronized access fails the build.
 func TestWallTracerConcurrentExport(t *testing.T) {
 	epoch := time.Now()
-	w := NewWallTracer(epoch, 128)
+	w := NewWallTracer(epoch)
 	w.SetProcess(1, "run (wall clock)")
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {
@@ -122,7 +123,7 @@ func TestWallTracerConcurrentExport(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if w.SpanCount() == 0 {
+	if w.tr.Len() == 0 {
 		t.Fatal("no spans retained after concurrent emission")
 	}
 }

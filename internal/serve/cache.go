@@ -45,11 +45,6 @@ const CacheResultHeader = "X-AP-Cache"
 // of distinct specs before LRU eviction engages.
 const DefaultCacheBudget = 256 << 20
 
-// cachedRunTraceEvents sizes the wall tracer of a cache-hit run. The whole
-// cached lifecycle is two spans and two log lines, so a small fixed ring
-// keeps the hit path allocation-light under fleet load.
-const cachedRunTraceEvents = 16
-
 // SpecKey returns the content address of a run request: a sha256 over the
 // canonical spec. Normalization covers defaults only — an empty backend is
 // the RADram default and an explicit page size equal to the scaled default

@@ -1,18 +1,6 @@
 package serve
 
-import (
-	"net/http"
-	"time"
-
-	"activepages/internal/sim"
-)
-
-// wallDuration converts a wall-clock duration into the simulated-time unit
-// the histogram buckets use (picoseconds), so HTTP latencies land in the
-// same log2 bucket layout as every other histogram.
-func wallDuration(d time.Duration) sim.Duration {
-	return sim.Duration(d.Nanoseconds()) * sim.Nanosecond
-}
+import "net/http"
 
 // handle registers one route through the shared middleware layer: per-route
 // latency histogram under "serve.http.<route>", request counting, request-id

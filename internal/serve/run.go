@@ -1,7 +1,9 @@
 package serve
 
 import (
+	"encoding/json"
 	"fmt"
+	"io"
 	"sort"
 	"strings"
 	"sync"
@@ -252,6 +254,23 @@ func (g *registry) counts() map[State]int {
 		c[r.State]++
 	}
 	return c
+}
+
+// DecodeRequest decodes one submission body — a JSON object naming only
+// Request's fields — and validates it. It is the one gate every daemon
+// applies before SpecKey: a shard and the fleet router accept and refuse
+// exactly the same bodies. Callers bound the body's size.
+func DecodeRequest(body io.Reader) (Request, error) {
+	var req Request
+	dec := json.NewDecoder(body)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&req); err != nil {
+		return Request{}, fmt.Errorf("bad request body: %v", err)
+	}
+	if err := req.validate(experiments.IsKnown); err != nil {
+		return Request{}, err
+	}
+	return req, nil
 }
 
 // validate rejects a request the dispatcher would refuse, so a bad

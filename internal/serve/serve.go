@@ -6,7 +6,7 @@
 // The simulator's own observability (package obs) is pull-after-completion:
 // each run gets a fresh registry, snapshotted exactly once after the run
 // exits. The daemon layers live metrics on top — atomic counters, gauges
-// computed on read, and lock-striped latency histograms — so a /metrics
+// computed on read, and mutex-guarded latency histograms — so a /metrics
 // scrape is race-free against the pool's workers, and merges every
 // completed run's snapshot into one aggregate that the scrape renders in
 // Prometheus text exposition format under the "run." prefix.
@@ -120,19 +120,19 @@ type Server struct {
 	draining atomic.Bool
 	workers  chan struct{} // closed when the worker pool has drained
 
-	runsSubmitted obs.LiveCounter
-	runsRejected  obs.LiveCounter
-	runsCompleted obs.LiveCounter
-	runsFailed    obs.LiveCounter
-	runsEvicted   obs.LiveCounter
-	runsActive    obs.LiveGauge
+	runsSubmitted atomic.Uint64
+	runsRejected  atomic.Uint64
+	runsCompleted atomic.Uint64
+	runsFailed    atomic.Uint64
+	runsEvicted   atomic.Uint64
+	runsActive    atomic.Int64
 	runNS         obs.LiveHistogram // wall-clock run durations
 	queueWait     obs.LiveHistogram // wall-clock submit -> worker pickup
 
-	cacheHits    obs.LiveCounter // submissions completed from the result cache
-	cacheMisses  obs.LiveCounter // submissions queued for cold execution
-	cacheDedup   obs.LiveCounter // submissions attached to an in-flight leader
-	cacheEvicted obs.LiveCounter // results evicted by the byte budget
+	cacheHits    atomic.Uint64 // submissions completed from the result cache
+	cacheMisses  atomic.Uint64 // submissions queued for cold execution
+	cacheDedup   atomic.Uint64 // submissions attached to an in-flight leader
+	cacheEvicted atomic.Uint64 // results evicted by the byte budget
 
 	// mw is the shared HTTP middleware layer: per-route histograms,
 	// request/error/panic counters under "serve.", access logs, and
@@ -172,8 +172,8 @@ func New(cfg Config) *Server {
 	s.live.Gauge("serve.runs_active", s.runsActive.Load)
 	s.live.Gauge("serve.queue_depth", func() int64 { return int64(len(s.queue)) })
 	s.live.Gauge("serve.queue_capacity", func() int64 { return int64(cap(s.queue)) })
-	s.live.LiveHistogram("serve.run_wall", &s.runNS)
-	s.live.LiveHistogram("serve.queue_wait", &s.queueWait)
+	s.live.Histogram("serve.run_wall", &s.runNS)
+	s.live.Histogram("serve.queue_wait", &s.queueWait)
 	s.live.Counter("serve.cache_hits", s.cacheHits.Load)
 	s.live.Counter("serve.cache_misses", s.cacheMisses.Load)
 	s.live.Counter("serve.cache_dedup", s.cacheDedup.Load)
@@ -369,7 +369,7 @@ func (s *Server) execute(id string) {
 		spec = r.spec
 	})
 	qw := now.Sub(queued)
-	s.queueWait.Observe(wallDuration(qw))
+	s.queueWait.Observe(qw)
 	trace.Span(obs.TIDWallLifecycle, "serve", "queue_wait", queued, qw)
 	trace.Log(now, "worker pickup", map[string]string{"queue_wait": qw.String()})
 	s.runsActive.Add(1)
@@ -405,10 +405,10 @@ func (s *Server) execute(id string) {
 	select {
 	case res := <-done:
 		elapsed := time.Since(now)
-		s.runNS.Observe(wallDuration(elapsed))
+		s.runNS.Observe(elapsed)
 		trace.Span(obs.TIDWallLifecycle, "serve", "execute", now, elapsed)
 		if res.err != nil {
-			s.runsFailed.Inc()
+			s.runsFailed.Add(1)
 			s.finish(id, StateFailed, res.err.Error(), elapsed)
 			s.log.Error("run failed", "id", id, "err", res.err.Error(), "elapsed_ms", elapsed.Milliseconds())
 			return
@@ -428,7 +428,7 @@ func (s *Server) execute(id string) {
 		}
 		trace.SpanArg(obs.TIDWallLifecycle, "serve", "artifact_write",
 			wstart, time.Since(wstart), int64(len(res.out)))
-		s.runsCompleted.Inc()
+		s.runsCompleted.Add(1)
 		s.finish(id, StateDone, "", elapsed)
 		s.log.Info("run done", "id", id, "elapsed_ms", elapsed.Milliseconds(), "output_bytes", len(res.out))
 	case <-timer.C:
@@ -440,7 +440,7 @@ func (s *Server) execute(id string) {
 		// buffered, so the send never blocks).
 		cancel()
 		trace.Span(obs.TIDWallLifecycle, "serve", "execute (timed out)", now, s.cfg.RunTimeout)
-		s.runsFailed.Inc()
+		s.runsFailed.Add(1)
 		s.finish(id, StateFailed,
 			fmt.Sprintf("timed out after %s (simulation abandoned)", s.cfg.RunTimeout), s.cfg.RunTimeout)
 		s.log.Error("run timed out", "id", id, "timeout", s.cfg.RunTimeout.String())
@@ -527,19 +527,13 @@ func (s *Server) handleMetricsz(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	var req Request
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		s.writeError(w, http.StatusBadRequest, fmt.Sprintf("bad request body: %v", err))
-		return
-	}
-	if err := req.validate(experiments.IsKnown); err != nil {
+	req, err := DecodeRequest(http.MaxBytesReader(w, r.Body, 1<<20))
+	if err != nil {
 		s.writeError(w, http.StatusBadRequest, err.Error())
 		return
 	}
 	if s.draining.Load() {
-		s.runsRejected.Inc()
+		s.runsRejected.Add(1)
 		s.writeError(w, http.StatusServiceUnavailable, "daemon is shutting down")
 		return
 	}
@@ -553,7 +547,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	if id, ok := s.memo.inflight[spec]; ok {
 		if view, vok := s.reg.get(id); vok {
 			s.memo.mu.Unlock()
-			s.cacheDedup.Inc()
+			s.cacheDedup.Add(1)
 			s.log.Info("run deduplicated", "id", id, "request", req.String())
 			w.Header().Set(CacheResultHeader, "dedup")
 			w.Header().Set("Location", "/api/v1/runs/"+id)
@@ -570,7 +564,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	now := time.Now()
 	// The run's wall-clock trace starts at submission (epoch zero), so the
 	// queue-wait span renders from the origin of the run's timeline.
-	trace := obs.NewWallTracer(now, 0)
+	trace := obs.NewWallTracer(now)
 	rn := s.reg.add(req, spec, rid, now, trace, newRunProgress(trace), s.cfg.JobsPerRun)
 	trace.SetProcess(1, rn.ID+" (wall clock)")
 	trace.Log(now, "submitted", map[string]string{"request": req.String(), "request_id": rid})
@@ -584,13 +578,13 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		// counter.
 		s.memo.mu.Unlock()
 		s.reg.remove(rn.ID)
-		s.runsRejected.Inc()
+		s.runsRejected.Add(1)
 		s.writeError(w, http.StatusServiceUnavailable,
 			fmt.Sprintf("run queue full (%d queued)", cap(s.queue)))
 		return
 	}
-	s.runsSubmitted.Inc()
-	s.cacheMisses.Inc()
+	s.runsSubmitted.Add(1)
+	s.cacheMisses.Add(1)
 	s.log.Info("run submitted", "id", rn.ID, "request", req.String(), "request_id", rid)
 	w.Header().Set(CacheResultHeader, "miss")
 	w.Header().Set("Location", "/api/v1/runs/"+rn.ID)
@@ -609,15 +603,12 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 func (s *Server) completeFromCache(w http.ResponseWriter, r *http.Request, req Request, spec string, res *cachedRun) {
 	rid := httpmw.RequestID(r.Context())
 	now := time.Now()
-	// A cached run's whole lifecycle is a handful of spans and log lines;
-	// the default ring (8Ki events, ~1 MiB zeroed per tracer) would
-	// dominate the hit path's CPU and heap at fleet request rates.
-	trace := obs.NewWallTracer(now, cachedRunTraceEvents)
+	trace := obs.NewWallTracer(now)
 	rn := s.reg.add(req, spec, rid, now, trace, newRunProgress(trace), s.cfg.JobsPerRun)
 	trace.SetProcess(1, rn.ID+" (wall clock)")
 	trace.Log(now, "submitted", map[string]string{"request": req.String(), "request_id": rid})
-	s.runsSubmitted.Inc()
-	s.cacheHits.Inc()
+	s.runsSubmitted.Add(1)
+	s.cacheHits.Add(1)
 	started := time.Now()
 	s.reg.update(rn.ID, func(r *Run) {
 		r.State = StateRunning
@@ -631,8 +622,8 @@ func (s *Server) completeFromCache(w http.ResponseWriter, r *http.Request, req R
 	trace.Span(obs.TIDWallLifecycle, "serve", "queue_wait", now, 0)
 	trace.Span(obs.TIDWallLifecycle, "serve", "execute (cached)", started, elapsed)
 	trace.Log(started, "cache hit", map[string]string{"spec": spec})
-	s.runNS.Observe(wallDuration(elapsed))
-	s.runsCompleted.Inc()
+	s.runNS.Observe(elapsed)
+	s.runsCompleted.Add(1)
 	s.finish(rn.ID, StateDone, "", elapsed)
 	s.log.Info("run served from cache", "id", rn.ID,
 		"request", req.String(), "request_id", rid, "elapsed_us", elapsed.Microseconds())
