@@ -39,3 +39,25 @@ func TestRejectsPageBelowRowSize(t *testing.T) {
 		t.Errorf("a table was printed before the error: %q", stdout.String())
 	}
 }
+
+// TestRejectsPageAboveCap pins the page-size ceiling: a page above the
+// paper's 512 KiB is refused with a one-line error before any run starts,
+// instead of a fatal out-of-memory error partway through the sweep.
+func TestRejectsPageAboveCap(t *testing.T) {
+	cmd := exec.Command(os.Args[0], "-experiment", "array", "-quick", "-pagebytes", "1099511627776")
+	cmd.Env = append(os.Environ(), "APBENCH_RUN_MAIN=1")
+	var stdout, stderr bytes.Buffer
+	cmd.Stdout, cmd.Stderr = &stdout, &stderr
+	err := cmd.Run()
+	var exit *exec.ExitError
+	if !errors.As(err, &exit) || exit.ExitCode() != 1 {
+		t.Fatalf("exit: %v, want status 1", err)
+	}
+	const want = "apbench: -pagebytes 1099511627776: radram: core: page size 1099511627776 exceeds the paper's 524288-byte page\n"
+	if stderr.String() != want {
+		t.Errorf("stderr = %q, want %q", stderr.String(), want)
+	}
+	if stdout.Len() != 0 {
+		t.Errorf("a table was printed before the error: %q", stdout.String())
+	}
+}

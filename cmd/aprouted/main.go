@@ -50,6 +50,7 @@ import (
 	"flag"
 	"fmt"
 	"log/slog"
+	"net"
 	"os"
 	"os/signal"
 	"runtime"
@@ -97,6 +98,14 @@ func realMain() error {
 		}
 	}
 
+	// Bind -addr before spawning: each shard binds an ephemeral port, which
+	// could otherwise take -addr when it lies in the ephemeral range.
+	ln, err := net.Listen("tcp", *addr)
+	if err != nil {
+		return err
+	}
+	defer ln.Close()
+
 	var locals []*fleet.LocalBackend
 	for i := 0; i < *spawn; i++ {
 		lb, err := fleet.StartLocal(serve.Config{
@@ -120,7 +129,6 @@ func realMain() error {
 	}
 
 	rt := fleet.NewRouter(fleet.Config{
-		Addr:           *addr,
 		Backends:       urls,
 		HealthInterval: *interval,
 		Logger:         logger,
@@ -128,7 +136,7 @@ func realMain() error {
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-	err := rt.ListenAndServe(ctx.Done())
+	err = rt.Serve(ln, ctx.Done())
 	grace, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 	for _, lb := range locals {

@@ -43,9 +43,11 @@ func (p Partitioning) String() string {
 // Implementations are small value types holding only configuration; all
 // run state (working data, page groups, caches) must live on the machine
 // passed to Run or in locals, never in package-level variables or in a
-// mem.Store shared across runs. The evaluation harness executes many
-// Measure calls concurrently on a worker pool (internal/run), each against
-// freshly built machines, and relies on this invariant for determinism.
+// mem.Store shared across runs. The exception is each application's
+// workload.Memo of inputs and reference answers: generated once per size
+// and read-only to every run. The evaluation harness executes many Measure
+// calls concurrently on a worker pool (internal/run), each against freshly
+// built machines, and relies on this invariant for determinism.
 type Benchmark interface {
 	// Name is the kernel's identifier (matching the paper's figures, e.g.
 	// "database", "matrix-boeing").

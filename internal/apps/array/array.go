@@ -23,6 +23,7 @@ import (
 	"activepages/internal/apps/layout"
 	"activepages/internal/memsys"
 	"activepages/internal/radram"
+	"activepages/internal/workload"
 )
 
 const (
@@ -65,7 +66,7 @@ type Array interface {
 }
 
 // Run implements apps.Benchmark: build the array, run the op mix, verify
-// against a host-side reference slice.
+// against what a host-side reference run of the mix reads.
 func (Benchmark) Run(m *radram.Machine, pages float64) error {
 	perPage := int(layout.UsableBytes(m) / 4)
 	n := int(pages * float64(perPage))
@@ -86,22 +87,35 @@ func (Benchmark) Run(m *radram.Machine, pages float64) error {
 		return err
 	}
 
-	ref := make([]uint32, n)
-	for i := range ref {
-		ref[i] = uint32(i) * 3
+	want := mixes.Get(n, func() *mix { return newMix(n) })
+	for k, pos := range want.inserts {
+		if err := arr.Insert(pos, insertValue(k)); err != nil {
+			return err
+		}
 	}
-	if err := runOps(arr, &ref); err != nil {
-		return err
+	for _, pos := range want.deletes {
+		if err := arr.Delete(pos); err != nil {
+			return err
+		}
+	}
+	for k, key := range want.keys {
+		got, err := arr.Count(key)
+		if err != nil {
+			return err
+		}
+		if got != want.counts[k] {
+			return fmt.Errorf("array: count(%d) = %d, want %d", key, got, want.counts[k])
+		}
 	}
 
 	// Verify a sample of positions plus the regions around every edit.
-	for _, pos := range samplePositions(len(ref)) {
-		if got := arr.Get(pos); got != ref[pos] {
-			return fmt.Errorf("array: element %d = %d, want %d", pos, got, ref[pos])
+	for i, pos := range want.samples {
+		if got := arr.Get(pos); got != want.values[i] {
+			return fmt.Errorf("array: element %d = %d, want %d", pos, got, want.values[i])
 		}
 	}
-	if arr.Len() != len(ref) {
-		return fmt.Errorf("array: length %d, want %d", arr.Len(), len(ref))
+	if arr.Len() != want.length {
+		return fmt.Errorf("array: length %d, want %d", arr.Len(), want.length)
 	}
 	return nil
 }
@@ -109,45 +123,60 @@ func (Benchmark) Run(m *radram.Machine, pages float64) error {
 // opCount is the number of inserts (and deletes) in the benchmark mix.
 const opCount = 4
 
-// runOps performs the paper-style operation mix, updating the reference.
-func runOps(arr Array, ref *[]uint32) error {
-	n := len(*ref)
+func insertValue(k int) uint32 { return uint32(900000 + k) }
+
+// mixes memoizes the op mix per initial element count (shared, read-only;
+// see workload.Memo).
+var mixes workload.Memo[int, *mix]
+
+// mix is the paper-style operation mix over an array of n elements i*3,
+// with everything Run's checks read from a host-side reference run of it:
+// the mix's positions and keys come from the reference's length, which the
+// final length check ties to the array's.
+type mix struct {
+	inserts, deletes [opCount]int
+	keys             [opCount]uint32
+	counts           [opCount]int // reference matches of each key
+	length           int          // reference length after the mix
+	samples          []int        // samplePositions(length)
+	values           []uint32     // reference elements at samples
+}
+
+func newMix(n int) *mix {
+	ref := make([]uint32, n)
+	for i := range ref {
+		ref[i] = uint32(i) * 3
+	}
+	mx := &mix{}
 	// Deterministic positions spread over the array.
-	for k := 0; k < opCount; k++ {
-		pos := (n / (k + 2)) % max(arr.Len(), 1)
-		v := uint32(900000 + k)
-		if err := arr.Insert(pos, v); err != nil {
-			return err
-		}
-		*ref = append(*ref, 0)
-		copy((*ref)[pos+1:], (*ref)[pos:])
-		(*ref)[pos] = v
+	for k := range mx.inserts {
+		pos := (n / (k + 2)) % max(len(ref), 1)
+		mx.inserts[k] = pos
+		ref = append(ref, 0)
+		copy(ref[pos+1:], ref[pos:])
+		ref[pos] = insertValue(k)
 	}
-	for k := 0; k < opCount; k++ {
-		pos := (n / (k + 3)) % arr.Len()
-		if err := arr.Delete(pos); err != nil {
-			return err
-		}
-		copy((*ref)[pos:], (*ref)[pos+1:])
-		*ref = (*ref)[:len(*ref)-1]
+	for k := range mx.deletes {
+		pos := (n / (k + 3)) % len(ref)
+		mx.deletes[k] = pos
+		copy(ref[pos:], ref[pos+1:])
+		ref = ref[:len(ref)-1]
 	}
-	for k := 0; k < opCount; k++ {
+	for k := range mx.keys {
 		key := uint32(3 * ((n / (k + 2)) % max(n, 1)))
-		got, err := arr.Count(key)
-		if err != nil {
-			return err
-		}
-		want := 0
-		for _, v := range *ref {
+		mx.keys[k] = key
+		for _, v := range ref {
 			if v == key {
-				want++
+				mx.counts[k]++
 			}
 		}
-		if got != want {
-			return fmt.Errorf("array: count(%d) = %d, want %d", key, got, want)
-		}
 	}
-	return nil
+	mx.length = len(ref)
+	mx.samples = samplePositions(len(ref))
+	for _, pos := range mx.samples {
+		mx.values = append(mx.values, ref[pos])
+	}
+	return mx
 }
 
 func samplePositions(n int) []int {

@@ -2,6 +2,7 @@ package array
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -345,5 +346,29 @@ func TestExtensionsExploitParallelism(t *testing.T) {
 	if rad.Elapsed() >= conv.Elapsed() {
 		t.Fatalf("parallel accumulate (%v) not faster than scan (%v)",
 			rad.Elapsed(), conv.Elapsed())
+	}
+}
+
+// TestMemoReadOnly runs the benchmark on both machines at two sizes, then
+// checks every memo entry against a fresh generation.
+func TestMemoReadOnly(t *testing.T) {
+	for _, pages := range []float64{0.5, 2} {
+		conv, rad := testMachines(t)
+		for _, m := range []*radram.Machine{conv, rad} {
+			if err := (Benchmark{}).Run(m, pages); err != nil {
+				t.Fatalf("%g pages: %v", pages, err)
+			}
+		}
+	}
+	entries := 0
+	mixes.Range(func(n int, mx *mix) bool {
+		entries++
+		if !reflect.DeepEqual(mx, newMix(n)) {
+			t.Errorf("%d elements: memo entry differs from a fresh generation", n)
+		}
+		return true
+	})
+	if entries < 2 {
+		t.Fatalf("memo holds %d entries, want at least 2", entries)
 	}
 }

@@ -1,6 +1,7 @@
 package database
 
 import (
+	"reflect"
 	"testing"
 
 	"activepages/internal/apps/layout"
@@ -93,5 +94,31 @@ func TestSearchIsEarlyExit(t *testing.T) {
 	// exit on the first word keeps it near 3 cycles/record ~ 15us.
 	if busy.Microseconds() > 25 {
 		t.Fatalf("page busy %v suggests no early exit", busy)
+	}
+}
+
+// TestMemoReadOnly runs the benchmark on both machines at two sizes, then
+// checks every memo entry against a fresh generation: a run that wrote into
+// a shared book or answer would poison every later run of that size.
+func TestMemoReadOnly(t *testing.T) {
+	for _, pages := range []float64{0.5, 2} {
+		for _, m := range []*radram.Machine{radram.NewConventional(cfg()), radram.MustNew(cfg())} {
+			if err := (Benchmark{}).Run(m, pages); err != nil {
+				t.Fatalf("%g pages: %v", pages, err)
+			}
+		}
+	}
+	entries := 0
+	inputs.Range(func(n int, in input) bool {
+		entries++
+		book := workload.AddressBook(seed, n)
+		fresh := input{book: book, want: workload.CountLastName(book, workload.QueryName())}
+		if !reflect.DeepEqual(in, fresh) {
+			t.Errorf("%d records: memo entry differs from a fresh generation", n)
+		}
+		return true
+	})
+	if entries < 2 {
+		t.Fatalf("memo holds %d entries, want at least 2", entries)
 	}
 }

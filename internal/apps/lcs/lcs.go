@@ -15,7 +15,6 @@ package lcs
 
 import (
 	"fmt"
-	"sync"
 
 	"activepages/internal/apps"
 	"activepages/internal/apps/layout"
@@ -84,53 +83,38 @@ func (Benchmark) Run(m *radram.Machine, pages float64) error {
 	if n < 4 {
 		n = 4
 	}
-	a, b, want := sharedInput(n)
+	in := inputs.Get(n, func() input { return newInput(n) })
 
 	var got int
 	var err error
 	if m.AP == nil {
-		got = runConventional(m, a, b)
+		got = runConventional(m, in.a, in.b)
 	} else {
-		got, err = runRADram(m, a, b)
+		got, err = runRADram(m, in.a, in.b)
 		if err != nil {
 			return err
 		}
 	}
-	if got != want {
-		return fmt.Errorf("lcs: length %d, want %d", got, want)
+	if got != in.want {
+		return fmt.Errorf("lcs: length %d, want %d", got, in.want)
 	}
 	return nil
 }
 
-// sharedInput memoizes the benchmark's sequence pair and reference answer
-// per problem size: the harness runs the kernel at many sizes for both
-// machine kinds, generation is deterministic, and LCSReference is an
-// O(n*M) dynamic program worth computing once. Returned slices are shared,
-// read-only.
-var (
-	inputMu   sync.Mutex
-	inputMemo map[int]*lcsInput
-)
+// inputs memoizes the benchmark's sequence pair and reference answer per
+// problem size (shared, read-only; see workload.Memo): LCSReference is an
+// O(n*M) dynamic program worth computing once.
+var inputs workload.Memo[int, input]
 
-type lcsInput struct {
+type input struct {
 	a, b []byte
 	want int
 }
 
-func sharedInput(n int) ([]byte, []byte, int) {
-	inputMu.Lock()
-	defer inputMu.Unlock()
-	if in, ok := inputMemo[n]; ok {
-		return in.a, in.b, in.want
-	}
-	if inputMemo == nil {
-		inputMemo = make(map[int]*lcsInput)
-	}
+func newInput(n int) input {
 	a := workload.DNA(seed, n)
 	b := workload.RelatedDNA(seed+1, workload.DNA(seed, M), 20)[:M]
-	in := &lcsInput{a: a, b: b, want: workload.LCSReference(a, b)}
-	inputMemo[n] = in
-	return in.a, in.b, in.want
+	return input{a: a, b: b, want: workload.LCSReference(a, b)}
 }
 
 // cell computes the LCS recurrence.

@@ -1,6 +1,7 @@
 package lcs
 
 import (
+	"reflect"
 	"testing"
 
 	"activepages/internal/radram"
@@ -105,5 +106,29 @@ func TestIdenticalSequences(t *testing.T) {
 	}
 	if got != M {
 		t.Fatalf("LCS of identical sequences = %d, want %d", got, M)
+	}
+}
+
+// TestMemoReadOnly runs the benchmark on both machines at two sizes, then
+// checks every memo entry against a fresh generation: a run that wrote into
+// a shared sequence would poison every later run of that size.
+func TestMemoReadOnly(t *testing.T) {
+	for _, pages := range []float64{0.5, 2} {
+		for _, m := range []*radram.Machine{radram.NewConventional(cfg()), radram.MustNew(cfg())} {
+			if err := (Benchmark{}).Run(m, pages); err != nil {
+				t.Fatalf("%g pages: %v", pages, err)
+			}
+		}
+	}
+	entries := 0
+	inputs.Range(func(n int, in input) bool {
+		entries++
+		if !reflect.DeepEqual(in, newInput(n)) {
+			t.Errorf("%d rows: memo entry differs from a fresh generation", n)
+		}
+		return true
+	})
+	if entries < 2 {
+		t.Fatalf("memo holds %d entries, want at least 2", entries)
 	}
 }

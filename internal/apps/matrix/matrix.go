@@ -69,62 +69,87 @@ func pairBytes(nnzA, nnzB, maxMatch int) int {
 	return (nnzA+nnzB)*12 + maxMatch*16 + 16
 }
 
-// generate builds the matrix for the variant sized so the row pairs fill
-// the requested pages.
-func (b Benchmark) generate(m *radram.Machine, pages float64) *workload.SparseMatrix {
-	if b.Variant == Boeing {
-		// Banded FEM matrix: ~16 nnz per row. Adjacent banded rows overlap
-		// heavily, giving the high match density that saturates the
-		// processor after a few pages (Figure 3's early matrix saturation).
-		per := pairBytes(17, 17, 17)
-		rows := int(pages*float64(layout.UsableBytes(m))/float64(per)) + 1
-		return workload.BoeingStyle(seed, rows+1, 16)
-	}
-	// Simplex LP: short rows over a wide variable space; sparse overlap.
+// rows sizes the variant's matrix so its row pairs fill the requested pages.
+func (b Benchmark) rows(m *radram.Machine, pages float64) int {
+	// Boeing: banded FEM matrix, ~16 nnz per row. Adjacent banded rows
+	// overlap heavily, giving the high match density that saturates the
+	// processor after a few pages (Figure 3's early matrix saturation).
+	// Simplex: short rows over a wide variable space; sparse overlap.
 	per := pairBytes(12, 12, 12)
-	rows := int(pages*float64(layout.UsableBytes(m))/float64(per)) + 1
-	return workload.SimplexStyle(seed, rows+1, 4096, 12)
+	if b.Variant == Boeing {
+		per = pairBytes(17, 17, 17)
+	}
+	return int(pages*float64(layout.UsableBytes(m))/float64(per)) + 1
 }
 
 // Run implements apps.Benchmark.
 func (b Benchmark) Run(m *radram.Machine, pages float64) error {
-	mat := b.generate(m, pages)
-	nPairs := mat.Rows - 1
-	want := make([]float64, nPairs)
-	for i := 0; i < nPairs; i++ {
-		want[i] = workload.SparseDotReference(
-			mat.Col[mat.RowPtr[i]:mat.RowPtr[i+1]], mat.Val[mat.RowPtr[i]:mat.RowPtr[i+1]],
-			mat.Col[mat.RowPtr[i+1]:mat.RowPtr[i+2]], mat.Val[mat.RowPtr[i+1]:mat.RowPtr[i+2]])
-	}
+	k := inputKey{b.Variant, b.rows(m, pages)}
+	in := inputs.Get(k, func() *input { return newInput(k.matrix()) })
 
 	var got []float64
 	var err error
 	if m.AP == nil {
-		got = runConventional(m, mat, nPairs)
+		got = runConventional(m, in)
 	} else {
-		got, err = runRADram(m, mat, nPairs)
+		got, err = runRADram(m, in)
 		if err != nil {
 			return err
 		}
 	}
-	for i := range want {
-		if math.Abs(got[i]-want[i]) > 1e-9*math.Max(1, math.Abs(want[i])) {
-			return fmt.Errorf("%s: dot %d = %g, want %g", b.Name(), i, got[i], want[i])
+	for i, want := range in.want {
+		if math.Abs(got[i]-want) > 1e-9*math.Max(1, math.Abs(want)) {
+			return fmt.Errorf("%s: dot %d = %g, want %g", b.Name(), i, got[i], want)
 		}
 	}
 	return nil
 }
 
-// packCSR converts the matrix's columns and values to the simulated-memory
-// word formats for bulk setup writes (setup helper, not timed).
-func packCSR(mat *workload.SparseMatrix) ([]uint32, []uint64) {
-	cols := make([]uint32, mat.NNZ())
-	vals := make([]uint64, mat.NNZ())
-	for k, c := range mat.Col {
-		cols[k] = uint32(c)
-		vals[k] = math.Float64bits(mat.Val[k])
+// inputs memoizes the matrix, its reference dot products and its
+// simulated-memory words per variant and size (shared, read-only; see
+// workload.Memo).
+var inputs workload.Memo[inputKey, *input]
+
+type inputKey struct {
+	variant Variant
+	rows    int
+}
+
+// matrix generates the key's matrix: rows+1 rows, so rows adjacent pairs.
+func (k inputKey) matrix() *workload.SparseMatrix {
+	if k.variant == Boeing {
+		return workload.BoeingStyle(seed, k.rows+1, 16)
 	}
-	return cols, vals
+	return workload.SimplexStyle(seed, k.rows+1, 4096, 12)
+}
+
+// input is a matrix with what every run of it needs host-side: the
+// reference dot product of each adjacent row pair, and the columns and
+// values in the simulated-memory word formats for bulk setup writes.
+type input struct {
+	mat  *workload.SparseMatrix
+	want []float64
+	cols []uint32
+	vals []uint64
+}
+
+func newInput(mat *workload.SparseMatrix) *input {
+	in := &input{
+		mat:  mat,
+		want: make([]float64, mat.Rows-1),
+		cols: make([]uint32, mat.NNZ()),
+		vals: make([]uint64, mat.NNZ()),
+	}
+	for i := range in.want {
+		in.want[i] = workload.SparseDotReference(
+			mat.Col[mat.RowPtr[i]:mat.RowPtr[i+1]], mat.Val[mat.RowPtr[i]:mat.RowPtr[i+1]],
+			mat.Col[mat.RowPtr[i+1]:mat.RowPtr[i+2]], mat.Val[mat.RowPtr[i+1]:mat.RowPtr[i+2]])
+	}
+	for k, c := range mat.Col {
+		in.cols[k] = uint32(c)
+		in.vals[k] = math.Float64bits(mat.Val[k])
+	}
+	return in
 }
 
 // ---------------------------------------------------------------------------
@@ -132,13 +157,13 @@ func packCSR(mat *workload.SparseMatrix) ([]uint32, []uint64) {
 
 // Conventional CSR layout at DataBase: colA ints, then values as float64
 // bits, per row, laid out contiguously.
-func runConventional(m *radram.Machine, mat *workload.SparseMatrix, nPairs int) []float64 {
+func runConventional(m *radram.Machine, in *input) []float64 {
+	mat, nPairs := in.mat, len(in.want)
 	base := uint64(layout.DataBase)
 	colBase := base
 	valBase := base + uint64(mat.NNZ())*4
-	cols, vals := packCSR(mat)
-	m.Store.WriteU32Slice(colBase, cols)
-	m.Store.WriteU64Slice(valBase, vals)
+	m.Store.WriteU32Slice(colBase, in.cols)
+	m.Store.WriteU64Slice(valBase, in.vals)
 
 	cpu := m.CPU
 	out := make([]float64, nPairs)
@@ -266,7 +291,8 @@ func (f *gatherFn) Run(ctx *core.PageContext) (core.Result, error) {
 
 // runRADram lays row pairs out across pages, runs the gather circuit, and
 // multiplies the packed operands on the processor.
-func runRADram(m *radram.Machine, mat *workload.SparseMatrix, nPairs int) ([]float64, error) {
+func runRADram(m *radram.Machine, in *input) ([]float64, error) {
+	mat, nPairs := in.mat, len(in.want)
 	usable := layout.UsableBytes(m)
 
 	// Partition pairs into pages.
@@ -300,7 +326,6 @@ func runRADram(m *radram.Machine, mat *workload.SparseMatrix, nPairs int) ([]flo
 
 	// Lay out each page: directory, then row data, then output areas
 	// (setup, not timed — data is resident in memory).
-	cols, vals := packCSR(mat)
 	outOffs := make([][]uint32, len(plans))
 	for pi, plan := range plans {
 		base := pagesList[pi].Base
@@ -330,8 +355,8 @@ func runRADram(m *radram.Machine, mat *workload.SparseMatrix, nPairs int) ([]flo
 
 			writeRow := func(colOff, valOff uint32, row int) {
 				s, e := mat.RowPtr[row], mat.RowPtr[row+1]
-				m.Store.WriteU32Slice(base+uint64(colOff), cols[s:e])
-				m.Store.WriteU64Slice(base+uint64(valOff), vals[s:e])
+				m.Store.WriteU32Slice(base+uint64(colOff), in.cols[s:e])
+				m.Store.WriteU64Slice(base+uint64(valOff), in.vals[s:e])
 			}
 			writeRow(offColA, offValA, p)
 			writeRow(offColB, offValB, p+1)

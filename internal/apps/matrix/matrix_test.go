@@ -2,6 +2,7 @@ package matrix
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"activepages/internal/radram"
@@ -40,7 +41,7 @@ func TestNames(t *testing.T) {
 func TestConventionalMatchesReferenceDirect(t *testing.T) {
 	m := radram.NewConventional(cfg())
 	mat := workload.BoeingStyle(3, 100, 8)
-	got := runConventional(m, mat, 99)
+	got := runConventional(m, newInput(mat))
 	for i := 0; i < 99; i++ {
 		want := workload.SparseDotReference(
 			mat.Col[mat.RowPtr[i]:mat.RowPtr[i+1]], mat.Val[mat.RowPtr[i]:mat.RowPtr[i+1]],
@@ -57,7 +58,7 @@ func TestConventionalMatchesReferenceDirect(t *testing.T) {
 func TestGatherPacksOnlyMatches(t *testing.T) {
 	m := radram.MustNew(cfg())
 	mat := workload.SimplexStyle(3, 200, 4096, 12)
-	if _, err := runRADram(m, mat, 199); err != nil {
+	if _, err := runRADram(m, newInput(mat)); err != nil {
 		t.Fatal(err)
 	}
 	// Processor-side FP ops = 2 per match; match count is bounded by the
@@ -93,5 +94,32 @@ func TestPairBytes(t *testing.T) {
 	// Sanity on the layout planner's size model.
 	if pairBytes(10, 10, 10) != 10*24+160+16 {
 		t.Fatalf("pairBytes = %d", pairBytes(10, 10, 10))
+	}
+}
+
+// TestMemoReadOnly runs both variants on both machines at two sizes, then
+// checks every memo entry against a fresh generation: a run that wrote into
+// a shared matrix, answer or word slice would poison every later run of
+// that size.
+func TestMemoReadOnly(t *testing.T) {
+	for _, v := range []Variant{Boeing, Simplex} {
+		for _, pages := range []float64{0.5, 2} {
+			for _, m := range []*radram.Machine{radram.NewConventional(cfg()), radram.MustNew(cfg())} {
+				if err := (Benchmark{Variant: v}).Run(m, pages); err != nil {
+					t.Fatalf("variant %d, %g pages: %v", v, pages, err)
+				}
+			}
+		}
+	}
+	entries := 0
+	inputs.Range(func(k inputKey, in *input) bool {
+		entries++
+		if !reflect.DeepEqual(in, newInput(k.matrix())) {
+			t.Errorf("variant %d, %d rows: memo entry differs from a fresh generation", k.variant, k.rows)
+		}
+		return true
+	})
+	if entries < 4 {
+		t.Fatalf("memo holds %d entries, want at least 4", entries)
 	}
 }

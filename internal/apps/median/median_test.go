@@ -1,8 +1,10 @@
 package median
 
 import (
+	"reflect"
 	"testing"
 
+	"activepages/internal/apps"
 	"activepages/internal/radram"
 	"activepages/internal/workload"
 )
@@ -95,5 +97,31 @@ func TestPageBlocksMatchGlobalFilter(t *testing.T) {
 func TestClamp(t *testing.T) {
 	if clamp(-3, 10) != 0 || clamp(12, 10) != 9 || clamp(5, 10) != 5 {
 		t.Fatal("clamp wrong")
+	}
+}
+
+// TestMemoReadOnly runs both kernels on both machines at two sizes, then
+// checks every memo entry against a fresh generation: a run that wrote into
+// a shared image or reference would poison every later run of that size.
+func TestMemoReadOnly(t *testing.T) {
+	for _, b := range []apps.Benchmark{Benchmark{}, Total{}} {
+		for _, pages := range []float64{0.5, 2} {
+			for _, m := range []*radram.Machine{radram.NewConventional(cfg()), radram.MustNew(cfg())} {
+				if err := b.Run(m, pages); err != nil {
+					t.Fatalf("%s %g pages: %v", b.Name(), pages, err)
+				}
+			}
+		}
+	}
+	entries := 0
+	inputs.Range(func(k size, in input) bool {
+		entries++
+		if !reflect.DeepEqual(in, newInput(k)) {
+			t.Errorf("%dx%d image: memo entry differs from a fresh generation", k.w, k.h)
+		}
+		return true
+	})
+	if entries < 2 {
+		t.Fatalf("memo holds %d entries, want at least 2", entries)
 	}
 }

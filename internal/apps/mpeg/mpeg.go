@@ -14,7 +14,6 @@ package mpeg
 
 import (
 	"fmt"
-	"sync"
 
 	"activepages/internal/apps"
 	"activepages/internal/apps/layout"
@@ -66,49 +65,38 @@ func (Benchmark) Run(m *radram.Machine, pages float64) error {
 	if blocks < 1 {
 		blocks = 1
 	}
-	frame, want := sharedFrame(blocks)
+	in := frames.Get(blocks, func() frameInput { return newFrameInput(blocks) })
 
 	var got []int16
 	var err error
 	if m.AP == nil {
-		got = runConventional(m, frame)
+		got = runConventional(m, in.frame)
 	} else {
-		got, err = runRADram(m, frame)
+		got, err = runRADram(m, in.frame)
 		if err != nil {
 			return err
 		}
 	}
-	for i := range want {
-		if got[i] != want[i] {
-			return fmt.Errorf("mpeg: sample %d = %d, want %d", i, got[i], want[i])
+	for i, want := range in.want {
+		if got[i] != want {
+			return fmt.Errorf("mpeg: sample %d = %d, want %d", i, got[i], want)
 		}
 	}
 	return nil
 }
 
-// sharedFrame memoizes the benchmark's frame and reference answer per block
-// count: the harness runs the kernel at many sizes for both machine kinds,
-// and generation is deterministic. Returned slices are shared, read-only.
-var (
-	frameMu    sync.Mutex
-	frameMemo  map[int]*workload.MPEGFrame
-	frameWants map[int][]int16
-)
+// frames memoizes the benchmark's frame and reference answer per block
+// count (shared, read-only; see workload.Memo).
+var frames workload.Memo[int, frameInput]
 
-func sharedFrame(blocks int) (*workload.MPEGFrame, []int16) {
-	frameMu.Lock()
-	defer frameMu.Unlock()
-	if f, ok := frameMemo[blocks]; ok {
-		return f, frameWants[blocks]
-	}
-	if frameMemo == nil {
-		frameMemo = make(map[int]*workload.MPEGFrame)
-		frameWants = make(map[int][]int16)
-	}
+type frameInput struct {
+	frame *workload.MPEGFrame
+	want  []int16
+}
+
+func newFrameInput(blocks int) frameInput {
 	f := workload.NewMPEGFrame(seed, blocks)
-	frameMemo[blocks] = f
-	frameWants[blocks] = f.ApplyCorrectionReference()
-	return f, frameWants[blocks]
+	return frameInput{frame: f, want: f.ApplyCorrectionReference()}
 }
 
 func saturate(v int32) int16 {

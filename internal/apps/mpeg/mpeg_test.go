@@ -1,6 +1,7 @@
 package mpeg
 
 import (
+	"reflect"
 	"testing"
 
 	"activepages/internal/radram"
@@ -91,5 +92,29 @@ func TestRADramBeatsConventionalPerHalfword(t *testing.T) {
 	if rad.Elapsed() >= conv.Elapsed() {
 		t.Fatalf("RADram MMX (%v) not faster than SimpleScalar MMX (%v)",
 			rad.Elapsed(), conv.Elapsed())
+	}
+}
+
+// TestMemoReadOnly runs the benchmark on both machines at two sizes, then
+// checks every memo entry against a fresh generation: a run that wrote into
+// a shared frame or answer would poison every later run of that size.
+func TestMemoReadOnly(t *testing.T) {
+	for _, pages := range []float64{0.5, 2} {
+		for _, m := range []*radram.Machine{radram.NewConventional(cfg()), radram.MustNew(cfg())} {
+			if err := (Benchmark{}).Run(m, pages); err != nil {
+				t.Fatalf("%g pages: %v", pages, err)
+			}
+		}
+	}
+	entries := 0
+	frames.Range(func(blocks int, in frameInput) bool {
+		entries++
+		if !reflect.DeepEqual(in, newFrameInput(blocks)) {
+			t.Errorf("%d blocks: memo entry differs from a fresh generation", blocks)
+		}
+		return true
+	})
+	if entries < 2 {
+		t.Fatalf("memo holds %d entries, want at least 2", entries)
 	}
 }

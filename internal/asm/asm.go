@@ -35,6 +35,11 @@ const (
 	DefaultDataBase = 0x0010_0000
 )
 
+// maxImageBytes bounds the bytes one source may lay out, so a typo such as
+// `.space 0x7fffffffffffffff` is an error rather than a panic or a
+// multi-gigabyte allocation.
+const maxImageBytes = 16 << 20
+
 // Segment is a contiguous span of assembled bytes.
 type Segment struct {
 	Addr  uint64
@@ -134,6 +139,7 @@ type assembler struct {
 	textBase uint64
 	symbols  map[string]uint64
 	stmts    []stmt
+	bytes    uint64 // laid out so far, bounded by maxImageBytes
 }
 
 func (a *assembler) section(base uint64) *section {
@@ -195,27 +201,39 @@ func (a *assembler) scan(source string) error {
 			continue
 		}
 
-		if strings.HasPrefix(line, ".") {
-			if err := a.scanDirective(n, line); err != nil {
-				return err
+		cur, pc := a.cur, a.cur.pc
+		if err := a.scanStmt(n, line); err != nil {
+			return err
+		}
+		// A line either lays out bytes in the current section or switches
+		// sections; only the former grows the image.
+		if a.cur == cur {
+			if a.bytes += a.cur.pc - pc; a.bytes > maxImageBytes {
+				return &Error{n, fmt.Sprintf("image exceeds %d bytes", maxImageBytes)}
 			}
-			continue
 		}
-
-		op, operands := splitInst(line)
-		size, err := instSize(op, operands)
-		if err != nil {
-			return &Error{n, err.Error()}
-		}
-		if a.cur.pc%4 != 0 {
-			return &Error{n, fmt.Sprintf("instruction at unaligned address %#x", a.cur.pc)}
-		}
-		a.stmts = append(a.stmts, stmt{
-			kind: stInst, line: n, addr: a.cur.pc, section: a.cur,
-			size: size, op: op, operands: operands,
-		})
-		a.cur.pc += size
 	}
+	return nil
+}
+
+// scanStmt lays out one directive or instruction.
+func (a *assembler) scanStmt(n int, line string) error {
+	if strings.HasPrefix(line, ".") {
+		return a.scanDirective(n, line)
+	}
+	op, operands := splitInst(line)
+	size, err := instSize(op, operands)
+	if err != nil {
+		return &Error{n, err.Error()}
+	}
+	if a.cur.pc%4 != 0 {
+		return &Error{n, fmt.Sprintf("instruction at unaligned address %#x", a.cur.pc)}
+	}
+	a.stmts = append(a.stmts, stmt{
+		kind: stInst, line: n, addr: a.cur.pc, section: a.cur,
+		size: size, op: op, operands: operands,
+	})
+	a.cur.pc += size
 	return nil
 }
 

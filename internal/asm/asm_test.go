@@ -245,6 +245,8 @@ func TestErrors(t *testing.T) {
 		{"dup:\ndup:\nhalt", "redefined"},
 		{".bogus 4", "unknown directive"},
 		{".ascii notquoted", "bad string"},
+		{".space 0x7fffffffffffffff", "image exceeds"},
+		{".data\n.space 0x800000\n.space 0x800000\n.byte 1", "image exceeds"},
 	}
 	for _, c := range cases {
 		_, err := Assemble(c.src)

@@ -88,6 +88,14 @@ func (c Config) Validate() error {
 	if c.PageBytes == 0 || c.PageBytes&(c.PageBytes-1) != 0 {
 		return fmt.Errorf("core: page size %d not a power of two", c.PageBytes)
 	}
+	// The paper's 512 KiB page is the largest any experiment, the benchmark
+	// or the docs use. Working sets grow with the page (under a 3 GB
+	// address-space limit the quick sweep runs out of memory at 1 MiB), and
+	// a Go out-of-memory error is fatal: one request could kill a shard.
+	if c.PageBytes > mem.DefaultPageBytes {
+		return fmt.Errorf("core: page size %d exceeds the paper's %d-byte page",
+			c.PageBytes, mem.DefaultPageBytes)
+	}
 	if c.LogicDivisor == 0 {
 		return fmt.Errorf("core: logic divisor must be >= 1")
 	}

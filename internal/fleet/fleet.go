@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
+	"net"
 	"net/http"
 	"sort"
 	"strings"
@@ -21,8 +22,6 @@ import (
 // Config carries the router's knobs. The zero value of every field selects
 // a sensible default (see withDefaults).
 type Config struct {
-	// Addr is the router's listen address.
-	Addr string
 	// Backends lists the shard base URLs, e.g. "http://127.0.0.1:9101".
 	// Order does not matter: ring placement depends only on the URLs.
 	Backends []string
@@ -41,9 +40,6 @@ type Config struct {
 }
 
 func (c Config) withDefaults() Config {
-	if c.Addr == "" {
-		c.Addr = "127.0.0.1:8090"
-	}
 	if c.HealthInterval <= 0 {
 		c.HealthInterval = 2 * time.Second
 	}
@@ -250,13 +246,15 @@ func (rt *Router) Start(stop <-chan struct{}) {
 	}()
 }
 
-// ListenAndServe binds cfg.Addr and serves until stop is closed.
-func (rt *Router) ListenAndServe(stop <-chan struct{}) error {
+// Serve serves on ln until stop is closed. The caller binds ln, so it can
+// hold the address before it starts anything else that binds ports
+// (aprouted binds -addr before spawning its shards).
+func (rt *Router) Serve(ln net.Listener, stop <-chan struct{}) error {
 	rt.Start(stop)
-	srv := &http.Server{Addr: rt.cfg.Addr, Handler: rt.mux, ReadHeaderTimeout: 10 * time.Second}
+	srv := &http.Server{Handler: rt.mux, ReadHeaderTimeout: 10 * time.Second}
 	errc := make(chan error, 1)
-	go func() { errc <- srv.ListenAndServe() }()
-	rt.log.Info("aprouted listening", "addr", rt.cfg.Addr, "backends", len(rt.cfg.Backends))
+	go func() { errc <- srv.Serve(ln) }()
+	rt.log.Info("aprouted listening", "addr", ln.Addr().String(), "backends", len(rt.cfg.Backends))
 	select {
 	case err := <-errc:
 		return err

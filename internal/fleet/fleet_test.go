@@ -307,6 +307,7 @@ func TestRouterRejectsBadSubmission(t *testing.T) {
 		`{nope`,
 		`{"experiment":"nope"}`,
 		`{"experiment":"array","page_bytes":16}`,
+		`{"experiment":"array","page_bytes":1048576}`,
 		`{"experiment":"array","bogus":true}`,
 	} {
 		resp, err := http.Post(ts.URL+"/api/v1/runs", "application/json", strings.NewReader(body))

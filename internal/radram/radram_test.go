@@ -97,17 +97,17 @@ func TestNewRejectsBadConfig(t *testing.T) {
 	MustNew(cfg)
 }
 
-// TestConfigValidate pins the page-size floor: every page size from one
+// TestConfigValidate pins the page-size bounds: every page size from one
 // DRAM row up to the paper's 512 KiB validates, while a smaller page — on
-// which the machine constructors panic — and every component's own error
-// are rejected.
+// which the machine constructors panic — a larger one, and every
+// component's own error are rejected.
 func TestConfigValidate(t *testing.T) {
 	for pb := uint64(2048); pb <= 512*1024; pb *= 2 {
 		if err := DefaultConfig().WithPageBytes(pb).Validate(); err != nil {
 			t.Errorf("page %d: %v", pb, err)
 		}
 	}
-	for _, pb := range []uint64{0, 16, 1024, 3000} {
+	for _, pb := range []uint64{0, 16, 1024, 3000, 1 << 20, 1 << 40} {
 		if err := DefaultConfig().WithPageBytes(pb).Validate(); err == nil {
 			t.Errorf("page %d accepted", pb)
 		}

@@ -84,6 +84,21 @@ func AddressBook(seed int64, n int) []byte {
 	return buf
 }
 
+// books memoizes AddressBook for the database study and the SMP
+// experiment, which draw books from the same seed.
+var books Memo[bookKey, []byte]
+
+type bookKey struct {
+	seed int64
+	n    int
+}
+
+// SharedAddressBook is a memoized AddressBook. The returned image is shared:
+// treat it as read-only.
+func SharedAddressBook(seed int64, n int) []byte {
+	return books.Get(bookKey{seed, n}, func() []byte { return AddressBook(seed, n) })
+}
+
 func putField(rec []byte, off, width int, s string) {
 	field := rec[off : off+width]
 	for i := range field {
@@ -174,7 +189,9 @@ func (im *Image) At(x, y int) uint16 {
 
 // MedianReference computes the 3x3 median filter directly, as the checkable
 // answer for both simulated implementations. Interior pixels take a
-// clamp-free path; only the one-pixel border goes through At.
+// clamp-free path; only the one-pixel border goes through At. The page
+// circuit (apps/median) has its own window code, so the check compares two
+// independent implementations.
 func (im *Image) MedianReference() *Image {
 	out := &Image{W: im.W, H: im.H, Pix: make([]uint16, im.W*im.H)}
 	w := im.W
