@@ -72,7 +72,7 @@ func realMain() error {
 		experiment = flag.String("experiment", "all", "which experiment or benchmark to run")
 		quick      = flag.Bool("quick", false, "use a short problem-size axis")
 		pageBytes  = flag.Uint64("pagebytes", experiments.ScaledPageBytes,
-			"superpage size (512KiB = paper reference; smaller = scaled mode)")
+			"superpage size, 8KiB to 512KiB (512KiB = paper reference; smaller = scaled mode)")
 		backendSel = flag.String("backend", "radram", "compute backend: radram, simdram, or all")
 		regions    = flag.Bool("regions", false, "with fig3: print region classification")
 		l2         = flag.Bool("l2", false, "with fig5: sweep the L2 instead of the L1D")

@@ -301,28 +301,7 @@ func (f *medianFn) Run(ctx *core.PageContext) (core.Result, error) {
 	ctx.ReadU16Slice(inOff, in)
 
 	for y := 0; y < rows; y++ {
-		r0, r1, r2 := in[y*w:][:w], in[(y+1)*w:][:w], in[(y+2)*w:][:w]
-		o := out[y*w:][:w]
-		// Interior columns read the three rows directly; only the first and
-		// last column clamp (replicate padding).
-		for x := 1; x < w-1; x++ {
-			o[x] = workload.Median9([9]uint16{
-				r0[x-1], r0[x], r0[x+1],
-				r1[x-1], r1[x], r1[x+1],
-				r2[x-1], r2[x], r2[x+1],
-			})
-		}
-		for _, x := range [2]int{0, w - 1} {
-			var win [9]uint16
-			k := 0
-			for _, r := range [3][]uint16{r0, r1, r2} {
-				for dx := -1; dx <= 1; dx++ {
-					win[k] = r[clamp(x+dx, w)]
-					k++
-				}
-			}
-			o[x] = workload.Median9(win)
-		}
+		filterRow(out[y*w:][:w], in[y*w:][:w], in[(y+1)*w:][:w], in[(y+2)*w:][:w])
 	}
 	ctx.WriteU16Slice(outOff, out)
 	// Bit-serial: the 9-value median is a 19-stage min/max network; each
@@ -330,6 +309,41 @@ func (f *medianFn) Run(ctx *core.PageContext) (core.Result, error) {
 	return ctx.FinishOps(uint64(rows*w)*medianCyclesPerPixel, backend.Ops{
 		Width: 16, Elems: uint64(rows * w), Cmps: 19, Copies: 9 + 2*19,
 	})
+}
+
+// filterRow writes the 3x3 median of one output row o from its input rows
+// r0 (above), r1 and r2 (below), all of length len(o), with the columns
+// clamped at the edges (replicate padding). It sorts each 3-pixel column
+// once and slides three sorted columns along the row: the median of the
+// nine pixels is the median of the largest low, the median mid and the
+// smallest high. Every step is a branch-free min or max.
+func filterRow(o, r0, r1, r2 []uint16) {
+	w := len(o)
+	r0, r1, r2 = r0[:w], r1[:w], r2[:w]
+	// a, b and c are the sorted columns left of, at and right of the output
+	// pixel; column 0 stands in for column -1.
+	bl, bm, bh := sort3(r0[0], r1[0], r2[0])
+	al, am, ah := bl, bm, bh
+	for x := 1; x < w; x++ {
+		cl, cm, ch := sort3(r0[x], r1[x], r2[x])
+		o[x-1] = med3(max(al, bl, cl), med3(am, bm, cm), min(ah, bh, ch))
+		al, am, ah, bl, bm, bh = bl, bm, bh, cl, cm, ch
+	}
+	// Column w-1 stands in for column w.
+	o[w-1] = med3(max(al, bl), bm, min(ah, bh))
+}
+
+// sort3 returns a, b and c in ascending order.
+func sort3(a, b, c uint16) (lo, mid, hi uint16) {
+	lo, hi = min(a, b), max(a, b)
+	mid = max(lo, c)
+	lo = min(lo, c)
+	return lo, min(mid, hi), max(mid, hi)
+}
+
+// med3 returns the median of a, b and c.
+func med3(a, b, c uint16) uint16 {
+	return max(min(a, b), min(max(a, b), c))
 }
 
 // runRADram distributes row blocks with halos over pages and filters them

@@ -10,7 +10,9 @@ package cache
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
+	"sync"
 
 	"activepages/internal/obs"
 )
@@ -92,9 +94,16 @@ type Cache struct {
 	setsPow2  bool
 	// mru[set] is the way hit most recently, checked before the full scan.
 	mru []int32
-	// shared reports that lines and mru are shared with a Checkpoint; own
-	// copies them before the cache's next mutation.
+	// shared reports that lines and mru are shared — with a Checkpoint, or
+	// with every cache of the same geometry that has not been written yet
+	// (see emptyArrays); own copies them before the cache's next mutation.
 	shared bool
+	// lo and hi bound the line addresses (addr >> lineShift) of the valid
+	// lines: each lies in [lo, hi), and lo >= hi when the cache holds none.
+	// Access widens the extent at every fill, ApplyFoldShift by its shift,
+	// and Flush resets it, so InvalidateRange probes only where a range
+	// overlaps lines the cache may hold.
+	lo, hi uint64
 	clock  uint64 // LRU sequence source
 	Stats  Stats
 	// OnMiss, when set, is invoked on every miss with the missing address —
@@ -104,15 +113,17 @@ type Cache struct {
 }
 
 // New builds a cache from cfg. It panics on an invalid configuration;
-// configurations come from code, not user input.
+// configurations come from code, not user input. The new cache shares its
+// geometry's all-invalid arrays and allocates its own at its first write.
 func New(cfg Config) *Cache {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
 	assoc := uint64(cfg.Assoc)
 	nsets := cfg.SizeBytes / cfg.LineBytes / assoc
-	c := &Cache{cfg: cfg, lines: make([]line, nsets*assoc), assoc: assoc,
-		nsets: nsets, mru: make([]int32, nsets)}
+	lines, mru := emptyArrays(nsets, assoc)
+	c := &Cache{cfg: cfg, lines: lines, mru: mru, shared: true, assoc: assoc,
+		nsets: nsets, lo: math.MaxUint64}
 	c.lineShift = uint(bits.TrailingZeros64(cfg.LineBytes))
 	if nsets&(nsets-1) == 0 {
 		c.setsPow2 = true
@@ -120,6 +131,35 @@ func New(cfg Config) *Cache {
 		c.setMask = nsets - 1
 	}
 	return c
+}
+
+// empties holds one all-invalid line array and MRU array per cache
+// geometry (set count, associativity). Every cache of that geometry starts
+// out sharing them copy-on-write, so a cache that is never written — or is
+// restored from a checkpoint before its first write — allocates no arrays.
+// Geometries come from code, never from a request, so the map stays small.
+var (
+	emptiesMu sync.Mutex
+	empties   = map[[2]uint64]emptyState{}
+)
+
+type emptyState struct {
+	lines []line
+	mru   []int32
+}
+
+// emptyArrays returns the shared all-invalid arrays for a geometry. Callers
+// must never write them; own copies them first.
+func emptyArrays(nsets, assoc uint64) ([]line, []int32) {
+	emptiesMu.Lock()
+	defer emptiesMu.Unlock()
+	key := [2]uint64{nsets, assoc}
+	e, ok := empties[key]
+	if !ok {
+		e = emptyState{make([]line, nsets*assoc), make([]int32, nsets)}
+		empties[key] = e
+	}
+	return e.lines, e.mru
 }
 
 // Config returns the cache's configuration.
@@ -135,8 +175,8 @@ func (c *Cache) ways(set uint64) []line {
 }
 
 // own makes the line and MRU arrays the cache's own, copying them if a
-// checkpoint shares them. Every method that mutates either array calls it
-// before its first write.
+// checkpoint or the geometry's empty state shares them. Every method that
+// mutates either array calls it before its first write.
 func (c *Cache) own() {
 	if c.shared {
 		c.lines = append([]line(nil), c.lines...)
@@ -217,6 +257,10 @@ func (c *Cache) Access(addr uint64, write bool) Result {
 	}
 	ways[victim] = line{tag: tag, valid: true, dirty: write, lru: c.clock}
 	c.mru[set] = int32(victim)
+	// Widen the extent to the filled line. Only a 1-byte line at the last
+	// address overflows la+1; InvalidateRange can never reach that line.
+	la := addr >> c.lineShift
+	c.lo, c.hi = min(c.lo, la), max(c.hi, la+1)
 	return res
 }
 
@@ -342,15 +386,18 @@ func (c *Cache) LinesIn(addr, size uint64) uint64 {
 
 // InvalidateRange drops any lines overlapping [addr, addr+size), discarding
 // dirty data (the invalidator — an Active-Page function — is the new owner
-// of those bytes). Returns the number of lines dropped.
+// of those bytes). Returns the number of lines dropped. It probes only the
+// lines the range shares with the filled extent, so a range away from every
+// line the cache has filled costs nothing.
 func (c *Cache) InvalidateRange(addr, size uint64) uint64 {
 	if size == 0 {
 		return 0
 	}
 	var dropped uint64
-	first := addr &^ (c.cfg.LineBytes - 1)
-	for a := first; a < addr+size; a += c.cfg.LineBytes {
-		set, tag := c.locate(a)
+	first := max(addr>>c.lineShift, c.lo)
+	end := min((addr+size-1)>>c.lineShift+1, c.hi)
+	for la := first; la < end; la++ {
+		set, tag := c.locate(la << c.lineShift)
 		ways := c.ways(set)
 		for i := range ways {
 			if ways[i].valid && ways[i].tag == tag {
@@ -376,6 +423,7 @@ func (c *Cache) Flush() uint64 {
 		}
 		c.lines[i] = line{}
 	}
+	c.lo, c.hi = math.MaxUint64, 0
 	return dirty
 }
 

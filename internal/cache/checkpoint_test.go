@@ -7,16 +7,17 @@ import (
 	"testing"
 )
 
-// cacheState is a deep copy of a cache's replacement state.
+// cacheState is a deep copy of a cache's replacement state and extent.
 type cacheState struct {
-	lines []line
-	mru   []int32
-	clock uint64
-	stats Stats
+	lines  []line
+	mru    []int32
+	lo, hi uint64
+	clock  uint64
+	stats  Stats
 }
 
 func stateOf(c *Cache) cacheState {
-	return cacheState{slices.Clone(c.lines), slices.Clone(c.mru), c.clock, c.Stats}
+	return cacheState{slices.Clone(c.lines), slices.Clone(c.mru), c.lo, c.hi, c.clock, c.Stats}
 }
 
 // warmCache returns a full cache with a mix of clean and dirty lines. Every
@@ -43,7 +44,9 @@ func mruAddr(c *Cache, set uint64) uint64 { return lineOf(c, set, uint64(c.mru[s
 // checkpoint, and the cache the checkpoint was taken from. The mutated
 // cache must match an unshared twin that did the same operation, while the
 // checkpoint — seen through a third cache restored from it — and the other
-// sharer must keep the original state.
+// sharer must keep the original state. The fresh case drives each method on
+// a new cache, which shares its geometry's empty arrays with every other
+// new cache: a second new cache must stay empty.
 func TestCheckpointSharing(t *testing.T) {
 	mutators := []struct {
 		name string
@@ -68,6 +71,21 @@ func TestCheckpointSharing(t *testing.T) {
 		}},
 	}
 	for _, m := range mutators {
+		t.Run(m.name+"/fresh", func(t *testing.T) {
+			target, twin := New(fastCfg()), New(fastCfg())
+			twin.own()
+			m.op(target)
+			m.op(twin)
+			if !reflect.DeepEqual(stateOf(target), stateOf(twin)) {
+				t.Fatal("mutated new cache differs from its unshared twin")
+			}
+			other := New(fastCfg())
+			if other.clock != 0 || other.lo < other.hi ||
+				slices.ContainsFunc(other.lines, func(l line) bool { return l != line{} }) ||
+				slices.ContainsFunc(other.mru, func(w int32) bool { return w != 0 }) {
+				t.Fatal("a second new cache is not empty after the first was mutated")
+			}
+		})
 		for _, restored := range []bool{true, false} {
 			name := m.name + "/source"
 			if restored {

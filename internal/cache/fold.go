@@ -26,6 +26,11 @@
 // witness.
 package cache
 
+import (
+	"math"
+	"math/bits"
+)
+
 // NumSets returns the number of sets.
 func (c *Cache) NumSets() uint64 { return c.nsets }
 
@@ -164,9 +169,11 @@ func (c *Cache) VerifyFoldShift(prev *FoldSnapshot, touched []uint64, tagShift i
 // ApplyFoldShift fast-forwards the cache by periods further stream periods:
 // every valid line in a touched set advances its tag by periods·tagShift
 // and its stamp by periods·clockDelta, and the LRU clock advances the same
-// way. Statistics are advanced separately via AddFoldStats.
+// way. Statistics are advanced separately via AddFoldStats. The filled
+// extent widens by the lines' address shift (see widenExtent).
 func (c *Cache) ApplyFoldShift(touched []uint64, tagShift int64, clockDelta, periods uint64) {
 	c.own()
+	c.widenExtent(tagShift, periods)
 	dTag := uint64(tagShift) * periods
 	dLRU := clockDelta * periods
 	for s := uint64(0); s < c.nsets; s++ {
@@ -182,6 +189,33 @@ func (c *Cache) ApplyFoldShift(touched []uint64, tagShift int64, clockDelta, per
 		}
 	}
 	c.clock += dLRU
+}
+
+// widenExtent widens the filled extent to cover every line moved periods·
+// tagShift tags, periods·tagShift·nsets line addresses: up for a positive
+// shift, down for a negative one. A shift that would carry the extent past
+// either end of the address space saturates it to the whole space instead,
+// since a tag that wraps can land anywhere. An empty extent stays empty.
+func (c *Cache) widenExtent(tagShift int64, periods uint64) {
+	if c.lo >= c.hi {
+		return
+	}
+	mag := uint64(tagShift)
+	if tagShift < 0 {
+		mag = -mag
+	}
+	ovf, tags := bits.Mul64(mag, periods)
+	ovf2, lines := bits.Mul64(tags, c.nsets)
+	switch {
+	case ovf != 0 || ovf2 != 0 ||
+		tagShift > 0 && lines > math.MaxUint64-c.hi ||
+		tagShift < 0 && lines > c.lo:
+		c.lo, c.hi = 0, math.MaxUint64
+	case tagShift > 0:
+		c.hi += lines
+	default:
+		c.lo -= lines
+	}
 }
 
 // AddFoldStats adds periods repetitions of the per-period statistics delta.

@@ -83,6 +83,9 @@ func DefaultConfig() Config {
 	}
 }
 
+// minPageBytes is the smallest page Validate accepts.
+const minPageBytes = 8 << 10
+
 // Validate checks the configuration.
 func (c Config) Validate() error {
 	if c.PageBytes == 0 || c.PageBytes&(c.PageBytes-1) != 0 {
@@ -95,6 +98,13 @@ func (c Config) Validate() error {
 	if c.PageBytes > mem.DefaultPageBytes {
 		return fmt.Errorf("core: page size %d exceeds the paper's %d-byte page",
 			c.PageBytes, mem.DefaultPageBytes)
+	}
+	// 8 KiB is the smallest page every benchmark fits. Median's 256-pixel
+	// minimum row needs three input rows and one output row (2 KiB) beyond
+	// the page header, and dynamic-prog's strip overruns a 4 KiB page.
+	if c.PageBytes < minPageBytes {
+		return fmt.Errorf("core: page size %d is below the %d-byte minimum every benchmark fits",
+			c.PageBytes, minPageBytes)
 	}
 	if c.LogicDivisor == 0 {
 		return fmt.Errorf("core: logic divisor must be >= 1")

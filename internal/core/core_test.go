@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"activepages/internal/backend"
+	"activepages/internal/cache"
 	"activepages/internal/logic"
 	"activepages/internal/mem"
 	"activepages/internal/memsys"
@@ -322,24 +323,65 @@ func TestPollChargesRead(t *testing.T) {
 	}
 }
 
+// TestCacheInvalidationOnPageWrite checks the coherence rule: a page write
+// drops the processor's cached copies of the written bytes, counting each
+// dropped line once in Stats.Invalidates. The caches reach the stale line
+// three ways: a load, a checkpoint restored into a fresh hierarchy, and a
+// load after a flush.
 func TestCacheInvalidationOnPageWrite(t *testing.T) {
-	s := newSys(t)
-	p, _ := s.Alloc("g", 0)
-	s.Bind("g", &fillFn{})
-	// Warm the cache with page data.
-	s.CPU().LoadU32(2048)
-	warm := s.Hier().L1D.Lookup(2048)
-	if !warm {
-		t.Fatal("line not resident after load")
+	for _, tc := range []struct {
+		name string
+		warm func(t *testing.T, s *System)
+	}{
+		{"load", func(t *testing.T, s *System) { s.CPU().LoadU32(2048) }},
+		{"restored", func(t *testing.T, s *System) {
+			donor := newSys(t)
+			donor.CPU().LoadU32(2048)
+			var ck memsys.Checkpoint
+			donor.Hier().Checkpoint(&ck)
+			s.Hier().Restore(&ck)
+		}},
+		{"flushed", func(t *testing.T, s *System) {
+			s.CPU().LoadU32(1 << 20)
+			s.Hier().FlushData()
+			s.CPU().LoadU32(2048)
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := newSys(t)
+			p, _ := s.Alloc("g", 0)
+			s.Bind("g", &fillFn{})
+			tc.warm(t, s)
+			h := s.Hier()
+			if !h.L1D.Lookup(2048) || !h.L2.Lookup(2048) {
+				t.Fatal("line not resident after warming")
+			}
+			resident := residentLines(h.L1D, 2048, 64) + residentLines(h.L2, 2048, 64)
+			before := h.L1D.Stats.Invalidates + h.L2.Stats.Invalidates
+			s.Activate(p, "fill", 2048, 64, 0xFF)
+			if h.L1D.Lookup(2048) || h.L2.Lookup(2048) {
+				t.Fatal("stale line survived page write")
+			}
+			if got := h.L1D.Stats.Invalidates + h.L2.Stats.Invalidates - before; got != resident {
+				t.Fatalf("Invalidates grew by %d, want the %d lines dropped", got, resident)
+			}
+			s.Wait(p)
+			if got := s.CPU().LoadU32(2048); got != 0xFFFFFFFF {
+				t.Fatalf("processor read stale data %#x", got)
+			}
+		})
 	}
-	s.Activate(p, "fill", 2048, 64, 0xFF)
-	if s.Hier().L1D.Lookup(2048) {
-		t.Fatal("stale line survived page write")
+}
+
+// residentLines counts c's resident lines overlapping [addr, addr+size).
+func residentLines(c *cache.Cache, addr, size uint64) uint64 {
+	var n uint64
+	for a := addr &^ (c.LineBytes() - 1); a < addr+size; a += c.LineBytes() {
+		if c.Lookup(a) {
+			n++
+		}
 	}
-	s.Wait(p)
-	if got := s.CPU().LoadU32(2048); got != 0xFFFFFFFF {
-		t.Fatalf("processor read stale data %#x", got)
-	}
+	return n
 }
 
 // Hier exposes the hierarchy for tests.

@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"activepages/internal/apps"
 	"activepages/internal/bus"
 	"activepages/internal/circuits"
 	"activepages/internal/logic"
@@ -337,5 +338,36 @@ func TestParallelSweepMatchesSerial(t *testing.T) {
 	}
 	if serial.Metrics.Runs() != int64(7*len(pages)) {
 		t.Errorf("collected %d runs, want %d", serial.Metrics.Runs(), 7*len(pages))
+	}
+}
+
+// TestEveryBenchmarkFitsMinimumPage runs every benchmark at the smallest
+// page core.Config.Validate accepts, over the quick page axis, on the
+// conventional and RADram machines and on every other backend it is ported
+// to: no page function may overrun its page, and every result must verify.
+func TestEveryBenchmarkFitsMinimumPage(t *testing.T) {
+	base := radram.DefaultConfig().WithPageBytes(8 << 10)
+	if err := base.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range BenchmarkNames() {
+		b, err := BenchmarkByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, backend := range BackendNames() {
+			if !apps.Supports(b, backend) {
+				continue
+			}
+			cfg, err := configFor(base, backend)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, pages := range QuickPagePoints() {
+				if _, err := apps.Measure(b, cfg, pages); err != nil {
+					t.Errorf("%s on %s, %g pages: %v", name, backend, pages, err)
+				}
+			}
+		}
 	}
 }

@@ -171,8 +171,7 @@ func (rt *Router) gatherFleet() (obs.Snapshot, map[string]shardScrape) {
 			rt.proxyErrors.Add(1)
 			continue
 		}
-		var snap obs.Snapshot
-		err = json.NewDecoder(io.LimitReader(resp.Body, 16<<20)).Decode(&snap)
+		snap, err := decodeMetricsz(resp.Body)
 		resp.Body.Close()
 		if err != nil {
 			rt.proxyErrors.Add(1)
@@ -182,6 +181,15 @@ func (rt *Router) gatherFleet() (obs.Snapshot, map[string]shardScrape) {
 		shards[backend] = shardScrape{instance: rt.instanceLabel(backend, i), snap: snap}
 	}
 	return fleet, shards
+}
+
+// decodeMetricsz decodes one shard's /api/v1/metricsz body, read up to
+// 16 MiB. The body comes from another process, so FuzzDecodeMetricsz feeds
+// it arbitrary bytes and renders whatever it accepts.
+func decodeMetricsz(body io.Reader) (obs.Snapshot, error) {
+	var snap obs.Snapshot
+	err := json.NewDecoder(io.LimitReader(body, 16<<20)).Decode(&snap)
+	return snap, err
 }
 
 // instanceLabel names a shard in federated metric keys: its probed

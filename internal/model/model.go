@@ -55,7 +55,7 @@ func (p Params) NonOverlaps(k int) []sim.Duration {
 }
 
 // totalNO is Σ NO(i) for constant parameters, without materializing the
-// per-page vector — the solvers call it once per candidate K.
+// per-page vector.
 func (p Params) totalNO(k int) sim.Duration {
 	var sumNO, sumTP sim.Duration
 	suffixTA := sim.Duration(k) * p.TA
@@ -119,25 +119,24 @@ func (p Params) NonOverlapFraction(k int) float64 {
 
 // PagesForOverlap returns the minimum problem size, in pages, at which the
 // processor is completely overlapped with Active-Page computation — the
-// last column group of Table 4. With constant parameters this is the
-// smallest K where the last page's computation is hidden behind the
-// processor's work on other pages; beyond it the application is in the
-// saturated region.
+// last column group of Table 4; beyond it the application is in the
+// saturated region. It returns 0 when there is no finite overlap point:
+// with T_C > 0 and T_A or T_P zero, the first or last page can never hide.
+//
+// With constant parameters and no earlier stall, page i's computation
+// hides behind (K-1-i)·T_A + i·T_P of processor work. That is linear in i,
+// so the first or the last page binds, and Σ NO(K) = 0 exactly when
+// T_C <= (K-1)·min(T_A, T_P). The smallest such K is
+// ⌈T_C / min(T_A, T_P)⌉ + 1, or 1 when T_C = 0.
 func (p Params) PagesForOverlap() int {
-	if p.TA+p.TP == 0 {
+	if p.TC == 0 {
+		return 1
+	}
+	m := min(p.TA, p.TP)
+	if m == 0 {
 		return 0
 	}
-	// NO vanishes when (K-1)(TA+TP) >= TC (the first page's wait is the
-	// binding one under constant parameters). Solve directly, then verify
-	// with the recurrence and adjust for integer effects.
-	k := int(uint64(p.TC)/uint64(p.TA+p.TP)) + 1
-	for k > 1 && p.totalNO(k-1) == 0 {
-		k--
-	}
-	for p.totalNO(k) > 0 {
-		k++
-	}
-	return k
+	return int((p.TC-1)/m) + 2 // ⌈T_C/m⌉ + 1, without overflowing T_C+m
 }
 
 // Overall applies Amdahl's Law (Figure 7's third equation): fraction is

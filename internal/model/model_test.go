@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"activepages/internal/sim"
 )
@@ -107,6 +108,55 @@ func TestPagesForOverlap(t *testing.T) {
 	}
 	if k > 1 && p.totalNO(k-1) == 0 {
 		t.Fatal("overlap point is not minimal")
+	}
+}
+
+// TestPagesForOverlapMatchesScan checks the closed form against the
+// definition: the smallest K whose recurrence leaves no non-overlap, found
+// by scanning K upward.
+func TestPagesForOverlapMatchesScan(t *testing.T) {
+	for ta := sim.Duration(1); ta < 40; ta++ {
+		for tp := sim.Duration(1); tp < 40; tp++ {
+			for tc := sim.Duration(0); tc < 400; tc += 7 {
+				p := Params{TA: ta, TP: tp, TC: tc}
+				want := 1
+				for p.totalNO(want) > 0 {
+					want++
+				}
+				if got := p.PagesForOverlap(); got != want {
+					t.Fatalf("%+v: PagesForOverlap = %d, want %d", p, got, want)
+				}
+			}
+		}
+	}
+}
+
+// TestPagesForOverlapNoFinitePoint covers a zero activation or
+// post-processing time: the first or last page can never hide a nonzero
+// computation, so there is no overlap point and the answer is 0. Each call
+// runs under a deadline so a solver that searches forever fails instead of
+// hanging the test.
+func TestPagesForOverlapNoFinitePoint(t *testing.T) {
+	for _, c := range []struct {
+		p    Params
+		want int
+	}{
+		{Params{TA: sim.Nanosecond, TC: 10 * sim.Nanosecond}, 0},
+		{Params{TP: sim.Nanosecond, TC: 10 * sim.Nanosecond}, 0},
+		{Params{TC: 10 * sim.Nanosecond}, 0},
+		{Params{TA: sim.Nanosecond}, 1},
+		{Params{}, 1},
+	} {
+		done := make(chan int, 1)
+		go func() { done <- c.p.PagesForOverlap() }()
+		select {
+		case got := <-done:
+			if got != c.want {
+				t.Errorf("%+v: PagesForOverlap = %d, want %d", c.p, got, c.want)
+			}
+		case <-time.After(2 * time.Second):
+			t.Errorf("%+v: PagesForOverlap did not return within 2s", c.p)
+		}
 	}
 }
 

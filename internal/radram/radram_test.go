@@ -97,17 +97,18 @@ func TestNewRejectsBadConfig(t *testing.T) {
 	MustNew(cfg)
 }
 
-// TestConfigValidate pins the page-size bounds: every page size from one
-// DRAM row up to the paper's 512 KiB validates, while a smaller page — on
-// which the machine constructors panic — a larger one, and every
-// component's own error are rejected.
+// TestConfigValidate pins the page-size bounds: every page size from the
+// 8 KiB floor up to the paper's 512 KiB validates, while a smaller page —
+// below one DRAM row the machine constructors panic, and at 2 or 4 KiB
+// some benchmarks overrun their page — a larger one, and every component's
+// own error are rejected.
 func TestConfigValidate(t *testing.T) {
-	for pb := uint64(2048); pb <= 512*1024; pb *= 2 {
+	for pb := uint64(8192); pb <= 512*1024; pb *= 2 {
 		if err := DefaultConfig().WithPageBytes(pb).Validate(); err != nil {
 			t.Errorf("page %d: %v", pb, err)
 		}
 	}
-	for _, pb := range []uint64{0, 16, 1024, 3000, 1 << 20, 1 << 40} {
+	for _, pb := range []uint64{0, 16, 1024, 2048, 3000, 4096, 1 << 20, 1 << 40} {
 		if err := DefaultConfig().WithPageBytes(pb).Validate(); err == nil {
 			t.Errorf("page %d accepted", pb)
 		}

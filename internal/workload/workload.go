@@ -189,9 +189,10 @@ func (im *Image) At(x, y int) uint16 {
 
 // MedianReference computes the 3x3 median filter directly, as the checkable
 // answer for both simulated implementations. Interior pixels take a
-// clamp-free path; only the one-pixel border goes through At. The page
-// circuit (apps/median) has its own window code, so the check compares two
-// independent implementations.
+// clamp-free path; only the one-pixel border goes through At. It runs the
+// 19-exchange network (median9) on every window, while the page circuit
+// (apps/median) slides sorted columns, so the check compares two
+// independent algorithms.
 func (im *Image) MedianReference() *Image {
 	out := &Image{W: im.W, H: im.H, Pix: make([]uint16, im.W*im.H)}
 	w := im.W
@@ -215,76 +216,38 @@ func (im *Image) MedianReference() *Image {
 					}
 				}
 			}
-			out.Pix[y*w+x] = Median9(win)
+			out.Pix[y*w+x] = median9(win)
 		}
 	}
 	return out
 }
 
-// Median9 returns the median of nine values using a fixed comparison
+// median9 returns the median of nine values using a fixed comparison
 // network (19 compare-exchange steps), the same network the RADram circuit
 // implements and close to the minimal hand-coded comparison sequence the
-// paper's conventional implementation uses. The exchanges are written out
-// inline so the whole network stays in registers.
-func Median9(v [9]uint16) uint16 {
+// paper's conventional implementation uses. Each exchange leaves the
+// smaller value in its first slot.
+func median9(v [9]uint16) uint16 {
 	// Paeth's 19-exchange median-of-9 network.
-	if v[1] > v[2] {
-		v[1], v[2] = v[2], v[1]
-	}
-	if v[4] > v[5] {
-		v[4], v[5] = v[5], v[4]
-	}
-	if v[7] > v[8] {
-		v[7], v[8] = v[8], v[7]
-	}
-	if v[0] > v[1] {
-		v[0], v[1] = v[1], v[0]
-	}
-	if v[3] > v[4] {
-		v[3], v[4] = v[4], v[3]
-	}
-	if v[6] > v[7] {
-		v[6], v[7] = v[7], v[6]
-	}
-	if v[1] > v[2] {
-		v[1], v[2] = v[2], v[1]
-	}
-	if v[4] > v[5] {
-		v[4], v[5] = v[5], v[4]
-	}
-	if v[7] > v[8] {
-		v[7], v[8] = v[8], v[7]
-	}
-	if v[0] > v[3] {
-		v[0], v[3] = v[3], v[0]
-	}
-	if v[5] > v[8] {
-		v[5], v[8] = v[8], v[5]
-	}
-	if v[4] > v[7] {
-		v[4], v[7] = v[7], v[4]
-	}
-	if v[3] > v[6] {
-		v[3], v[6] = v[6], v[3]
-	}
-	if v[1] > v[4] {
-		v[1], v[4] = v[4], v[1]
-	}
-	if v[2] > v[5] {
-		v[2], v[5] = v[5], v[2]
-	}
-	if v[4] > v[7] {
-		v[4], v[7] = v[7], v[4]
-	}
-	if v[4] > v[2] {
-		v[4], v[2] = v[2], v[4]
-	}
-	if v[6] > v[4] {
-		v[6], v[4] = v[4], v[6]
-	}
-	if v[4] > v[2] {
-		v[4], v[2] = v[2], v[4]
-	}
+	v[1], v[2] = min(v[1], v[2]), max(v[1], v[2])
+	v[4], v[5] = min(v[4], v[5]), max(v[4], v[5])
+	v[7], v[8] = min(v[7], v[8]), max(v[7], v[8])
+	v[0], v[1] = min(v[0], v[1]), max(v[0], v[1])
+	v[3], v[4] = min(v[3], v[4]), max(v[3], v[4])
+	v[6], v[7] = min(v[6], v[7]), max(v[6], v[7])
+	v[1], v[2] = min(v[1], v[2]), max(v[1], v[2])
+	v[4], v[5] = min(v[4], v[5]), max(v[4], v[5])
+	v[7], v[8] = min(v[7], v[8]), max(v[7], v[8])
+	v[0], v[3] = min(v[0], v[3]), max(v[0], v[3])
+	v[5], v[8] = min(v[5], v[8]), max(v[5], v[8])
+	v[4], v[7] = min(v[4], v[7]), max(v[4], v[7])
+	v[3], v[6] = min(v[3], v[6]), max(v[3], v[6])
+	v[1], v[4] = min(v[1], v[4]), max(v[1], v[4])
+	v[2], v[5] = min(v[2], v[5]), max(v[2], v[5])
+	v[4], v[7] = min(v[4], v[7]), max(v[4], v[7])
+	v[4], v[2] = min(v[4], v[2]), max(v[4], v[2])
+	v[6], v[4] = min(v[6], v[4]), max(v[6], v[4])
+	v[4], v[2] = min(v[4], v[2]), max(v[4], v[2])
 	return v[4]
 }
 

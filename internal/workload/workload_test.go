@@ -88,7 +88,7 @@ func TestFieldEqualsExact(t *testing.T) {
 
 func TestMedian9MatchesSort(t *testing.T) {
 	f := func(vals [9]uint16) bool {
-		got := Median9(vals)
+		got := median9(vals)
 		s := append([]uint16{}, vals[:]...)
 		sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
 		return got == s[4]
