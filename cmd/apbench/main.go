@@ -103,6 +103,9 @@ func realMain() error {
 	if err := cfg.Validate(); err != nil {
 		return fmt.Errorf("-pagebytes %d: %w", *pageBytes, err)
 	}
+	if err := experiments.ValidatePages(*tracePages); err != nil {
+		return fmt.Errorf("-tracepages %g: %w", *tracePages, err)
+	}
 
 	if *cpuProfile != "" {
 		f, err := os.Create(*cpuProfile)

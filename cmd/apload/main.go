@@ -219,6 +219,14 @@ func realMain() error {
 	)
 	flag.Parse()
 
+	switch {
+	case *n < 1:
+		return fmt.Errorf("-n %d: submit at least 1 run", *n)
+	case *c < 1:
+		return fmt.Errorf("-c %d: need at least 1 client", *c)
+	case !(*zipfS >= 0) || math.IsInf(*zipfS, 1):
+		return fmt.Errorf("-zipf %g: want a finite skew >= 0", *zipfS)
+	}
 	if *fleet {
 		return printFleet(*addr)
 	}

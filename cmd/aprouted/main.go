@@ -79,10 +79,12 @@ func realMain() error {
 		queue    = flag.Int("queue", 16, "queue depth per spawned shard")
 		jobs     = flag.Int("jobs", runtime.NumCPU(), "simulation worker-pool width per run in spawned shards")
 		cacheMB  = flag.Int("cachemb", 0, "result cache budget per spawned shard in MiB (0 = default)")
-		nocache  = flag.Bool("nocache", false, "disable the result cache in spawned shards")
 		logLevel = flag.String("loglevel", "info", "log level: debug, info, warn, error")
 	)
 	flag.Parse()
+	if *cacheMB < 0 {
+		return fmt.Errorf("-cachemb %d: want a budget >= 0 MiB", *cacheMB)
+	}
 
 	var level slog.Level
 	if err := level.UnmarshalText([]byte(*logLevel)); err != nil {
@@ -109,13 +111,12 @@ func realMain() error {
 	var locals []*fleet.LocalBackend
 	for i := 0; i < *spawn; i++ {
 		lb, err := fleet.StartLocal(serve.Config{
-			Workers:      *workers,
-			QueueDepth:   *queue,
-			JobsPerRun:   *jobs,
-			InstanceID:   fmt.Sprintf("b%d", i),
-			DisableCache: *nocache,
-			CacheBudget:  uint64(*cacheMB) << 20,
-			Logger:       logger.With("shard", fmt.Sprintf("b%d", i)),
+			Workers:     *workers,
+			QueueDepth:  *queue,
+			JobsPerRun:  *jobs,
+			InstanceID:  fmt.Sprintf("b%d", i),
+			CacheBudget: uint64(*cacheMB) << 20,
+			Logger:      logger.With("shard", fmt.Sprintf("b%d", i)),
 		})
 		if err != nil {
 			return err

@@ -37,10 +37,9 @@
 // Results are memoized by canonical spec: a submission identical to a
 // completed run answers instantly from the content-addressed cache
 // (bounded by -cachemb, LRU-evicted), and concurrent identical
-// submissions collapse onto one execution. -nocache restores the
-// always-recompute behavior for baseline measurements. -instance gives
-// the daemon a fleet shard id: run ids become "b0-r000001" so an aprouted
-// front can route reads by prefix.
+// submissions collapse onto one execution. -instance gives the daemon a
+// fleet shard id: run ids become "b0-r000001" so an aprouted front can
+// route reads by prefix.
 //
 // Logs are JSON (log/slog) on stderr: one access line per request and one
 // lifecycle line per run transition. Every request gets an
@@ -84,11 +83,12 @@ func realMain() error {
 		pprofOn    = flag.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/")
 		logLevel   = flag.String("loglevel", "info", "log level: debug, info, warn, error")
 		instance   = flag.String("instance", "", "fleet instance id prefixed to run ids (e.g. b0)")
-		nocache    = flag.Bool("nocache", false, "disable the content-addressed result cache (always recompute)")
-		nocheck    = flag.Bool("nocheckpoint", false, "disable checkpoint/branch sweep reuse across runs (A/B timing)")
 		cacheMB    = flag.Int("cachemb", 0, "result cache byte budget in MiB (0 = default 256)")
 	)
 	flag.Parse()
+	if *cacheMB < 0 {
+		return fmt.Errorf("-cachemb %d: want a budget >= 0 MiB", *cacheMB)
+	}
 
 	var level slog.Level
 	if err := level.UnmarshalText([]byte(*logLevel)); err != nil {
@@ -98,18 +98,16 @@ func realMain() error {
 	slog.SetDefault(logger)
 
 	s := serve.New(serve.Config{
-		Addr:               *addr,
-		Workers:            *workers,
-		QueueDepth:         *queue,
-		RunTimeout:         *runTimeout,
-		JobsPerRun:         *jobs,
-		RetainRuns:         *retain,
-		EnablePprof:        *pprofOn,
-		InstanceID:         *instance,
-		DisableCache:       *nocache,
-		DisableCheckpoints: *nocheck,
-		CacheBudget:        uint64(*cacheMB) << 20,
-		Logger:             logger,
+		Addr:        *addr,
+		Workers:     *workers,
+		QueueDepth:  *queue,
+		RunTimeout:  *runTimeout,
+		JobsPerRun:  *jobs,
+		RetainRuns:  *retain,
+		EnablePprof: *pprofOn,
+		InstanceID:  *instance,
+		CacheBudget: uint64(*cacheMB) << 20,
+		Logger:      logger,
 	})
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)

@@ -20,9 +20,16 @@ import (
 )
 
 func main() {
+	if err := realMain(); err != nil {
+		fmt.Fprintln(os.Stderr, "apsim:", err)
+		os.Exit(1)
+	}
+}
+
+func realMain() error {
 	var (
 		app       = flag.String("app", "database", "benchmark name (see apbench -experiment table2)")
-		pages     = flag.Float64("pages", 16, "problem size in superpages")
+		pages     = flag.Float64("pages", 16, "problem size in superpages, above 0 and at most 256")
 		pageBytes = flag.Uint64("pagebytes", experiments.ScaledPageBytes, "superpage size in bytes")
 		logicDiv  = flag.Uint64("logicdiv", 10, "CPU-clock/logic-clock divisor")
 		missNs    = flag.Uint64("missns", 50, "cache-miss (DRAM access) latency in ns")
@@ -33,8 +40,10 @@ func main() {
 
 	b, err := experiments.BenchmarkByName(*app)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "apsim:", err)
-		os.Exit(1)
+		return err
+	}
+	if err := experiments.ValidatePages(*pages); err != nil {
+		return fmt.Errorf("-pages %g: %w", *pages, err)
 	}
 	cfg := radram.DefaultConfig().
 		WithPageBytes(*pageBytes).
@@ -42,19 +51,19 @@ func main() {
 		WithMissLatency(sim.Duration(*missNs) * sim.Nanosecond).
 		WithL1D(*l1d).
 		WithL2(*l2)
+	if err := cfg.Validate(); err != nil {
+		return err
+	}
 
 	conv, rad, err := run.NewPair(cfg)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "apsim:", err)
-		os.Exit(1)
+		return err
 	}
 	if err := b.Run(conv.Machine, *pages); err != nil {
-		fmt.Fprintln(os.Stderr, "apsim: conventional:", err)
-		os.Exit(1)
+		return fmt.Errorf("conventional: %w", err)
 	}
 	if err := b.Run(rad.Machine, *pages); err != nil {
-		fmt.Fprintln(os.Stderr, "apsim: radram:", err)
-		os.Exit(1)
+		return fmt.Errorf("radram: %w", err)
 	}
 
 	fmt.Printf("benchmark      %s (%s)\n", b.Name(), b.Partitioning())
@@ -77,4 +86,5 @@ func main() {
 	fmt.Printf("inter-page transfers   %d (%d bytes)\n",
 		rad.AP.Stats.InterPageTransfers, rad.AP.Stats.InterPageBytes)
 	fmt.Printf("stalled on AP          %.1f%%\n", 100*rs.NonOverlapFraction())
+	return nil
 }

@@ -222,42 +222,14 @@ func runRADram(m *radram.Machine, book []byte, n int, query string) (int, error)
 		m.Store.Write(pagesList[p].Base+layout.HeaderBytes,
 			book[first*workload.RecordBytes:last*workload.RecordBytes])
 	}
-	if err := m.AP.Bind("database", &searchFn{}); err != nil {
-		return 0, err
-	}
-
-	// Dispatch the query to every page.
-	qw := layout.PackQueryWords(query, workload.LastNameBytes)
-	args := []uint64{0,
-		uint64(qw[0]) | uint64(qw[1])<<32,
-		uint64(qw[2]) | uint64(qw[3])<<32,
-		uint64(qw[4]) | uint64(qw[5])<<32,
-	}
-	cpu := m.CPU
-	for p := 0; p < nPages; p++ {
-		first := p * perPage
-		last := min(n, first+perPage)
-		args[0] = uint64(last - first)
-		if err := m.AP.Activate(pagesList[p], "db-search", args...); err != nil {
-			return 0, err
-		}
-	}
-
-	// Summarize: wait for each page and accumulate its count.
-	count := 0
-	for _, p := range pagesList {
-		m.AP.Wait(p)
-		count += int(cpu.UncachedLoadU32(p.Base + countOffset))
-		cpu.Compute(2) // add + loop
-	}
-	return count, nil
+	return QueryPages(m.AP, pagesList, perPage, n, query)
 }
 
 // QueryPages binds the search circuit to the pages' group and runs the
 // query over an explicit page list, returning the summed match count. It
-// is the dispatch/summarize half of the study, exported so multiprocessor
-// harnesses can drive disjoint page slices from separate processors
-// (Section 2's SMP coordination).
+// is the dispatch/summarize half of the study, run by runRADram and
+// exported so multiprocessor harnesses can drive disjoint page slices from
+// separate processors (Section 2's SMP coordination).
 func QueryPages(sys *core.System, pagesList []*core.Page, perPage, totalRecords int, query string) (int, error) {
 	if len(pagesList) == 0 {
 		return 0, nil

@@ -12,6 +12,40 @@ import (
 	"activepages/internal/tabler"
 )
 
+// ablations is the ablations experiment: the five ablations, the
+// swap-cost table and the paging study, measured in print order.
+func ablations(r *run.Runner, cfg radram.Config) ([]block, error) {
+	act, err := AblationActivation(r, cfg, 16)
+	if err != nil {
+		return nil, err
+	}
+	inter, err := AblationInterPage(r, cfg, 16)
+	if err != nil {
+		return nil, err
+	}
+	bind, err := AblationBind(r, cfg, 16)
+	if err != nil {
+		return nil, err
+	}
+	size, err := AblationPageSize(r, 4*1024*1024)
+	if err != nil {
+		return nil, err
+	}
+	mmx, err := AblationMMXWidth(r, cfg, 16)
+	if err != nil {
+		return nil, err
+	}
+	return []block{
+		{figure: act, csv: "ablation-activation"},
+		{figure: inter, csv: "ablation-interpage"},
+		{table: bind},
+		{figure: size, csv: "ablation-pagesize"},
+		{table: mmx},
+		{table: SwapCost(radram.DefaultConfig())},
+		{figure: PagingStudy(r, 8, 3500), csv: "paging"},
+	}, nil
+}
+
 // AblationActivation varies the per-activation dispatch cost, showing how
 // partitioning overhead shifts the sub-page/scalable boundary (Section 2:
 // "partitions can be tuned to shift this scalable region").
@@ -19,20 +53,17 @@ func AblationActivation(r *run.Runner, cfg radram.Config, pages float64) (*table
 	dispatch := []uint64{10, 60, 200, 1000, 5000}
 	f := tabler.NewFigure("Ablation: speedup vs activation dispatch cost (database)",
 		"dispatch instructions", "speedup")
-	f.X = make([]float64, len(dispatch))
-	for i, d := range dispatch {
-		f.X[i] = float64(d)
-	}
-	y, err := run.Map(r, len(dispatch), func(i int) (float64, error) {
+	f.X = axis(dispatch, func(d uint64) float64 { return float64(d) })
+	bs := []apps.Benchmark{database.Benchmark{}}
+	g, err := grid(r, bs, len(dispatch), func(i int) (radram.Config, float64) {
 		c := cfg
 		c.AP.DispatchInstructions = dispatch[i]
-		m, err := measure(r, database.Benchmark{}, c, pages)
-		return m.Speedup(), err
+		return c, pages
 	})
 	if err != nil {
 		return nil, err
 	}
-	f.Add("database", y)
+	addSeries(f, bs, g, apps.Measurement.Speedup)
 	return f, nil
 }
 
@@ -43,49 +74,36 @@ func AblationInterPage(r *run.Runner, cfg radram.Config, pages float64) (*tabler
 	interrupt := []uint64{0, 50, 200, 1000, 5000}
 	f := tabler.NewFigure("Ablation: speedup vs inter-page interrupt cost (dynamic-prog)",
 		"interrupt instructions", "speedup")
-	f.X = make([]float64, len(interrupt))
-	for i, d := range interrupt {
-		f.X[i] = float64(d)
-	}
-	y, err := run.Map(r, len(interrupt), func(i int) (float64, error) {
+	f.X = axis(interrupt, func(d uint64) float64 { return float64(d) })
+	bs := []apps.Benchmark{lcs.Benchmark{}}
+	g, err := grid(r, bs, len(interrupt), func(i int) (radram.Config, float64) {
 		c := cfg
 		c.AP.InterruptInstructions = interrupt[i]
-		m, err := measure(r, lcs.Benchmark{}, c, pages)
-		return m.Speedup(), err
+		return c, pages
 	})
 	if err != nil {
 		return nil, err
 	}
-	f.Add("dynamic-prog", y)
+	addSeries(f, bs, g, apps.Measurement.Speedup)
 	return f, nil
 }
 
 // AblationBind compares amortized binding (the reference) against charging
 // full reconfiguration time at every AP_bind — the paper's 2-4x
-// page-replacement cost discussion (Section 6).
+// page-replacement cost discussion (Section 6). Each benchmark's two
+// configurations are adjacent grid points, amortized first.
 func AblationBind(r *run.Runner, cfg radram.Config, pages float64) (*tabler.Table, error) {
 	t := tabler.New("Ablation: reconfiguration charging at AP_bind",
 		"Benchmark", "amortized speedup", "charged speedup")
+	cfgs := []radram.Config{cfg, cfg}
+	cfgs[1].AP.ChargeBind = true
 	bs := Benchmarks()
-	type pair struct{ amortized, charged float64 }
-	rows, err := run.Map(r, len(bs), func(i int) (pair, error) {
-		m1, err := measure(r, bs[i], cfg, pages)
-		if err != nil {
-			return pair{}, err
-		}
-		c := cfg
-		c.AP.ChargeBind = true
-		m2, err := measure(r, bs[i], c, pages)
-		if err != nil {
-			return pair{}, err
-		}
-		return pair{m1.Speedup(), m2.Speedup()}, nil
-	})
+	g, err := grid(r, bs, len(cfgs), func(i int) (radram.Config, float64) { return cfgs[i], pages })
 	if err != nil {
 		return nil, err
 	}
-	for i, b := range bs {
-		t.Row(b.Name(), rows[i].amortized, rows[i].charged)
+	for bi, b := range bs {
+		t.Row(b.Name(), g[bi][0].Speedup(), g[bi][1].Speedup())
 	}
 	return t, nil
 }
@@ -98,20 +116,15 @@ func AblationPageSize(r *run.Runner, dataBytes uint64) (*tabler.Figure, error) {
 	sizes := []uint64{16 * 1024, 32 * 1024, 64 * 1024, 128 * 1024, 256 * 1024}
 	f := tabler.NewFigure("Ablation: speedup vs superpage size at fixed data size (database)",
 		"page KB", "speedup")
-	f.X = make([]float64, len(sizes))
-	for i, size := range sizes {
-		f.X[i] = float64(size) / 1024
-	}
-	y, err := run.Map(r, len(sizes), func(i int) (float64, error) {
-		cfg := radram.DefaultConfig().WithPageBytes(sizes[i])
-		pages := float64(dataBytes) / float64(sizes[i])
-		m, err := measure(r, database.Benchmark{}, cfg, pages)
-		return m.Speedup(), err
+	f.X = axis(sizes, func(s uint64) float64 { return float64(s) / 1024 })
+	bs := []apps.Benchmark{database.Benchmark{}}
+	g, err := grid(r, bs, len(sizes), func(i int) (radram.Config, float64) {
+		return radram.DefaultConfig().WithPageBytes(sizes[i]), float64(dataBytes) / float64(sizes[i])
 	})
 	if err != nil {
 		return nil, err
 	}
-	f.Add("database", y)
+	addSeries(f, bs, g, apps.Measurement.Speedup)
 	return f, nil
 }
 
@@ -152,10 +165,7 @@ func PagingStudy(r *run.Runner, residentPages int, bitstreamBytes int) *tabler.F
 		"working-set pages", "fault time (ms)")
 	sets := []int{residentPages / 2, residentPages, residentPages + 1,
 		residentPages * 2, residentPages * 4}
-	f.X = make([]float64, len(sets))
-	for i, ws := range sets {
-		f.X[i] = float64(ws)
-	}
+	f.X = axis(sets, func(ws int) float64 { return float64(ws) })
 	type point struct{ conv, act float64 }
 	// Each point builds its own pagers, so the sweep parallelizes like any
 	// other; RunTrace cannot fail, so the error is always nil.

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"io"
 	"strings"
 
 	"activepages/internal/apps"
@@ -95,22 +94,12 @@ var radramOnly = map[string]string{
 func DefaultWidths() []int { return []int{8, 16, 32, 64} }
 
 // BackendComparison measures every SIMDRAM-ported kernel on all three
-// machines — conventional, RADram, SIMDRAM — at one problem size.
+// machines — conventional, RADram, SIMDRAM — at one problem size. Each
+// kernel's RADram and SIMDRAM measures are adjacent grid points.
 func BackendComparison(r *run.Runner, cfg radram.Config, pages float64) (*tabler.Table, error) {
 	bs := backendBenchmarks("simdram")
-	simCfg := cfg.WithBackend(simdram.Default())
-	type pair struct{ rad, sd apps.Measurement }
-	rows, err := run.Map(r, len(bs), func(i int) (pair, error) {
-		rad, err := measure(r, bs[i], cfg, pages)
-		if err != nil {
-			return pair{}, err
-		}
-		sd, err := measure(r, bs[i], simCfg, pages)
-		if err != nil {
-			return pair{}, err
-		}
-		return pair{rad, sd}, nil
-	})
+	cfgs := []radram.Config{cfg, cfg.WithBackend(simdram.Default())}
+	g, err := grid(r, bs, len(cfgs), func(i int) (radram.Config, float64) { return cfgs[i], pages })
 	if err != nil {
 		return nil, err
 	}
@@ -118,14 +107,14 @@ func BackendComparison(r *run.Runner, cfg radram.Config, pages float64) (*tabler
 		fmt.Sprintf("Backends: conventional vs RADram vs SIMDRAM at %g pages", pages),
 		"Benchmark", "conv ms", "RADram ms", "SIMDRAM ms",
 		"RADram speedup", "SIMDRAM speedup", "SIMDRAM/RADram")
-	for i, b := range bs {
-		p := rows[i]
+	for bi, b := range bs {
+		rad, sd := g[bi][0], g[bi][1]
 		t.Row(b.Name(),
-			p.rad.ConvTime.Milliseconds(),
-			p.rad.RadTime.Milliseconds(),
-			p.sd.RadTime.Milliseconds(),
-			p.rad.Speedup(), p.sd.Speedup(),
-			float64(p.rad.RadTime)/float64(p.sd.RadTime))
+			rad.ConvTime.Milliseconds(),
+			rad.RadTime.Milliseconds(),
+			sd.RadTime.Milliseconds(),
+			rad.Speedup(), sd.Speedup(),
+			float64(rad.RadTime)/float64(sd.RadTime))
 	}
 	return t, nil
 }
@@ -133,18 +122,16 @@ func BackendComparison(r *run.Runner, cfg radram.Config, pages float64) (*tabler
 // WidthCrossover sweeps the forced operand width of the SIMDRAM cost
 // model at a fixed problem size: bit-serial time grows linearly with
 // width while RADram's word-parallel circuits do not, so each series
-// crosses 1.0 where the backends break even.
+// crosses 1.0 where the backends break even. It measures in two passes,
+// every RADram point first, then the widths.
 func WidthCrossover(r *run.Runner, cfg radram.Config, widths []int, pages float64) (*tabler.Figure, error) {
 	bs := backendBenchmarks("simdram")
-	rads, err := run.Map(r, len(bs), func(i int) (apps.Measurement, error) {
-		return measure(r, bs[i], cfg, pages)
-	})
+	rads, err := grid(r, bs, 1, func(int) (radram.Config, float64) { return cfg, pages })
 	if err != nil {
 		return nil, err
 	}
-	grid, err := run.Map(r, len(bs)*len(widths), func(i int) (apps.Measurement, error) {
-		c := cfg.WithBackend(simdram.Default().WithWidth(widths[i%len(widths)]))
-		return measure(r, bs[i/len(widths)], c, pages)
+	sds, err := grid(r, bs, len(widths), func(i int) (radram.Config, float64) {
+		return cfg.WithBackend(simdram.Default().WithWidth(widths[i])), pages
 	})
 	if err != nil {
 		return nil, err
@@ -152,16 +139,10 @@ func WidthCrossover(r *run.Runner, cfg radram.Config, widths []int, pages float6
 	f := tabler.NewFigure(
 		fmt.Sprintf("Backends crossover: SIMDRAM-over-RADram speedup vs operand width at %g pages", pages),
 		"operand bits", "RADram time / SIMDRAM time")
-	f.X = make([]float64, len(widths))
-	for i, w := range widths {
-		f.X[i] = float64(w)
-	}
+	f.X = axis(widths, func(w int) float64 { return float64(w) })
 	for bi, b := range bs {
-		y := make([]float64, len(widths))
-		for i := range widths {
-			y[i] = float64(rads[bi].RadTime) / float64(grid[bi*len(widths)+i].RadTime)
-		}
-		f.Add(b.Name(), y)
+		rad := float64(rads[bi][0].RadTime)
+		f.Add(b.Name(), series(sds[bi], func(m apps.Measurement) float64 { return rad / float64(m.RadTime) }))
 	}
 	return f, nil
 }
@@ -169,22 +150,13 @@ func WidthCrossover(r *run.Runner, cfg radram.Config, widths []int, pages float6
 // PageCrossover compares the two Active-Page backends over the
 // problem-size axis: values above 1.0 mean SIMDRAM's row-parallel lanes
 // beat RADram's reconfigurable logic at that size (small problems
-// underfill the lanes; large ones amortize them).
+// underfill the lanes; large ones amortize them). Each size's RADram and
+// SIMDRAM measures are adjacent grid points.
 func PageCrossover(r *run.Runner, cfg radram.Config, points []float64) (*tabler.Figure, error) {
 	bs := backendBenchmarks("simdram")
-	simCfg := cfg.WithBackend(simdram.Default())
-	type pair struct{ rad, sd apps.Measurement }
-	grid, err := run.Map(r, len(bs)*len(points), func(i int) (pair, error) {
-		b, pages := bs[i/len(points)], points[i%len(points)]
-		rad, err := measure(r, b, cfg, pages)
-		if err != nil {
-			return pair{}, err
-		}
-		sd, err := measure(r, b, simCfg, pages)
-		if err != nil {
-			return pair{}, err
-		}
-		return pair{rad, sd}, nil
+	cfgs := []radram.Config{cfg, cfg.WithBackend(simdram.Default())}
+	g, err := grid(r, bs, 2*len(points), func(i int) (radram.Config, float64) {
+		return cfgs[i%2], points[i/2]
 	})
 	if err != nil {
 		return nil, err
@@ -195,37 +167,29 @@ func PageCrossover(r *run.Runner, cfg radram.Config, points []float64) (*tabler.
 	f.X = points
 	for bi, b := range bs {
 		y := make([]float64, len(points))
-		for i := range points {
-			p := grid[bi*len(points)+i]
-			y[i] = float64(p.rad.RadTime) / float64(p.sd.RadTime)
+		for i := range y {
+			y[i] = float64(g[bi][2*i].RadTime) / float64(g[bi][2*i+1].RadTime)
 		}
 		f.Add(b.Name(), y)
 	}
 	return f, nil
 }
 
-// runBackendsStudy renders the whole three-way study: the comparison
-// table, then the width and page-count crossover figures.
-func runBackendsStudy(out io.Writer, r *run.Runner, cfg radram.Config, points []float64, opt Options) error {
+// backendsStudy is the whole three-way study: the comparison table, then
+// the width and page-count crossover figures.
+func backendsStudy(r *run.Runner, cfg radram.Config, points []float64) ([]block, error) {
 	cmp, err := BackendComparison(r, cfg, 16)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	cmp.WriteTo(out)
-	fmt.Fprintln(out)
 	wf, err := WidthCrossover(r, cfg, DefaultWidths(), 16)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	wf.WriteTo(out)
-	if err := writeCSV(opt.CSVDir, "backends-width", wf); err != nil {
-		return err
-	}
-	fmt.Fprintln(out)
 	pf, err := PageCrossover(r, cfg, points)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	pf.WriteTo(out)
-	return writeCSV(opt.CSVDir, "backends-pages", pf)
+	return []block{{table: cmp}, {text: "\n"}, {figure: wf, csv: "backends-width"},
+		{text: "\n"}, {figure: pf, csv: "backends-pages"}}, nil
 }

@@ -49,6 +49,40 @@ func IsKnown(name string) bool {
 	return err == nil
 }
 
+// block is one unit of an experiment's output: a table, a figure with the
+// name of its CSV file, or literal text.
+type block struct {
+	table  *tabler.Table
+	figure *tabler.Figure
+	csv    string
+	text   string
+}
+
+// render prints an experiment's blocks to out in order and writes every
+// figure as CSV into dir. Figures computed on a backend other than RADram
+// get the backend as a file-name suffix ("array-simdram.csv"), so a
+// multi-backend run keeps each backend's data.
+func render(out io.Writer, blocks []block, dir, backend string) error {
+	for _, b := range blocks {
+		switch {
+		case b.table != nil:
+			b.table.WriteTo(out)
+		case b.figure != nil:
+			b.figure.WriteTo(out)
+			name := b.csv
+			if backend != "radram" {
+				name += "-" + backend
+			}
+			if err := writeCSV(dir, name, b.figure); err != nil {
+				return err
+			}
+		default:
+			io.WriteString(out, b.text)
+		}
+	}
+	return nil
+}
+
 // writeCSV saves a figure to dir/name.csv when dir is set, creating the
 // parent directories as needed.
 func writeCSV(dir, name string, f *tabler.Figure) error {
@@ -69,7 +103,9 @@ func writeCSV(dir, name string, f *tabler.Figure) error {
 // single benchmark name (which sweeps that benchmark over the problem-size
 // axis) — rendering its tables to out. It is the single entry point shared
 // by the apbench CLI and the apserved daemon; out receives exactly what
-// apbench historically printed to stdout.
+// apbench historically printed to stdout. Each experiment's output is
+// written before the next one starts, so a reader of out sees every
+// experiment as soon as it is computed.
 func Dispatch(out io.Writer, r *run.Runner, experiment string, cfg radram.Config, points []float64, opt Options) error {
 	bk := opt.Backend
 	if bk == "" {
@@ -83,8 +119,7 @@ func Dispatch(out io.Writer, r *run.Runner, experiment string, cfg radram.Config
 	// The backends study is inherently three-way; it ignores the backend
 	// selector.
 	if experiment == "backends" {
-		r.ProgressTracker().SetLabel(experiment)
-		return runBackendsStudy(out, r, cfg, points, opt)
+		bk = "radram"
 	}
 	if bk == "all" {
 		for _, name := range BackendNames() {
@@ -97,138 +132,11 @@ func Dispatch(out io.Writer, r *run.Runner, experiment string, cfg radram.Config
 		}
 		return nil
 	}
-	bcfg, err := configFor(cfg, bk)
-	if err != nil {
-		return err
+	if why, ok := radramOnly[experiment]; ok && bk != "radram" {
+		fmt.Fprintf(out, "%s: skipped for backend %s (%s)\n", experiment, bk, why)
+		return nil
 	}
-	if bk != "radram" {
-		if why, ok := radramOnly[experiment]; ok {
-			fmt.Fprintf(out, "%s: skipped for backend %s (%s)\n", experiment, bk, why)
-			return nil
-		}
-	}
-	cfg = bcfg
-	// Announce the experiment to any attached progress tracker before its
-	// sweeps schedule points (composite recursion re-announces each leaf;
-	// no-op without a tracker, so batch output is untouched).
-	if experiment != "all" {
-		r.ProgressTracker().SetLabel(experiment)
-	}
-	switch experiment {
-	case "table1":
-		Table1(cfg).WriteTo(out)
-	case "table2":
-		Table2().WriteTo(out)
-	case "table3":
-		Table3().WriteTo(out)
-	case "table4":
-		rows, err := Table4(r, cfg, 16, points)
-		if err != nil {
-			return err
-		}
-		RenderTable4(rows).WriteTo(out)
-	case "fig3", "fig4":
-		sweeps, err := RunAllSweeps(r, cfg, points)
-		if err != nil {
-			return err
-		}
-		if experiment == "fig3" {
-			f := Figure3For(sweeps, backendLabel(bk))
-			f.WriteTo(out)
-			if err := writeCSV(opt.CSVDir, "fig3", f); err != nil {
-				return err
-			}
-			if opt.Regions {
-				for _, s := range sweeps {
-					fmt.Fprintf(out, "%s regions: %v\n", s.Benchmark, s.Regions())
-				}
-			}
-		} else {
-			f := Figure4For(sweeps, backendLabel(bk))
-			f.WriteTo(out)
-			if err := writeCSV(opt.CSVDir, "fig4", f); err != nil {
-				return err
-			}
-		}
-	case "fig5":
-		level, sizes := "L1D", DefaultL1Sizes()
-		if opt.L2 {
-			level, sizes = "L2", DefaultL2Sizes()
-		}
-		names := []string{"database", "median-kernel", "median-total", "array", "dynamic-prog"}
-		conv, rad, err := CacheSweep(r, names, cfg, level, sizes, 16)
-		if err != nil {
-			return err
-		}
-		conv.WriteTo(out)
-		fmt.Fprintln(out)
-		rad.WriteTo(out)
-		if err := writeCSV(opt.CSVDir, "fig5-conventional", conv); err != nil {
-			return err
-		}
-		if err := writeCSV(opt.CSVDir, "fig5-radram", rad); err != nil {
-			return err
-		}
-	case "fig8":
-		f, err := MissLatencySweep(r, cfg, DefaultMissLatencies(), 16)
-		if err != nil {
-			return err
-		}
-		f.WriteTo(out)
-		if err := writeCSV(opt.CSVDir, "fig8", f); err != nil {
-			return err
-		}
-	case "fig9":
-		f, err := LogicSpeedSweep(r, cfg, DefaultLogicDivisors(), 16)
-		if err != nil {
-			return err
-		}
-		f.WriteTo(out)
-		if err := writeCSV(opt.CSVDir, "fig9", f); err != nil {
-			return err
-		}
-	case "crossover":
-		rows, err := CrossoverStudy(r, cfg, 16, points)
-		if err != nil {
-			return err
-		}
-		end := points[len(points)-1]
-		RenderCrossover(rows, end).WriteTo(out)
-	case "smp":
-		f, err := SMPStudy(r, cfg, 32, []int{1, 2, 4, 8})
-		if err != nil {
-			return err
-		}
-		f.WriteTo(out)
-	case "ablations":
-		a1, err := AblationActivation(r, cfg, 16)
-		if err != nil {
-			return err
-		}
-		a1.WriteTo(out)
-		a2, err := AblationInterPage(r, cfg, 16)
-		if err != nil {
-			return err
-		}
-		a2.WriteTo(out)
-		a3, err := AblationBind(r, cfg, 16)
-		if err != nil {
-			return err
-		}
-		a3.WriteTo(out)
-		a4, err := AblationPageSize(r, 4*1024*1024)
-		if err != nil {
-			return err
-		}
-		a4.WriteTo(out)
-		a5, err := AblationMMXWidth(r, cfg, 16)
-		if err != nil {
-			return err
-		}
-		a5.WriteTo(out)
-		SwapCost(radram.DefaultConfig()).WriteTo(out)
-		PagingStudy(r, 8, 3500).WriteTo(out)
-	case "all":
+	if experiment == "all" {
 		for _, e := range All {
 			fmt.Fprintf(out, "\n##### %s #####\n", e)
 			if err := Dispatch(out, r, e, cfg, points, opt); err != nil {
@@ -238,34 +146,93 @@ func Dispatch(out io.Writer, r *run.Runner, experiment string, cfg radram.Config
 		// The three-way study joins the suite once a second backend is in
 		// play; the default RADram-only run stays exactly the historical
 		// output.
-		if bk != "radram" {
-			fmt.Fprintf(out, "\n##### backends #####\n")
-			if err := Dispatch(out, r, "backends", cfg, points, opt); err != nil {
-				return err
+		if bk == "radram" {
+			return nil
+		}
+		fmt.Fprintf(out, "\n##### backends #####\n")
+		return Dispatch(out, r, "backends", cfg, points, opt)
+	}
+	// Announce the experiment to any attached progress tracker before its
+	// sweeps schedule points (no-op without a tracker, so batch output is
+	// untouched).
+	r.ProgressTracker().SetLabel(experiment)
+	bcfg, err := configFor(cfg, bk)
+	if err != nil {
+		return err
+	}
+	blocks, err := experimentBlocks(r, experiment, bcfg, points, opt)
+	if err != nil {
+		return err
+	}
+	return render(out, blocks, opt.CSVDir, bk)
+}
+
+// experimentBlocks computes one experiment's output on cfg, which is
+// already targeted at the selected backend.
+func experimentBlocks(r *run.Runner, experiment string, cfg radram.Config, points []float64, opt Options) ([]block, error) {
+	label := backendLabel(cfg.BackendName())
+	switch experiment {
+	case "table1":
+		return []block{{table: Table1(cfg)}}, nil
+	case "table2":
+		return []block{{table: Table2()}}, nil
+	case "table3":
+		return []block{{table: Table3()}}, nil
+	case "table4":
+		rows, err := Table4(r, cfg, 16, points)
+		return []block{{table: RenderTable4(rows)}}, err
+	case "crossover":
+		rows, err := CrossoverStudy(r, cfg, 16, points)
+		return []block{{table: RenderCrossover(rows, points[len(points)-1])}}, err
+	case "fig3":
+		sweeps, err := RunAllSweeps(r, cfg, points)
+		out := []block{{figure: Figure3For(sweeps, label), csv: "fig3"}}
+		if opt.Regions {
+			for _, s := range sweeps {
+				out = append(out, block{text: fmt.Sprintf("%s regions: %v\n", s.Benchmark, s.Regions())})
 			}
 		}
-	default:
-		// Any benchmark name is an experiment: sweep that benchmark alone
-		// over the problem-size axis.
-		b, berr := BenchmarkByName(experiment)
-		if berr != nil {
-			return fmt.Errorf("unknown experiment %q (want all, backends, %s, or a benchmark: %s)",
-				experiment, strings.Join(All, ", "),
-				strings.Join(BenchmarkNames(), ", "))
+		return out, err
+	case "fig4":
+		sweeps, err := RunAllSweeps(r, cfg, points)
+		return []block{{figure: Figure4For(sweeps, label), csv: "fig4"}}, err
+	case "fig5":
+		level, sizes := "L1D", DefaultL1Sizes()
+		if opt.L2 {
+			level, sizes = "L2", DefaultL2Sizes()
 		}
-		if !apps.Supports(b, bk) {
-			return fmt.Errorf("benchmark %q has no %s port (ported: %s)",
-				experiment, bk, strings.Join(portedNames(bk), ", "))
-		}
-		s, err := RunSweep(r, b, cfg, points)
-		if err != nil {
-			return err
-		}
-		f := Figure3For([]*Sweep{s}, backendLabel(bk))
-		f.WriteTo(out)
-		if err := writeCSV(opt.CSVDir, experiment, f); err != nil {
-			return err
-		}
+		names := []string{"database", "median-kernel", "median-total", "array", "dynamic-prog"}
+		conv, rad, err := CacheSweep(r, names, cfg, level, sizes, 16)
+		return []block{{figure: conv, csv: "fig5-conventional"}, {text: "\n"},
+			{figure: rad, csv: "fig5-radram"}}, err
+	case "fig8":
+		f, err := MissLatencySweep(r, cfg, DefaultMissLatencies(), 16)
+		return []block{{figure: f, csv: "fig8"}}, err
+	case "fig9":
+		f, err := LogicSpeedSweep(r, cfg, DefaultLogicDivisors(), 16)
+		return []block{{figure: f, csv: "fig9"}}, err
+	case "smp":
+		f, err := SMPStudy(r, cfg, 32, []int{1, 2, 4, 8})
+		return []block{{figure: f, csv: "smp"}}, err
+	case "ablations":
+		return ablations(r, cfg)
+	case "backends":
+		return backendsStudy(r, cfg, points)
 	}
-	return nil
+	// Any benchmark name is an experiment: sweep that benchmark alone over
+	// the problem-size axis.
+	b, err := BenchmarkByName(experiment)
+	if err != nil {
+		return nil, fmt.Errorf("unknown experiment %q (want all, backends, %s, or a benchmark: %s)",
+			experiment, strings.Join(All, ", "), strings.Join(BenchmarkNames(), ", "))
+	}
+	if bk := cfg.BackendName(); !apps.Supports(b, bk) {
+		return nil, fmt.Errorf("benchmark %q has no %s port (ported: %s)",
+			experiment, bk, strings.Join(portedNames(bk), ", "))
+	}
+	s, err := RunSweep(r, b, cfg, points)
+	if err != nil {
+		return nil, err
+	}
+	return []block{{figure: Figure3For([]*Sweep{s}, label), csv: experiment}}, nil
 }

@@ -84,3 +84,45 @@ func TestDispatchBenchmarkSweep(t *testing.T) {
 		t.Fatalf("dispatch output missing benchmark series:\n%s", b.String())
 	}
 }
+
+// TestBackendsSectionOfAllMatchesBackendsStudy: "all" on a second backend
+// appends the three-way study, which compares SIMDRAM against RADram and
+// must therefore print exactly what the study prints alone.
+func TestBackendsSectionOfAllMatchesBackendsStudy(t *testing.T) {
+	points := []float64{0.5, 2}
+	var all, alone strings.Builder
+	if err := Dispatch(&all, nil, "all", DefaultConfig(), points, Options{Backend: "simdram"}); err != nil {
+		t.Fatal(err)
+	}
+	if err := Dispatch(&alone, nil, "backends", DefaultConfig(), points, Options{}); err != nil {
+		t.Fatal(err)
+	}
+	_, section, ok := strings.Cut(all.String(), "\n##### backends #####\n")
+	if !ok {
+		t.Fatalf("no backends section in:\n%s", all.String())
+	}
+	if section != alone.String() {
+		t.Errorf("backends section of all on simdram:\n%s\nwant the study alone:\n%s", section, alone.String())
+	}
+}
+
+// TestBackendAllKeepsEachBackendsCSV: -backend all writes each backend's
+// figure to its own file, RADram under the plain name.
+func TestBackendAllKeepsEachBackendsCSV(t *testing.T) {
+	dir := t.TempDir()
+	opt := Options{Backend: "all", CSVDir: dir}
+	if err := Dispatch(io.Discard, nil, "array", DefaultConfig(), []float64{0.5, 2}, opt); err != nil {
+		t.Fatal(err)
+	}
+	rad, err := os.ReadFile(filepath.Join(dir, "array.csv"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sd, err := os.ReadFile(filepath.Join(dir, "array-simdram.csv"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(rad) == string(sd) {
+		t.Errorf("RADram and SIMDRAM CSV files are identical:\n%s", rad)
+	}
+}

@@ -11,9 +11,11 @@
 // full-scale points.
 //
 // Every sweep is a grid of independent simulation points executed through
-// the internal/run worker pool: each function takes a *run.Runner (nil
-// means serial, no metrics) and merges results back in axis order, so
-// output is byte-identical whatever the worker count.
+// the internal/run worker pool by grid: each function takes a *run.Runner
+// (nil means serial, no metrics) and merges results back in axis order, so
+// output is byte-identical whatever the worker count. Each experiment
+// returns its output as blocks (tables, figures, text) that one renderer
+// prints and saves as CSV (see dispatch.go).
 package experiments
 
 import (
@@ -28,6 +30,7 @@ import (
 	"activepages/internal/apps/mpeg"
 	"activepages/internal/radram"
 	"activepages/internal/run"
+	"activepages/internal/tabler"
 )
 
 // ScaledPageBytes is the sweep default superpage size.
@@ -81,6 +84,19 @@ func DefaultPagePoints() []float64 {
 	return []float64{0.25, 0.5, 1, 2, 4, 8, 16, 32, 64, 128, 256}
 }
 
+// ValidatePages checks a problem size given in pages: it must be finite,
+// above 0, and at most the last point of DefaultPagePoints, the largest
+// size any experiment measures (every benchmark fits in host memory
+// there, even at the paper's 512 KiB page).
+func ValidatePages(pages float64) error {
+	points := DefaultPagePoints()
+	limit := points[len(points)-1]
+	if !(pages > 0 && pages <= limit) {
+		return fmt.Errorf("problem size must be above 0 and at most %g pages", limit)
+	}
+	return nil
+}
+
 // QuickPagePoints is a short axis for tests and smoke runs.
 func QuickPagePoints() []float64 {
 	return []float64{0.5, 2, 8, 32}
@@ -95,18 +111,36 @@ type Sweep struct {
 
 // Speedups returns the speedup series (Figure 3's y values).
 func (s *Sweep) Speedups() []float64 {
-	out := make([]float64, len(s.Points))
-	for i, m := range s.Points {
-		out[i] = m.Speedup()
-	}
-	return out
+	return series(s.Points, apps.Measurement.Speedup)
 }
 
 // NonOverlaps returns the stall-percentage series (Figure 4's y values).
 func (s *Sweep) NonOverlaps() []float64 {
-	out := make([]float64, len(s.Points))
-	for i, m := range s.Points {
-		out[i] = 100 * m.NonOverlap
+	return series(s.Points, func(m apps.Measurement) float64 { return 100 * m.NonOverlap })
+}
+
+// series extracts one y value per measurement.
+func series(ms []apps.Measurement, y func(apps.Measurement) float64) []float64 {
+	out := make([]float64, len(ms))
+	for i, m := range ms {
+		out[i] = y(m)
+	}
+	return out
+}
+
+// addSeries adds one series per benchmark row of a grid to f, in the
+// grid's benchmark order.
+func addSeries(f *tabler.Figure, bs []apps.Benchmark, g [][]apps.Measurement, y func(apps.Measurement) float64) {
+	for bi, b := range bs {
+		f.Add(b.Name(), series(g[bi], y))
+	}
+}
+
+// axis converts a sweep's knob values into a figure's x values.
+func axis[T any](xs []T, x func(T) float64) []float64 {
+	out := make([]float64, len(xs))
+	for i, v := range xs {
+		out[i] = x(v)
 	}
 	return out
 }
@@ -127,6 +161,28 @@ func measure(r *run.Runner, b apps.Benchmark, cfg radram.Config, pages float64) 
 	return m, nil
 }
 
+// grid measures every benchmark at n points, point i on the configuration
+// and problem size at(i) returns, and indexes the measurements
+// [benchmark][point]. It is the one place a benchmarks × points grid meets
+// the worker pool: one flat run.Map, benchmark-major, so parallel workers
+// load-balance across every point while a serial runner measures in
+// exactly that order — the order that decides, under a checkpoint cache,
+// which measure of a key simulates cold and which one branches.
+func grid(r *run.Runner, bs []apps.Benchmark, n int, at func(i int) (radram.Config, float64)) ([][]apps.Measurement, error) {
+	flat, err := run.Map(r, len(bs)*n, func(i int) (apps.Measurement, error) {
+		cfg, pages := at(i % n)
+		return measure(r, bs[i/n], cfg, pages)
+	})
+	if err != nil {
+		return nil, err
+	}
+	out := make([][]apps.Measurement, len(bs))
+	for bi := range out {
+		out[bi] = flat[bi*n : (bi+1)*n]
+	}
+	return out, nil
+}
+
 // serially returns a single-worker runner sharing r's metrics sink,
 // checkpoint cache, cancellation context, and progress tracker, for loops
 // nested inside an already-parallel Map.
@@ -140,31 +196,28 @@ func serially(r *run.Runner) *run.Runner {
 
 // RunSweep measures one benchmark across the page axis.
 func RunSweep(r *run.Runner, b apps.Benchmark, cfg radram.Config, pages []float64) (*Sweep, error) {
-	points, err := run.Map(r, len(pages), func(i int) (apps.Measurement, error) {
-		return measure(r, b, cfg, pages[i])
-	})
+	sweeps, err := runSweeps(r, []apps.Benchmark{b}, cfg, pages)
 	if err != nil {
 		return nil, err
 	}
-	return &Sweep{Benchmark: b.Name(), Pages: pages, Points: points}, nil
+	return sweeps[0], nil
 }
 
 // RunAllSweeps measures every benchmark the configured backend supports
 // (the full Figure 3/4 dataset on RADram; the ported subset elsewhere).
-// The whole benchmarks-by-pages grid is one flat slice of independent
-// points, so the worker pool load-balances across it.
 func RunAllSweeps(r *run.Runner, cfg radram.Config, pages []float64) ([]*Sweep, error) {
-	bs := backendBenchmarks(cfg.BackendName())
-	grid, err := run.Map(r, len(bs)*len(pages), func(i int) (apps.Measurement, error) {
-		return measure(r, bs[i/len(pages)], cfg, pages[i%len(pages)])
-	})
+	return runSweeps(r, backendBenchmarks(cfg.BackendName()), cfg, pages)
+}
+
+// runSweeps measures each benchmark across the page axis as one grid.
+func runSweeps(r *run.Runner, bs []apps.Benchmark, cfg radram.Config, pages []float64) ([]*Sweep, error) {
+	g, err := grid(r, bs, len(pages), func(i int) (radram.Config, float64) { return cfg, pages[i] })
 	if err != nil {
 		return nil, err
 	}
 	out := make([]*Sweep, len(bs))
 	for bi, b := range bs {
-		out[bi] = &Sweep{Benchmark: b.Name(), Pages: pages,
-			Points: grid[bi*len(pages) : (bi+1)*len(pages)]}
+		out[bi] = &Sweep{Benchmark: b.Name(), Pages: pages, Points: g[bi]}
 	}
 	return out, nil
 }

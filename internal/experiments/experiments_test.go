@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -81,11 +82,11 @@ func TestFigure3And4Render(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f3 := Figure3([]*Sweep{s}).String()
+	f3 := Figure3For([]*Sweep{s}, "RADram").String()
 	if !strings.Contains(f3, "Figure 3") || !strings.Contains(f3, "database") {
 		t.Error("figure 3 rendering broken")
 	}
-	f4 := Figure4([]*Sweep{s}).String()
+	f4 := Figure4For([]*Sweep{s}, "RADram").String()
 	if !strings.Contains(f4, "stalled") {
 		t.Error("figure 4 rendering broken")
 	}
@@ -322,10 +323,10 @@ func TestParallelSweepMatchesSerial(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, want := Figure3(s2).String(), Figure3(s1).String(); got != want {
+	if got, want := Figure3For(s2, "RADram").String(), Figure3For(s1, "RADram").String(); got != want {
 		t.Errorf("parallel Figure 3 differs from serial:\n%s\nvs\n%s", got, want)
 	}
-	if got, want := Figure4(s2).String(), Figure4(s1).String(); got != want {
+	if got, want := Figure4For(s2, "RADram").String(), Figure4For(s1, "RADram").String(); got != want {
 		t.Errorf("parallel Figure 4 differs from serial")
 	}
 	j1, err := serial.Metrics.Snapshot().JSON()
@@ -369,5 +370,52 @@ func TestEveryBenchmarkFitsMinimumPage(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// recorder is a benchmark that simulates nothing and logs every machine run
+// it is handed: name, problem size, and machine kind.
+type recorder struct {
+	name string
+	log  *[]string
+}
+
+func (b recorder) Name() string                  { return b.name }
+func (recorder) Partitioning() apps.Partitioning { return apps.MemoryCentric }
+func (recorder) Description() string             { return "records its machine runs" }
+func (b recorder) Run(m *radram.Machine, pages float64) error {
+	kind := "ap"
+	if m.AP == nil {
+		kind = "conv"
+	}
+	*b.log = append(*b.log, fmt.Sprintf("%s@%g:%s", b.name, pages, kind))
+	return nil
+}
+
+// TestGridOrderIsBenchmarkMajor pins the order a serial runner measures a
+// grid in: benchmark-major, the conventional run before the Active-Page
+// run at each point. Under a checkpoint cache that order decides which
+// measure of a key simulates cold and which one branches.
+func TestGridOrderIsBenchmarkMajor(t *testing.T) {
+	var log []string
+	bs := []apps.Benchmark{recorder{"a", &log}, recorder{"b", &log}}
+	pages := []float64{1, 2, 3}
+	g, err := grid(run.Serial(), bs, len(pages), func(i int) (radram.Config, float64) {
+		return DefaultConfig(), pages[i]
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want []string
+	for bi, b := range bs {
+		for i, p := range pages {
+			want = append(want, fmt.Sprintf("%s@%g:conv", b.Name(), p), fmt.Sprintf("%s@%g:ap", b.Name(), p))
+			if m := g[bi][i]; m.Benchmark != b.Name() || m.Pages != p {
+				t.Errorf("g[%d][%d] is %s at %g pages, want %s at %g", bi, i, m.Benchmark, m.Pages, b.Name(), p)
+			}
+		}
+	}
+	if got := strings.Join(log, " "); got != strings.Join(want, " ") {
+		t.Errorf("machine runs in order\n%s\nwant\n%s", got, strings.Join(want, " "))
 	}
 }

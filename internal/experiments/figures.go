@@ -10,11 +10,6 @@ import (
 	"activepages/internal/tabler"
 )
 
-// Figure3 renders the speedup-versus-problem-size sweep for RADram.
-func Figure3(sweeps []*Sweep) *tabler.Figure {
-	return Figure3For(sweeps, "RADram")
-}
-
 // Figure3For renders the speedup sweep for the named Active-Page
 // backend.
 func Figure3For(sweeps []*Sweep, label string) *tabler.Figure {
@@ -28,11 +23,6 @@ func Figure3For(sweeps []*Sweep, label string) *tabler.Figure {
 		f.Add(s.Benchmark, s.Speedups())
 	}
 	return f
-}
-
-// Figure4 renders the processor-stall sweep for RADram.
-func Figure4(sweeps []*Sweep) *tabler.Figure {
-	return Figure4For(sweeps, "RADram")
 }
 
 // Figure4For renders the processor-stall sweep for the named backend.
@@ -66,17 +56,14 @@ func DefaultL2Sizes() []uint64 {
 func CacheSweep(r *run.Runner, benchNames []string, cfg radram.Config, level string,
 	sizes []uint64, pages float64) (conv, rad *tabler.Figure, err error) {
 
-	x := make([]float64, len(sizes))
-	for i, s := range sizes {
-		x[i] = float64(s) / 1024
-	}
 	conv = tabler.NewFigure(
 		fmt.Sprintf("Figure 5 (left): conventional execution time vs %s size", level),
 		level+" KB", "time (ms)")
 	rad = tabler.NewFigure(
 		fmt.Sprintf("Figure 5 (right): RADram execution time vs %s size", level),
 		level+" KB", "time (ms)")
-	conv.X, rad.X = x, x
+	conv.X = axis(sizes, func(s uint64) float64 { return float64(s) / 1024 })
+	rad.X = conv.X
 
 	benches := make([]apps.Benchmark, len(benchNames))
 	for i, name := range benchNames {
@@ -84,29 +71,17 @@ func CacheSweep(r *run.Runner, benchNames []string, cfg radram.Config, level str
 			return nil, nil, err
 		}
 	}
-	grid, err := run.Map(r, len(benches)*len(sizes), func(i int) (apps.Measurement, error) {
-		c := cfg
-		if size := sizes[i%len(sizes)]; level == "L2" {
-			c = c.WithL2(size)
-		} else {
-			c = c.WithL1D(size)
+	g, err := grid(r, benches, len(sizes), func(i int) (radram.Config, float64) {
+		if level == "L2" {
+			return cfg.WithL2(sizes[i]), pages
 		}
-		return measure(r, benches[i/len(sizes)], c, pages)
+		return cfg.WithL1D(sizes[i]), pages
 	})
 	if err != nil {
 		return nil, nil, err
 	}
-	for bi, name := range benchNames {
-		convY := make([]float64, len(sizes))
-		radY := make([]float64, len(sizes))
-		for i := range sizes {
-			m := grid[bi*len(sizes)+i]
-			convY[i] = m.ConvTime.Milliseconds()
-			radY[i] = m.RadTime.Milliseconds()
-		}
-		conv.Add(name, convY)
-		rad.Add(name, radY)
-	}
+	addSeries(conv, benches, g, func(m apps.Measurement) float64 { return m.ConvTime.Milliseconds() })
+	addSeries(rad, benches, g, func(m apps.Measurement) float64 { return m.RadTime.Milliseconds() })
 	return conv, rad, nil
 }
 
@@ -119,44 +94,20 @@ func DefaultMissLatencies() []sim.Duration {
 	return out
 }
 
-// speedupGrid runs every benchmark across an axis of derived
-// configurations and adds one speedup series per benchmark to f, in
-// legend order whatever the worker count.
-func speedupGrid(r *run.Runner, f *tabler.Figure, cfg radram.Config, n int,
-	derive func(radram.Config, int) radram.Config, pages float64) error {
-
-	bs := Benchmarks()
-	grid, err := run.Map(r, len(bs)*n, func(i int) (apps.Measurement, error) {
-		return measure(r, bs[i/n], derive(cfg, i%n), pages)
-	})
-	if err != nil {
-		return err
-	}
-	for bi, b := range bs {
-		y := make([]float64, n)
-		for i := range y {
-			y[i] = grid[bi*n+i].Speedup()
-		}
-		f.Add(b.Name(), y)
-	}
-	return nil
-}
-
 // MissLatencySweep measures speedup versus cache-miss latency at a fixed
 // problem size (Figure 8).
 func MissLatencySweep(r *run.Runner, cfg radram.Config, latencies []sim.Duration, pages float64) (*tabler.Figure, error) {
 	f := tabler.NewFigure("Figure 8: RADram speedup as cache-to-memory latency varies",
 		"miss ns", "speedup")
-	f.X = make([]float64, len(latencies))
-	for i, d := range latencies {
-		f.X[i] = d.Nanoseconds()
-	}
-	err := speedupGrid(r, f, cfg, len(latencies), func(c radram.Config, i int) radram.Config {
-		return c.WithMissLatency(latencies[i])
-	}, pages)
+	f.X = axis(latencies, sim.Duration.Nanoseconds)
+	bs := Benchmarks()
+	g, err := grid(r, bs, len(latencies), func(i int) (radram.Config, float64) {
+		return cfg.WithMissLatency(latencies[i]), pages
+	})
 	if err != nil {
 		return nil, err
 	}
+	addSeries(f, bs, g, apps.Measurement.Speedup)
 	return f, nil
 }
 
@@ -171,15 +122,14 @@ func DefaultLogicDivisors() []uint64 {
 func LogicSpeedSweep(r *run.Runner, cfg radram.Config, divisors []uint64, pages float64) (*tabler.Figure, error) {
 	f := tabler.NewFigure("Figure 9: RADram speedup as logic speed varies",
 		"logic divisor", "speedup")
-	f.X = make([]float64, len(divisors))
-	for i, d := range divisors {
-		f.X[i] = float64(d)
-	}
-	err := speedupGrid(r, f, cfg, len(divisors), func(c radram.Config, i int) radram.Config {
-		return c.WithLogicDivisor(divisors[i])
-	}, pages)
+	f.X = axis(divisors, func(d uint64) float64 { return float64(d) })
+	bs := Benchmarks()
+	g, err := grid(r, bs, len(divisors), func(i int) (radram.Config, float64) {
+		return cfg.WithLogicDivisor(divisors[i]), pages
+	})
 	if err != nil {
 		return nil, err
 	}
+	addSeries(f, bs, g, apps.Measurement.Speedup)
 	return f, nil
 }

@@ -30,10 +30,7 @@ func SMPStudy(r *run.Runner, cfg radram.Config, pages float64, processors []int)
 	f := tabler.NewFigure(
 		fmt.Sprintf("SMP: database query time vs processors (%g pages)", pages),
 		"processors", "time (ms)")
-	f.X = make([]float64, len(processors))
-	for i, p := range processors {
-		f.X[i] = float64(p)
-	}
+	f.X = axis(processors, func(p int) float64 { return float64(p) })
 	tpl := newSMPTemplate(cfg, pages)
 	y, err := run.Map(r, len(processors), func(i int) (float64, error) {
 		t, err := runSMPDatabase(r, cfg, pages, processors[i], tpl)

@@ -65,43 +65,60 @@ type Table4Row struct {
 	Correl    float64
 }
 
-// Table4 fits the Section 7.4 model to each application at a medium
-// problem size, computes pages-for-complete-overlap from the recurrence,
-// and correlates model-predicted speedups against the measured sweep —
-// the full content of the paper's Table 4. Each application's fit-and-
-// sweep is one independent unit on the worker pool.
-func Table4(r *run.Runner, cfg radram.Config, fitPages float64, sweepPages []float64) ([]Table4Row, error) {
+// fitted is one application's Section 7.4 model, fitted at one problem
+// size, beside its measured sweep.
+type fitted struct {
+	params model.Params
+	sweep  *Sweep
+}
+
+// fitAndSweep fits the Section 7.4 model to each application at fitPages
+// and measures it across sweepPages — the shared core of Table 4 and the
+// crossover study. Each application's fit-and-sweep is one independent
+// unit on the worker pool.
+func fitAndSweep(r *run.Runner, cfg radram.Config, fitPages float64, sweepPages []float64) ([]fitted, error) {
 	bs := Benchmarks()
-	return run.Map(r, len(bs), func(i int) (Table4Row, error) {
-		b := bs[i]
-		fit, err := measure(r, b, cfg, fitPages)
+	return run.Map(r, len(bs), func(i int) (fitted, error) {
+		fit, err := measure(r, bs[i], cfg, fitPages)
 		if err != nil {
-			return Table4Row{}, err
+			return fitted{}, err
 		}
 		convPerPage := sim.Duration(float64(fit.ConvTime) / fit.Pages)
 		p := model.FitParams(fit.ActivationTime, fit.PostTime, fit.BusyTime, convPerPage)
-
-		sweep, err := RunSweep(serially(r), b, cfg, sweepPages)
-		if err != nil {
-			return Table4Row{}, err
-		}
-		pages := make([]int, len(sweepPages))
-		for i, v := range sweepPages {
-			pages[i] = max(int(v), 1)
-		}
-		correl, err := model.Correlate(p, pages, sweep.Speedups())
-		if err != nil {
-			return Table4Row{}, err
-		}
-		return Table4Row{
-			Benchmark: b.Name(),
-			TA:        p.TA,
-			TP:        p.TP,
-			TC:        p.TC,
-			PagesFor:  p.PagesForOverlap(),
-			Correl:    correl,
-		}, nil
+		sweep, err := RunSweep(serially(r), bs[i], cfg, sweepPages)
+		return fitted{params: p, sweep: sweep}, err
 	})
+}
+
+// Table4 fits the Section 7.4 model to each application at a medium
+// problem size, computes pages-for-complete-overlap from the recurrence,
+// and correlates model-predicted speedups against the measured sweep —
+// the full content of the paper's Table 4.
+func Table4(r *run.Runner, cfg radram.Config, fitPages float64, sweepPages []float64) ([]Table4Row, error) {
+	fits, err := fitAndSweep(r, cfg, fitPages, sweepPages)
+	if err != nil {
+		return nil, err
+	}
+	pages := make([]int, len(sweepPages))
+	for i, v := range sweepPages {
+		pages[i] = max(int(v), 1)
+	}
+	rows := make([]Table4Row, len(fits))
+	for i, f := range fits {
+		correl, err := model.Correlate(f.params, pages, f.sweep.Speedups())
+		if err != nil {
+			return nil, err
+		}
+		rows[i] = Table4Row{
+			Benchmark: f.sweep.Benchmark,
+			TA:        f.params.TA,
+			TP:        f.params.TP,
+			TC:        f.params.TC,
+			PagesFor:  f.params.PagesForOverlap(),
+			Correl:    correl,
+		}
+	}
+	return rows, nil
 }
 
 // RenderTable4 formats Table 4 rows.
@@ -159,29 +176,21 @@ type CrossoverRow struct {
 // that do not saturate within the sweep report MeasuredPages 0; their
 // prediction should then also lie beyond the sweep's end.
 func CrossoverStudy(r *run.Runner, cfg radram.Config, fitPages float64, sweepPages []float64) ([]CrossoverRow, error) {
-	bs := Benchmarks()
-	return run.Map(r, len(bs), func(i int) (CrossoverRow, error) {
-		b := bs[i]
-		fit, err := measure(r, b, cfg, fitPages)
-		if err != nil {
-			return CrossoverRow{}, err
-		}
-		convPerPage := sim.Duration(float64(fit.ConvTime) / fit.Pages)
-		p := model.FitParams(fit.ActivationTime, fit.PostTime, fit.BusyTime, convPerPage)
-
-		sweep, err := RunSweep(serially(r), b, cfg, sweepPages)
-		if err != nil {
-			return CrossoverRow{}, err
-		}
-		row := CrossoverRow{Benchmark: b.Name(), PredictedPages: p.PagesForOverlap()}
-		for i, m := range sweep.Points {
+	fits, err := fitAndSweep(r, cfg, fitPages, sweepPages)
+	if err != nil {
+		return nil, err
+	}
+	rows := make([]CrossoverRow, len(fits))
+	for i, f := range fits {
+		rows[i] = CrossoverRow{Benchmark: f.sweep.Benchmark, PredictedPages: f.params.PagesForOverlap()}
+		for j, m := range f.sweep.Points {
 			if m.NonOverlap < 0.05 {
-				row.MeasuredPages = sweepPages[i]
+				rows[i].MeasuredPages = sweepPages[j]
 				break
 			}
 		}
-		return row, nil
-	})
+	}
+	return rows, nil
 }
 
 // RenderCrossover formats the crossover study.

@@ -27,14 +27,6 @@ type Config struct {
 	Backends []string
 	// HealthInterval is how often each backend's /healthz is probed.
 	HealthInterval time.Duration
-	// Client issues all proxied requests; nil builds one with sane timeouts.
-	Client *http.Client
-	// ProbeClient issues health probes; nil builds one with a short timeout.
-	// Probes get their own client because the proxy client's timeout is
-	// sized for long runs — a dead shard must fail a probe in seconds, not
-	// minutes — and because building a client per probe (the old behavior)
-	// leaked a fresh transport's connection pool every sweep.
-	ProbeClient *http.Client
 	// Logger receives structured routing logs; nil discards.
 	Logger *slog.Logger
 }
@@ -42,24 +34,6 @@ type Config struct {
 func (c Config) withDefaults() Config {
 	if c.HealthInterval <= 0 {
 		c.HealthInterval = 2 * time.Second
-	}
-	if c.Client == nil {
-		// The default transport keeps only 2 idle connections per host;
-		// under a concurrent cache-hit load every proxied request would
-		// then pay a fresh TCP dial to the shard, capping throughput far
-		// below what the shards serve. A deep idle pool keeps the hot path
-		// dial-free.
-		c.Client = &http.Client{
-			Timeout: 15 * time.Minute,
-			Transport: &http.Transport{
-				MaxIdleConns:        256,
-				MaxIdleConnsPerHost: 64,
-				IdleConnTimeout:     90 * time.Second,
-			},
-		}
-	}
-	if c.ProbeClient == nil {
-		c.ProbeClient = &http.Client{Timeout: 2 * time.Second}
 	}
 	if c.Logger == nil {
 		c.Logger = slog.New(slog.NewJSONHandler(io.Discard, nil))
@@ -94,10 +68,15 @@ type backendState struct {
 // run state — every byte a client sees comes from a shard — so routers
 // scale horizontally and restart without losing anything.
 type Router struct {
-	cfg    Config
-	log    *slog.Logger
-	ring   *ring
-	client *http.Client
+	cfg  Config
+	log  *slog.Logger
+	ring *ring
+	// client issues all proxied requests and prober the health probes.
+	// Probes get their own client because the proxy client's timeout is
+	// sized for long runs — a dead shard must fail a probe in seconds, not
+	// minutes — and because building a client per probe (the old behavior)
+	// leaked a fresh transport's connection pool every sweep.
+	client, prober *http.Client
 
 	mu    sync.Mutex
 	state map[string]*backendState
@@ -126,10 +105,23 @@ type Router struct {
 func NewRouter(cfg Config) *Router {
 	cfg = cfg.withDefaults()
 	rt := &Router{
-		cfg:    cfg,
-		log:    cfg.Logger,
-		ring:   newRing(cfg.Backends),
-		client: cfg.Client,
+		cfg:  cfg,
+		log:  cfg.Logger,
+		ring: newRing(cfg.Backends),
+		// The default transport keeps only 2 idle connections per host;
+		// under a concurrent cache-hit load every proxied request would
+		// then pay a fresh TCP dial to the shard, capping throughput far
+		// below what the shards serve. A deep idle pool keeps the hot path
+		// dial-free.
+		client: &http.Client{
+			Timeout: 15 * time.Minute,
+			Transport: &http.Transport{
+				MaxIdleConns:        256,
+				MaxIdleConnsPerHost: 64,
+				IdleConnTimeout:     90 * time.Second,
+			},
+		},
+		prober: &http.Client{Timeout: 2 * time.Second},
 		state:  make(map[string]*backendState, len(cfg.Backends)),
 		live:   obs.New(),
 		traces: newTraceStore(routerTraceRuns),
@@ -211,7 +203,7 @@ func (rt *Router) ProbeHealth() int {
 // table stays complete even while a shard is leaving the fleet; the load
 // fields of the extended health report ride along for /api/v1/fleet.
 func (rt *Router) probe(backend string) (healthy bool, instance string, load healthView) {
-	resp, err := rt.cfg.ProbeClient.Get(backend + "/healthz")
+	resp, err := rt.prober.Get(backend + "/healthz")
 	if err != nil {
 		return false, "", healthView{}
 	}

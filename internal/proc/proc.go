@@ -353,18 +353,6 @@ func (c *CPU) WriteBlock(addr uint64, p []byte) {
 // genuinely streams over consecutive elements; keep explicit loops where
 // access interleaving matters.
 
-// LoadU8Slice loads len(dst) consecutive bytes, one timed load each.
-func (c *CPU) LoadU8Slice(addr uint64, dst []uint8) {
-	c.bulkAccess(addr, 1, uint64(len(dst)), memsys.Read)
-	c.store.Read(addr, dst)
-}
-
-// StoreU8Slice stores src as consecutive bytes, one timed store each.
-func (c *CPU) StoreU8Slice(addr uint64, src []uint8) {
-	c.bulkAccess(addr, 1, uint64(len(src)), memsys.Write)
-	c.store.Write(addr, src)
-}
-
 // LoadU16Slice loads len(dst) consecutive 16-bit values, one timed load
 // each.
 func (c *CPU) LoadU16Slice(addr uint64, dst []uint16) {
@@ -428,14 +416,6 @@ func (c *CPU) Stream(base uint64, stride int64, n uint64, accs []memsys.StreamAc
 	if !c.runScalar(&l) {
 		c.chargeNest(&l, c.hier.StreamRun(base, stride, n, accs))
 	}
-}
-
-// StrideStream charges n elemBytes-wide accesses of the given kind at
-// base, base+stride, …, through the stream-folding layer, with
-// computePerIter instructions between accesses. See Stream.
-func (c *CPU) StrideStream(base, elemBytes uint64, stride int64, n uint64, kind memsys.AccessKind, computePerIter uint64) {
-	accs := [1]memsys.StreamAcc{{Size: elemBytes, Count: 1, Kind: kind}}
-	c.Stream(base, stride, n, accs[:], computePerIter)
 }
 
 // NestedStream charges a two-level loop nest through the hierarchy's
@@ -579,19 +559,6 @@ func (c *CPU) TouchLoad(addr, size uint64) { c.access(addr, size, memsys.Read) }
 // caller moves in bulk on the store afterwards: identical hierarchy traffic
 // and ledger to StoreU32 and friends, with the functional write elided.
 func (c *CPU) TouchStore(addr, size uint64) { c.access(addr, size, memsys.Write) }
-
-// ReadBlockU32 loads a block of 32-bit values charged as one block read
-// (like ReadBlock: a single multi-line access) and decoded in one pass.
-func (c *CPU) ReadBlockU32(addr uint64, dst []uint32) {
-	c.access(addr, uint64(len(dst))*4, memsys.Read)
-	c.store.ReadU32Slice(addr, dst)
-}
-
-// WriteBlockU32 stores a block of 32-bit values charged as one block write.
-func (c *CPU) WriteBlockU32(addr uint64, src []uint32) {
-	c.access(addr, uint64(len(src))*4, memsys.Write)
-	c.store.WriteU32Slice(addr, src)
-}
 
 // UncachedLoadU32 reads a word around the caches — an Active-Page
 // synchronization variable or output area read.

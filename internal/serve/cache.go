@@ -84,7 +84,6 @@ type cachedRun struct {
 // cached, in flight, or cold, never ambiguously two of those.
 type memoCache struct {
 	mu      sync.Mutex
-	enabled bool
 	budget  uint64
 	total   uint64
 	stamp   uint64
@@ -95,16 +94,12 @@ type memoCache struct {
 	inflight map[string]string
 }
 
-func newMemoCache(enabled bool, budget uint64) *memoCache {
+func newMemoCache(budget uint64) *memoCache {
 	if budget == 0 {
 		budget = DefaultCacheBudget
 	}
-	m := &memoCache{enabled: enabled, budget: budget}
-	if enabled {
-		m.entries = make(map[string]*cachedRun)
-		m.inflight = make(map[string]string)
-	}
-	return m
+	return &memoCache{budget: budget,
+		entries: make(map[string]*cachedRun), inflight: make(map[string]string)}
 }
 
 // lookupLocked returns the cached result for key, bumping its LRU stamp.
@@ -124,7 +119,7 @@ func (m *memoCache) lookupLocked(key string) *cachedRun {
 // identical by determinism, and the first store wins so concurrent readers
 // never observe a swap.
 func (m *memoCache) store(key string, output []byte, metrics obs.Snapshot, groups map[string]obs.Snapshot) int {
-	if !m.enabled || key == "" {
+	if key == "" {
 		return 0
 	}
 	m.mu.Lock()
@@ -165,19 +160,11 @@ func (m *memoCache) store(key string, output []byte, metrics obs.Snapshot, group
 	return evicted
 }
 
-// setInflightLocked registers id as the leader run for key. Callers hold
-// m.mu.
-func (m *memoCache) setInflightLocked(key, id string) {
-	if m.enabled {
-		m.inflight[key] = id
-	}
-}
-
 // release retires id as the in-flight leader of key when its run reaches a
 // terminal state. The id guard keeps a cache-completed run (which was
 // never a leader) from unregistering a new cold leader of the same spec.
 func (m *memoCache) release(key, id string) {
-	if !m.enabled || key == "" {
+	if key == "" {
 		return
 	}
 	m.mu.Lock()

@@ -127,28 +127,8 @@ func TestSingleflightDedup(t *testing.T) {
 	}
 }
 
-func TestCacheDisabled(t *testing.T) {
-	s, ts := newTestServer(t, Config{Workers: 1, DisableCache: true}, true)
-	for i := 0; i < 2; i++ {
-		resp, rn := submit(t, ts, `{"experiment":"array","quick":true}`)
-		if resp.StatusCode != http.StatusAccepted {
-			t.Fatalf("submit %d: HTTP %d", i, resp.StatusCode)
-		}
-		done := waitDone(t, ts, rn.ID)
-		if done.State != StateDone || done.Cached {
-			t.Fatalf("run %d: state=%s cached=%v, want executed done", i, done.State, done.Cached)
-		}
-	}
-	if got := s.agg.Runs(); got != 2 {
-		t.Errorf("aggregated runs = %d, want 2 (nocache must always recompute)", got)
-	}
-	if hits := s.cacheHits.Load(); hits != 0 {
-		t.Errorf("cacheHits = %d with the cache disabled", hits)
-	}
-}
-
 func TestMemoCacheLRUEviction(t *testing.T) {
-	m := newMemoCache(true, 100)
+	m := newMemoCache(100)
 	out := bytes.Repeat([]byte("x"), 40)
 	if ev := m.store("a", out, nil, nil); ev != 0 {
 		t.Fatalf("store a evicted %d", ev)
@@ -180,7 +160,7 @@ func TestMemoCacheLRUEviction(t *testing.T) {
 }
 
 func TestMemoCacheStoreIdempotent(t *testing.T) {
-	m := newMemoCache(true, 1000)
+	m := newMemoCache(1000)
 	first := []byte("first")
 	m.store("k", first, nil, nil)
 	m.store("k", []byte("second-different-bytes"), nil, nil)

@@ -60,14 +60,6 @@ type Config struct {
 	// stay globally unique across a sharded fleet and a router can route
 	// GETs by id prefix. Empty keeps the historical single-daemon format.
 	InstanceID string
-	// DisableCache turns the content-addressed result cache and the
-	// singleflight submission dedup off: every submission executes from
-	// cold. The always-recompute baseline for cache A/B measurements.
-	DisableCache bool
-	// DisableCheckpoints turns the daemon-wide checkpoint/branch cache off
-	// as well, so repeated submissions re-simulate every machine state —
-	// the fully cold baseline (combine with DisableCache for A/B timing).
-	DisableCheckpoints bool
 	// CacheBudget bounds the result cache's artifact bytes before LRU
 	// eviction; 0 selects DefaultCacheBudget.
 	CacheBudget uint64
@@ -147,18 +139,16 @@ type Server struct {
 func New(cfg Config) *Server {
 	cfg = cfg.withDefaults()
 	s := &Server{
-		cfg:     cfg,
-		log:     cfg.Logger,
-		reg:     newRegistry(cfg.RetainRuns, cfg.InstanceID),
-		queue:   make(chan string, cfg.QueueDepth),
-		agg:     run.NewCollector(),
-		live:    obs.New(),
-		memo:    newMemoCache(!cfg.DisableCache, cfg.CacheBudget),
-		workers: make(chan struct{}),
-		mux:     http.NewServeMux(),
-	}
-	if !cfg.DisableCheckpoints {
-		s.checkpoints = run.NewCheckpointCache(0)
+		cfg:         cfg,
+		log:         cfg.Logger,
+		reg:         newRegistry(cfg.RetainRuns, cfg.InstanceID),
+		queue:       make(chan string, cfg.QueueDepth),
+		agg:         run.NewCollector(),
+		live:        obs.New(),
+		memo:        newMemoCache(cfg.CacheBudget),
+		checkpoints: run.NewCheckpointCache(0),
+		workers:     make(chan struct{}),
+		mux:         http.NewServeMux(),
 	}
 
 	// Every live-registry registration reads an atomic or takes the
@@ -570,7 +560,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	trace.Log(now, "submitted", map[string]string{"request": req.String(), "request_id": rid})
 	select {
 	case s.queue <- rn.ID:
-		s.memo.setInflightLocked(spec, rn.ID)
+		s.memo.inflight[spec] = rn.ID
 		s.memo.mu.Unlock()
 	default:
 		// Load shed: the queue is full. The slot in the registry is
