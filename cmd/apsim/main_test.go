@@ -32,6 +32,8 @@ func TestRejectsBadFlags(t *testing.T) {
 		{"L1DZero", []string{"-l1d", "0"}, "apsim: radram: cache L1D: size 0 not a power of two\n"},
 		{"L1DNotPowerOfTwo", []string{"-l1d", "3000"}, "apsim: radram: cache L1D: size 3000 not a power of two\n"},
 		{"L2TooSmall", []string{"-l2", "1"}, "apsim: radram: cache L2: size 1 too small for 4 ways of 32-byte lines\n"},
+		{"L2Huge", []string{"-l2", "4611686018427387904"},
+			"apsim: radram: cache L2: size 4611686018427387904 exceeds the paper's largest cache, 4194304 bytes\n"},
 		{"PageNotPowerOfTwo", []string{"-pagebytes", "3"}, "apsim: radram: dram: subarray size 3 not a power of two\n"},
 		{"PagesHuge", []string{"-pages", "1e12"}, "apsim: -pages 1e+12: " + pagesErr},
 		{"PagesNaN", []string{"-pages", "NaN"}, "apsim: -pages NaN: " + pagesErr},

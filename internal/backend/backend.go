@@ -107,31 +107,12 @@ type Work struct {
 	Ops Ops
 }
 
-// Knob documents one sweepable parameter of a backend, for reports.
-type Knob struct {
-	Name      string
-	Reference string
-	Range     string
-}
-
-// Spec describes a backend to reports and sweep tooling.
-type Spec struct {
-	// Name is the backend's short selector name (e.g. "radram").
-	Name string
-	// Description is a one-line summary of the execution model.
-	Description string
-	// Knobs lists the backend's sweepable cost-model parameters.
-	Knobs []Knob
-}
-
 // ComputeBackend is a page-compute implementation's cost model. All
 // methods must be pure functions of their arguments — the simulator
 // relies on deterministic, scheduling-independent pricing.
 type ComputeBackend interface {
 	// Name returns the backend's selector name.
 	Name() string
-	// Spec describes the backend and its sweep knobs.
-	Spec() Spec
 	// ComputePeriod derives the backend's compute clock period.
 	ComputePeriod(p Params) sim.Duration
 	// CheckBind validates a function set against the backend's capacity

@@ -36,9 +36,6 @@ func RunConformance(t TB, b ComputeBackend, c ConformanceCase) {
 	if b.Name() == "" {
 		t.Fatalf("backend has an empty name")
 	}
-	if spec := b.Spec(); spec.Name != b.Name() {
-		t.Errorf("Spec().Name = %q, Name() = %q; want them equal", spec.Name, b.Name())
-	}
 
 	period := b.ComputePeriod(c.Params)
 	if period <= 0 {

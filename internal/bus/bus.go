@@ -112,8 +112,3 @@ func (b *Bus) HistCheckpoint() obs.HistCheckpoint { return b.hist.Checkpoint() }
 func (b *Bus) AddHistDelta(delta obs.HistCheckpoint, times uint64) {
 	b.hist.AddDelta(delta, times)
 }
-
-// PeakBytesPerSecond reports the bus's peak bandwidth.
-func (b *Bus) PeakBytesPerSecond() float64 {
-	return float64(b.cfg.WordBytes) / b.cfg.BeatTime.Seconds()
-}

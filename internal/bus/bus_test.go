@@ -57,14 +57,6 @@ func TestDefaultsAppliedForZeroConfig(t *testing.T) {
 	}
 }
 
-func TestPeakBandwidth(t *testing.T) {
-	b := New(DefaultConfig())
-	// 4 bytes / 10 ns = 400 MB/s.
-	if got := b.PeakBytesPerSecond(); got != 400e6 {
-		t.Fatalf("peak bandwidth = %v, want 4e8", got)
-	}
-}
-
 // Property: transfer time is monotonic in size and exactly linear in whole
 // beats.
 func TestTransferTimeProperty(t *testing.T) {

@@ -25,11 +25,20 @@ type Config struct {
 	Assoc     int    // ways per set; >= 1
 }
 
+// maxSizeBytes is the largest cache Validate accepts: Table 1's 4 MiB
+// L2, the top of the paper's L2 sweep. A cache builds its line arrays when
+// it is constructed, and a Go out-of-memory error is fatal, so one huge
+// size flag could otherwise kill the process.
+const maxSizeBytes = 4 << 20
+
 // Validate checks the configuration for internal consistency.
 func (c Config) Validate() error {
 	switch {
 	case c.SizeBytes == 0 || c.SizeBytes&(c.SizeBytes-1) != 0:
 		return fmt.Errorf("cache %s: size %d not a power of two", c.Name, c.SizeBytes)
+	case c.SizeBytes > maxSizeBytes:
+		return fmt.Errorf("cache %s: size %d exceeds the paper's largest cache, %d bytes",
+			c.Name, c.SizeBytes, maxSizeBytes)
 	case c.LineBytes == 0 || c.LineBytes&(c.LineBytes-1) != 0:
 		return fmt.Errorf("cache %s: line size %d not a power of two", c.Name, c.LineBytes)
 	case c.Assoc < 1:
@@ -161,9 +170,6 @@ func emptyArrays(nsets, assoc uint64) ([]line, []int32) {
 	}
 	return e.lines, e.mru
 }
-
-// Config returns the cache's configuration.
-func (c *Cache) Config() Config { return c.cfg }
 
 // LineBytes returns the line size.
 func (c *Cache) LineBytes() uint64 { return c.cfg.LineBytes }
@@ -371,17 +377,6 @@ func (c *Cache) Lookup(addr uint64) bool {
 		}
 	}
 	return false
-}
-
-// LinesIn returns the number of distinct cache lines spanned by [addr,
-// addr+size).
-func (c *Cache) LinesIn(addr, size uint64) uint64 {
-	if size == 0 {
-		return 0
-	}
-	first := addr / c.cfg.LineBytes
-	last := (addr + size - 1) / c.cfg.LineBytes
-	return last - first + 1
 }
 
 // InvalidateRange drops any lines overlapping [addr, addr+size), discarding

@@ -14,20 +14,25 @@ func tiny() *Cache {
 func TestConfigValidate(t *testing.T) {
 	bad := []Config{
 		{Name: "a", SizeBytes: 0, LineBytes: 32, Assoc: 2},
-		{Name: "b", SizeBytes: 100, LineBytes: 32, Assoc: 2}, // not pow2
-		{Name: "c", SizeBytes: 256, LineBytes: 33, Assoc: 2}, // line not pow2
-		{Name: "d", SizeBytes: 256, LineBytes: 32, Assoc: 0}, // assoc < 1
-		{Name: "e", SizeBytes: 32, LineBytes: 32, Assoc: 2},  // too small
-		{Name: "f", SizeBytes: 256, LineBytes: 0, Assoc: 2},  // zero line
+		{Name: "b", SizeBytes: 100, LineBytes: 32, Assoc: 2},     // not pow2
+		{Name: "c", SizeBytes: 256, LineBytes: 33, Assoc: 2},     // line not pow2
+		{Name: "d", SizeBytes: 256, LineBytes: 32, Assoc: 0},     // assoc < 1
+		{Name: "e", SizeBytes: 32, LineBytes: 32, Assoc: 2},      // too small
+		{Name: "f", SizeBytes: 256, LineBytes: 0, Assoc: 2},      // zero line
+		{Name: "h", SizeBytes: 8 << 20, LineBytes: 32, Assoc: 4}, // above 4 MiB
 	}
 	for _, c := range bad {
 		if err := c.Validate(); err == nil {
 			t.Errorf("config %s should be invalid", c.Name)
 		}
 	}
-	good := Config{Name: "g", SizeBytes: 64 * 1024, LineBytes: 32, Assoc: 2}
-	if err := good.Validate(); err != nil {
-		t.Errorf("valid config rejected: %v", err)
+	for _, good := range []Config{
+		{Name: "g", SizeBytes: 64 * 1024, LineBytes: 32, Assoc: 2},
+		{Name: "i", SizeBytes: 4 << 20, LineBytes: 32, Assoc: 4},
+	} {
+		if err := good.Validate(); err != nil {
+			t.Errorf("valid config rejected: %v", err)
+		}
 	}
 }
 
@@ -145,25 +150,6 @@ func TestFlush(t *testing.T) {
 	}
 	if c.ResidentLines() != 0 {
 		t.Fatal("flush left lines resident")
-	}
-}
-
-func TestLinesIn(t *testing.T) {
-	c := tiny()
-	cases := []struct {
-		addr, size, want uint64
-	}{
-		{0, 0, 0},
-		{0, 1, 1},
-		{0, 32, 1},
-		{0, 33, 2},
-		{31, 2, 2},
-		{0, 128, 4},
-	}
-	for _, cs := range cases {
-		if got := c.LinesIn(cs.addr, cs.size); got != cs.want {
-			t.Errorf("LinesIn(%d,%d) = %d, want %d", cs.addr, cs.size, got, cs.want)
-		}
 	}
 }
 

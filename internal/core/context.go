@@ -28,15 +28,6 @@ type PageContext struct {
 	readyAt sim.Time
 }
 
-// Page returns the page being operated on.
-func (ctx *PageContext) Page() *Page { return ctx.page }
-
-// Size returns the page size in bytes.
-func (ctx *PageContext) Size() uint64 { return ctx.sys.cfg.PageBytes }
-
-// Base returns the page's base address.
-func (ctx *PageContext) Base() uint64 { return ctx.page.Base }
-
 // Addr converts a page offset to an absolute address.
 func (ctx *PageContext) Addr(off uint64) uint64 { return ctx.page.Base + off }
 

@@ -277,9 +277,6 @@ func NewSystem(cfg Config, cpu *proc.CPU) (*System, error) {
 // Passing nil disables it.
 func (s *System) SetTracer(tr *obs.Tracer) { s.tracer = tr }
 
-// Config returns the system configuration.
-func (s *System) Config() Config { return s.cfg }
-
 // Observe registers the Active-Page system's counters under prefix
 // (conventionally "ap").
 func (s *System) Observe(r *obs.Registry, prefix string) {
@@ -302,9 +299,6 @@ func (s *System) LogicClock() sim.Clock { return s.logicClock }
 
 // Backend returns the system's compute backend.
 func (s *System) Backend() backend.ComputeBackend { return s.backend }
-
-// Geometry returns the superpage geometry.
-func (s *System) Geometry() mem.Geometry { return s.geom }
 
 // Alloc allocates an Active Page at vaddr into group id (AP_alloc). The
 // address must be superpage-aligned and not already allocated.

@@ -22,8 +22,6 @@ type testModel struct{}
 
 func (testModel) Name() string { return "test" }
 
-func (testModel) Spec() backend.Spec { return backend.Spec{Name: "test"} }
-
 func (testModel) ComputePeriod(p backend.Params) sim.Duration {
 	return p.CPUPeriod * sim.Duration(p.LogicDivisor)
 }
@@ -431,11 +429,8 @@ func TestContextAccessors(t *testing.T) {
 	s := newSys(t)
 	p, _ := s.Alloc("g", s.cfg.PageBytes) // page 1
 	ctx := &PageContext{sys: s, page: p}
-	if ctx.Base() != s.cfg.PageBytes || ctx.Addr(16) != s.cfg.PageBytes+16 {
+	if ctx.Addr(16) != s.cfg.PageBytes+16 {
 		t.Fatal("address mapping wrong")
-	}
-	if ctx.Size() != s.cfg.PageBytes {
-		t.Fatal("size wrong")
 	}
 	ctx.WriteU16(0, 0xABCD)
 	if ctx.ReadU16(0) != 0xABCD {

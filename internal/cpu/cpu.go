@@ -125,12 +125,6 @@ func (c *Core) Load(img *asm.Image) {
 // Now returns the core's current simulated time.
 func (c *Core) Now() sim.Time { return c.now }
 
-// Halted reports whether the core has executed a halt.
-func (c *Core) Halted() bool { return c.halted }
-
-// PC returns the current program counter.
-func (c *Core) PC() uint32 { return c.pc }
-
 // Reg returns a GPR value (r0 reads as zero).
 func (c *Core) Reg(r uint8) uint32 {
 	if r == isa.RegZero {
@@ -145,12 +139,6 @@ func (c *Core) SetReg(r uint8, v uint32) {
 		c.regs[r] = v
 	}
 }
-
-// MMX returns an MMX register value.
-func (c *Core) MMX(r uint8) uint64 { return c.mmx[r] }
-
-// SetMMX writes an MMX register.
-func (c *Core) SetMMX(r uint8, v uint64) { c.mmx[r] = v }
 
 // Step executes one instruction. It returns an error for invalid opcodes or
 // execution after halt.

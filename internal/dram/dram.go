@@ -25,23 +25,16 @@ type Config struct {
 	AccessTime sim.Duration
 	// RowHitTime is the latency when the addressed row is already open.
 	RowHitTime sim.Duration
-	// RefreshInterval and RefreshTime model periodic refresh as a
-	// utilization tax per subarray; the paper notes refresh can be bundled
-	// into the per-subarray logic.
-	RefreshInterval sim.Duration
-	RefreshTime     sim.Duration
 }
 
 // DefaultConfig returns the paper's reference DRAM: 512 KB subarrays, 50 ns
-// access, with a 2 KB row and a conventional 64 ms refresh period.
+// access, with a 2 KB row.
 func DefaultConfig() Config {
 	return Config{
-		SubarrayBytes:   512 * 1024,
-		RowBytes:        2048,
-		AccessTime:      50 * sim.Nanosecond,
-		RowHitTime:      20 * sim.Nanosecond,
-		RefreshInterval: 64 * sim.Millisecond,
-		RefreshTime:     60 * sim.Nanosecond,
+		SubarrayBytes: 512 * 1024,
+		RowBytes:      2048,
+		AccessTime:    50 * sim.Nanosecond,
+		RowHitTime:    20 * sim.Nanosecond,
 	}
 }
 
@@ -213,15 +206,4 @@ func (d *Device) CloseAll() {
 	}
 	clear(d.overflow)
 	d.haveLast = false
-}
-
-// RefreshOverhead reports the fraction of time a subarray is unavailable due
-// to refresh, as a pure ratio. The per-subarray logic added by RADram is
-// assumed to hide this from the processor (paper, "Power" discussion), so
-// the simulator applies it only to in-page logic throughput when asked.
-func (d *Device) RefreshOverhead() float64 {
-	if d.cfg.RefreshInterval == 0 {
-		return 0
-	}
-	return d.cfg.RefreshTime.Seconds() / d.cfg.RefreshInterval.Seconds()
 }

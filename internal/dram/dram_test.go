@@ -94,20 +94,6 @@ func TestZeroAccessTime(t *testing.T) {
 	}
 }
 
-func TestRefreshOverhead(t *testing.T) {
-	d := New(DefaultConfig())
-	got := d.RefreshOverhead()
-	want := (60 * sim.Nanosecond).Seconds() / (64 * sim.Millisecond).Seconds()
-	if got != want {
-		t.Fatalf("refresh overhead = %v, want %v", got, want)
-	}
-	cfg := DefaultConfig()
-	cfg.RefreshInterval = 0
-	if New(cfg).RefreshOverhead() != 0 {
-		t.Fatal("zero refresh interval should report zero overhead")
-	}
-}
-
 func TestSequentialScanMostlyRowHits(t *testing.T) {
 	d := New(DefaultConfig())
 	for a := uint64(0); a < 64*1024; a += 32 {

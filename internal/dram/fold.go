@@ -15,9 +15,6 @@ package dram
 
 import "activepages/internal/obs"
 
-// RowBytes returns the row size.
-func (d *Device) RowBytes() uint64 { return d.cfg.RowBytes }
-
 // SubarrayBytes returns the subarray size.
 func (d *Device) SubarrayBytes() uint64 { return d.cfg.SubarrayBytes }
 

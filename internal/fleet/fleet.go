@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"activepages/internal/httpmw"
+	"activepages/internal/lru"
 	"activepages/internal/obs"
 	"activepages/internal/serve"
 )
@@ -51,9 +52,10 @@ type healthView struct {
 }
 
 // backendState is one shard as the router sees it: reachable or not, the
-// run-id prefix it stamps on its runs (learned from /healthz), which
-// routes GETs by id back to the shard that owns the run, plus the load
-// reading and timestamp of the last successful probe.
+// run-id prefix it stamps on its runs (learned from /healthz and from the
+// run ids its submit answers carry), which routes GETs by id back to the
+// shard that owns the run, plus the load reading and timestamp of the last
+// successful probe.
 type backendState struct {
 	healthy   bool
 	instance  string
@@ -94,7 +96,7 @@ type Router struct {
 	// "router.http.*", access logs, request-id stamping); traces keeps each
 	// routed submission's wall spans for splicing into the shard's trace.
 	mw     *httpmw.Instrument
-	traces *traceStore
+	traces *lru.Cache[string, *obs.WallTracer]
 
 	mux http.Handler
 }
@@ -124,7 +126,7 @@ func NewRouter(cfg Config) *Router {
 		prober: &http.Client{Timeout: 2 * time.Second},
 		state:  make(map[string]*backendState, len(cfg.Backends)),
 		live:   obs.New(),
-		traces: newTraceStore(routerTraceRuns),
+		traces: lru.New[string](routerTraceRuns, func(*obs.WallTracer) uint64 { return 1 }),
 	}
 	for _, b := range cfg.Backends {
 		rt.state[b] = &backendState{}
@@ -320,7 +322,6 @@ func (rt *Router) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	submitStart := time.Now()
 	tr := obs.NewWallTracer(submitStart)
 	tr.SetProcess(routerTracePID, "aprouted (router)")
-	tr.Log(submitStart, "submit received", map[string]string{"request_id": rid})
 
 	spec := serve.SpecKey(req)
 	order := rt.healthyFirst(rt.ring.order(spec))
@@ -370,9 +371,10 @@ func (rt *Router) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		tr.Span(obs.TIDRouterLifecycle, "router", "relay", relayStart, time.Since(relayStart))
 		tr.Span(obs.TIDRouterLifecycle, "router", "submit", submitStart, time.Since(submitStart))
 		if id != "" {
+			rt.learnInstance(backend, id)
 			// First-writer-wins: a deduped resubmission must not replace the
 			// executing run's routing spans with its own.
-			rt.traces.put(id, tr)
+			rt.traces.Add(id, tr)
 		}
 		return
 	}
@@ -428,32 +430,15 @@ func (rt *Router) handleList(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, merged)
 }
 
-// handleProxyGet routes a read to the shard that owns the run, named by
-// the id's instance prefix ("b1-r000042" -> the backend whose /healthz
-// reported instance "b1"). An id without a known prefix falls back to
-// asking each shard in turn — correct, just not O(1) — so the router also
-// fronts un-prefixed single daemons.
+// handleProxyGet routes a read to the shard that owns the run (see
+// backendFor).
 func (rt *Router) handleProxyGet(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
-	if backend := rt.backendForInstance(instancePrefix(id)); backend != "" {
+	if backend := rt.backendFor(id); backend != "" {
 		rt.proxy(w, r, backend)
 		return
 	}
-	for _, backend := range rt.cfg.Backends {
-		resp, err := rt.do(r, backend)
-		if err != nil {
-			rt.proxyErrors.Add(1)
-			continue
-		}
-		if resp.StatusCode == http.StatusNotFound {
-			io.Copy(io.Discard, io.LimitReader(resp.Body, 1<<16))
-			resp.Body.Close()
-			continue
-		}
-		relay(w, resp)
-		return
-	}
-	writeJSON(w, http.StatusNotFound, map[string]string{"error": fmt.Sprintf("no shard owns run %q", id)})
+	writeNoOwner(w, id)
 }
 
 // instancePrefix extracts the shard instance from a fleet run id:
@@ -465,7 +450,17 @@ func instancePrefix(id string) string {
 	return ""
 }
 
-func (rt *Router) backendForInstance(instance string) string {
+// backendFor names the shard that owns run id: the one whose instance
+// prefix the id carries, or the only backend of a one-shard router; ""
+// when no shard does. Shards without an instance id number their runs
+// alike, so with several backends an id without a known prefix cannot be
+// routed: asking every shard would serve whichever one's run of that
+// number answered first.
+func (rt *Router) backendFor(id string) string {
+	if len(rt.cfg.Backends) == 1 {
+		return rt.cfg.Backends[0]
+	}
+	instance := instancePrefix(id)
 	if instance == "" {
 		return ""
 	}
@@ -477,6 +472,22 @@ func (rt *Router) backendForInstance(instance string) string {
 		}
 	}
 	return ""
+}
+
+// writeNoOwner answers a read of a run id no shard owns.
+func writeNoOwner(w http.ResponseWriter, id string) {
+	writeJSON(w, http.StatusNotFound, map[string]string{"error": fmt.Sprintf(
+		"no shard owns run %q (fleet shards need -instance)", id)})
+}
+
+// learnInstance records the instance prefix of a run id backend just
+// allocated, so reads route before the first health probe names it.
+func (rt *Router) learnInstance(backend, id string) {
+	if instance := instancePrefix(id); instance != "" {
+		rt.mu.Lock()
+		rt.state[backend].instance = instance
+		rt.mu.Unlock()
+	}
 }
 
 func (rt *Router) markUnhealthy(backend string) {

@@ -52,15 +52,28 @@ func TestRingDeterministicAndComplete(t *testing.T) {
 // startFleet brings up n in-process shards plus a router fronting them.
 func startFleet(t *testing.T, n int) (*Router, []*LocalBackend, *httptest.Server) {
 	t.Helper()
+	backends, urls := startShards(t, n, "b")
+	rt := NewRouter(Config{Backends: urls})
+	if got := rt.ProbeHealth(); got != n {
+		t.Fatalf("ProbeHealth = %d healthy, want %d", got, n)
+	}
+	ts := httptest.NewServer(rt.Handler())
+	t.Cleanup(ts.Close)
+	return rt, backends, ts
+}
+
+// startShards brings up n in-process shards, the i-th with instance id
+// prefix+i, or none when prefix is empty.
+func startShards(t *testing.T, n int, prefix string) ([]*LocalBackend, []string) {
+	t.Helper()
 	var backends []*LocalBackend
 	var urls []string
 	for i := 0; i < n; i++ {
-		lb, err := StartLocal(serve.Config{
-			Workers:    1,
-			QueueDepth: 16,
-			JobsPerRun: 1,
-			InstanceID: fmt.Sprintf("b%d", i),
-		})
+		cfg := serve.Config{Workers: 1, QueueDepth: 16, JobsPerRun: 1}
+		if prefix != "" {
+			cfg.InstanceID = fmt.Sprintf("%s%d", prefix, i)
+		}
+		lb, err := StartLocal(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -72,13 +85,7 @@ func startFleet(t *testing.T, n int) (*Router, []*LocalBackend, *httptest.Server
 		backends = append(backends, lb)
 		urls = append(urls, lb.URL())
 	}
-	rt := NewRouter(Config{Backends: urls})
-	if got := rt.ProbeHealth(); got != n {
-		t.Fatalf("ProbeHealth = %d healthy, want %d", got, n)
-	}
-	ts := httptest.NewServer(rt.Handler())
-	t.Cleanup(ts.Close)
-	return rt, backends, ts
+	return backends, urls
 }
 
 // submitVia posts one run through the router.
@@ -149,7 +156,7 @@ func TestFleetEndToEnd(t *testing.T) {
 		t.Fatalf("run id %q is not instance-prefixed", rn.ID)
 	}
 	owner := rt.ring.owner(serve.SpecKey(serve.Request{Experiment: "array", Quick: true}))
-	if backend := rt.backendForInstance(instancePrefix(rn.ID)); backend != owner {
+	if backend := rt.backendFor(rn.ID); backend != owner {
 		t.Errorf("run landed on %s, ring owner is %s", backend, owner)
 	}
 
@@ -228,6 +235,79 @@ func TestFleetEndToEnd(t *testing.T) {
 	}
 }
 
+// TestRouterReadsByPrefix pins how the router finds the shard that owns a
+// run id: by the instance prefix it carries, learned from /healthz or from
+// the submit answer that allocated it, or the only shard there is.
+func TestRouterReadsByPrefix(t *testing.T) {
+	get := func(t *testing.T, ts *httptest.Server, path string) (int, serve.Run) {
+		t.Helper()
+		resp, err := http.Get(ts.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var rn serve.Run
+		json.NewDecoder(resp.Body).Decode(&rn)
+		return resp.StatusCode, rn
+	}
+
+	// Shards without an instance id both number their first run r000001:
+	// the router cannot tell whose run a read means, so it must refuse
+	// rather than serve one shard's run under the other's id.
+	t.Run("AmbiguousAcrossShards", func(t *testing.T) {
+		_, urls := startShards(t, 2, "")
+		rt := NewRouter(Config{Backends: urls})
+		rt.ProbeHealth()
+		ts := httptest.NewServer(rt.Handler())
+		t.Cleanup(ts.Close)
+		// Submit one array spec to each shard.
+		owners := map[string]bool{}
+		for i := 0; len(owners) < 2 && i < 64; i++ {
+			req := serve.Request{Experiment: "array", Quick: true,
+				PageBytes: 8192 << (i % 7), Regions: i&8 != 0, L2: i&16 != 0, Backend: []string{"", "simdram"}[i/32]}
+			if owner := rt.ring.owner(serve.SpecKey(req)); !owners[owner] {
+				owners[owner] = true
+				body, _ := json.Marshal(req)
+				if _, rn := submitVia(t, ts, string(body)); rn.ID != "r000001" {
+					t.Fatalf("run on %s has id %q, want r000001", owner, rn.ID)
+				}
+			}
+		}
+		if len(owners) < 2 {
+			t.Fatal("every candidate spec hashed to one shard")
+		}
+		for _, path := range []string{"/api/v1/runs/r000001", "/api/v1/runs/r000001/trace"} {
+			if code, _ := get(t, ts, path); code != http.StatusNotFound {
+				t.Errorf("GET %s across two unprefixed shards: HTTP %d, want 404", path, code)
+			}
+		}
+	})
+
+	t.Run("OneShardUnprefixed", func(t *testing.T) {
+		_, urls := startShards(t, 1, "")
+		rt := NewRouter(Config{Backends: urls})
+		rt.ProbeHealth()
+		ts := httptest.NewServer(rt.Handler())
+		t.Cleanup(ts.Close)
+		_, rn := submitVia(t, ts, `{"experiment":"array","quick":true}`)
+		if code, got := get(t, ts, "/api/v1/runs/"+rn.ID); code != http.StatusOK || got.ID != rn.ID {
+			t.Errorf("GET %q on a one-shard router: HTTP %d, id %q", rn.ID, code, got.ID)
+		}
+	})
+
+	// A router that has not probed yet learns the prefix from the id the
+	// shard allocated.
+	t.Run("LearnedFromSubmit", func(t *testing.T) {
+		_, urls := startShards(t, 3, "b")
+		ts := httptest.NewServer(NewRouter(Config{Backends: urls}).Handler())
+		t.Cleanup(ts.Close)
+		_, rn := submitVia(t, ts, `{"experiment":"array","quick":true}`)
+		if code, got := get(t, ts, "/api/v1/runs/"+rn.ID); code != http.StatusOK || got.ID != rn.ID {
+			t.Errorf("GET %q before any probe: HTTP %d, id %q", rn.ID, code, got.ID)
+		}
+	})
+}
+
 // TestFleetFailover kills a spec's ring owner without telling the router
 // (no re-probe), so the first submit attempt dials a dead shard: the
 // router must retry the next replica in ring order and succeed.
@@ -250,7 +330,7 @@ func TestFleetFailover(t *testing.T) {
 		t.Errorf("retries = %d, want >= 1 (owner was dead)", rt.retries.Load())
 	}
 	fallback := rt.ring.order(serve.SpecKey(spec))[1]
-	if got := rt.backendForInstance(instancePrefix(rn.ID)); got != fallback {
+	if got := rt.backendFor(rn.ID); got != fallback {
 		t.Errorf("failover landed on %s, want next replica %s", got, fallback)
 	}
 	if done := waitDoneVia(t, ts, rn.ID); done.State != serve.StateDone {

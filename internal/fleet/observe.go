@@ -10,7 +10,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"sync"
 	"time"
 
 	"activepages/internal/httpmw"
@@ -22,45 +21,10 @@ const (
 	// from the shard pids (1, 2, ...) so Perfetto renders it as its own
 	// process band.
 	routerTracePID = 100
-	// routerTraceRuns bounds how many runs' routing traces the store
-	// retains before evicting oldest-first.
+	// routerTraceRuns bounds how many runs' routing traces the router
+	// retains before evicting the least recently used.
 	routerTraceRuns = 1024
 )
-
-// traceStore retains the routing trace of recently routed submissions,
-// keyed by the run id the shard allocated, bounded FIFO. Writes are
-// first-writer-wins: a deduped resubmission of a running spec must not
-// replace the executing run's routing spans.
-type traceStore struct {
-	mu   sync.Mutex
-	cap  int
-	m    map[string]*obs.WallTracer
-	fifo []string
-}
-
-func newTraceStore(capacity int) *traceStore {
-	return &traceStore{cap: capacity, m: make(map[string]*obs.WallTracer, capacity)}
-}
-
-func (s *traceStore) put(id string, tr *obs.WallTracer) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if _, ok := s.m[id]; ok {
-		return
-	}
-	s.m[id] = tr
-	s.fifo = append(s.fifo, id)
-	for len(s.fifo) > s.cap {
-		delete(s.m, s.fifo[0])
-		s.fifo = s.fifo[1:]
-	}
-}
-
-func (s *traceStore) get(id string) *obs.WallTracer {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.m[id]
-}
 
 // handleRunTrace serves a run's end-to-end trace: the shard's own
 // lifecycle trace with this router's routing spans spliced in as an
@@ -73,54 +37,48 @@ func (s *traceStore) get(id string) *obs.WallTracer {
 // unchanged.
 func (rt *Router) handleRunTrace(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
-	candidates := rt.cfg.Backends
-	if b := rt.backendForInstance(instancePrefix(id)); b != "" {
-		candidates = []string{b}
-	}
-	for _, backend := range candidates {
-		resp, err := rt.do(r, backend)
-		if err != nil {
-			rt.proxyErrors.Add(1)
-			rt.markUnhealthy(backend)
-			continue
-		}
-		if resp.StatusCode == http.StatusNotFound && len(candidates) > 1 {
-			io.Copy(io.Discard, io.LimitReader(resp.Body, 1<<16))
-			resp.Body.Close()
-			continue
-		}
-		if resp.StatusCode != http.StatusOK {
-			relay(w, resp)
-			return
-		}
-		base, err := io.ReadAll(io.LimitReader(resp.Body, 64<<20))
-		resp.Body.Close()
-		if err != nil {
-			rt.proxyErrors.Add(1)
-			writeJSON(w, http.StatusBadGateway,
-				map[string]string{"error": fmt.Sprintf("shard trace read failed: %v", err)})
-			return
-		}
-		w.Header().Set("Content-Type", "application/json")
-		tr := rt.traces.get(id)
-		if tr == nil {
-			w.Write(base)
-			return
-		}
-		// Align the router's epoch (submission arrival at the router) with
-		// the shard's (the run's Submitted stamp): the shift is negative by
-		// the routing hop's head start, and the splice clamps pre-epoch
-		// spans to the trace origin.
-		var shift time.Duration
-		if submitted, err := rt.runSubmitted(r, backend, id); err == nil {
-			shift = tr.Epoch().Sub(submitted)
-		}
-		if err := tr.SpliceChrome(w, base, shift); err != nil {
-			rt.log.Debug("trace splice failed", "id", id, "err", err.Error())
-		}
+	backend := rt.backendFor(id)
+	if backend == "" {
+		writeNoOwner(w, id)
 		return
 	}
-	writeJSON(w, http.StatusNotFound, map[string]string{"error": fmt.Sprintf("no shard owns run %q", id)})
+	resp, err := rt.do(r, backend)
+	if err != nil {
+		rt.proxyErrors.Add(1)
+		rt.markUnhealthy(backend)
+		writeJSON(w, http.StatusBadGateway,
+			map[string]string{"error": fmt.Sprintf("shard %s unreachable: %v", backend, err)})
+		return
+	}
+	if resp.StatusCode != http.StatusOK {
+		relay(w, resp)
+		return
+	}
+	base, err := io.ReadAll(io.LimitReader(resp.Body, 64<<20))
+	resp.Body.Close()
+	if err != nil {
+		rt.proxyErrors.Add(1)
+		writeJSON(w, http.StatusBadGateway,
+			map[string]string{"error": fmt.Sprintf("shard trace read failed: %v", err)})
+		return
+	}
+	w.Header().Set("Content-Type", "application/json")
+	tr, ok := rt.traces.Get(id)
+	if !ok {
+		w.Write(base)
+		return
+	}
+	// Align the router's epoch (submission arrival at the router) with
+	// the shard's (the run's Submitted stamp): the shift is negative by
+	// the routing hop's head start, and the splice clamps pre-epoch
+	// spans to the trace origin.
+	var shift time.Duration
+	if submitted, err := rt.runSubmitted(r, backend, id); err == nil {
+		shift = tr.Epoch().Sub(submitted)
+	}
+	if err := tr.SpliceChrome(w, base, shift); err != nil {
+		rt.log.Debug("trace splice failed", "id", id, "err", err.Error())
+	}
 }
 
 // runSubmitted fetches one run's Submitted stamp from its shard, for the

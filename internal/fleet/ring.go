@@ -20,11 +20,10 @@ import (
 // 16-shard fleet is 1024 points — one binary search over an int slice).
 const vnodesPerBackend = 64
 
-// ring is an immutable consistent-hash ring over backend names. Lookups
-// walk the ring clockwise from the key's hash point, yielding each
-// backend once — the preference order used for placement and failover.
-// Immutability is the concurrency story: the router swaps whole rings
-// atomically and readers never see a partial update.
+// ring is an immutable consistent-hash ring over backend names, so
+// concurrent lookups need no lock. Lookups walk the ring clockwise from
+// the key's hash point, yielding each backend once — the preference order
+// used for placement and failover.
 type ring struct {
 	backends []string
 	points   []ringPoint // sorted by hash
@@ -75,9 +74,8 @@ func (r *ring) order(key string) []string {
 	if len(r.points) == 0 {
 		return nil
 	}
-	start := sort.Search(len(r.points), func(i int) bool {
-		return r.points[i].hash >= hash64(key)
-	})
+	h := hash64(key)
+	start := sort.Search(len(r.points), func(i int) bool { return r.points[i].hash >= h })
 	out := make([]string, 0, len(r.backends))
 	seen := make([]bool, len(r.backends))
 	for i := 0; i < len(r.points) && len(out) < len(r.backends); i++ {

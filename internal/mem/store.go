@@ -401,9 +401,6 @@ func NewGeometry(pageBytes uint64) (Geometry, error) {
 // PageIndex returns the superpage number containing addr.
 func (g Geometry) PageIndex(addr uint64) uint64 { return addr / g.PageBytes }
 
-// PageBase returns the first address of the superpage containing addr.
-func (g Geometry) PageBase(addr uint64) uint64 { return addr &^ (g.PageBytes - 1) }
-
 // PageOffset returns addr's offset within its superpage.
 func (g Geometry) PageOffset(addr uint64) uint64 { return addr & (g.PageBytes - 1) }
 
@@ -420,11 +417,6 @@ type Range struct {
 
 // End returns the first address past the range.
 func (r Range) End() uint64 { return r.Addr + r.Len }
-
-// Overlaps reports whether r and o share any address.
-func (r Range) Overlaps(o Range) bool {
-	return r.Addr < o.End() && o.Addr < r.End()
-}
 
 // Contains reports whether addr falls inside r.
 func (r Range) Contains(addr uint64) bool {

@@ -190,9 +190,6 @@ func TestGeometry(t *testing.T) {
 	if g.PageIndex(0) != 0 || g.PageIndex(DefaultPageBytes) != 1 {
 		t.Error("PageIndex wrong")
 	}
-	if g.PageBase(DefaultPageBytes+5) != DefaultPageBytes {
-		t.Error("PageBase wrong")
-	}
 	if g.PageOffset(DefaultPageBytes+5) != 5 {
 		t.Error("PageOffset wrong")
 	}
@@ -220,15 +217,6 @@ func TestRange(t *testing.T) {
 	}
 	if !r.Contains(100) || !r.Contains(149) || r.Contains(150) || r.Contains(99) {
 		t.Error("Contains wrong")
-	}
-	if !r.Overlaps(Range{Addr: 140, Len: 20}) {
-		t.Error("should overlap")
-	}
-	if r.Overlaps(Range{Addr: 150, Len: 10}) {
-		t.Error("adjacent ranges should not overlap")
-	}
-	if r.Overlaps(Range{Addr: 0, Len: 100}) {
-		t.Error("preceding adjacent range should not overlap")
 	}
 }
 

@@ -19,9 +19,9 @@ package model
 
 import (
 	"fmt"
+	"math"
 
 	"activepages/internal/sim"
-	"activepages/internal/stats"
 )
 
 // Params is the constant-per-page simplification of the abstract
@@ -159,7 +159,37 @@ func Correlate(p Params, pages []int, measured []float64) (float64, error) {
 	for i, k := range pages {
 		pred[i] = p.Speedup(k)
 	}
-	return stats.Pearson(pred, measured)
+	return pearson(pred, measured)
+}
+
+// pearson returns the correlation coefficient between xs and ys. It
+// returns an error for mismatched lengths, fewer than two points, or a
+// zero-variance input (where correlation is undefined).
+func pearson(xs, ys []float64) (float64, error) {
+	if len(xs) != len(ys) {
+		return 0, fmt.Errorf("model: mismatched lengths %d and %d", len(xs), len(ys))
+	}
+	if len(xs) < 2 {
+		return 0, fmt.Errorf("model: correlation needs at least 2 points, have %d", len(xs))
+	}
+	var mx, my float64
+	for i := range xs {
+		mx += xs[i]
+		my += ys[i]
+	}
+	mx /= float64(len(xs))
+	my /= float64(len(ys))
+	var sxy, sxx, syy float64
+	for i := range xs {
+		dx, dy := xs[i]-mx, ys[i]-my
+		sxy += dx * dy
+		sxx += dx * dx
+		syy += dy * dy
+	}
+	if sxx == 0 || syy == 0 {
+		return 0, fmt.Errorf("model: zero variance input")
+	}
+	return sxy / math.Sqrt(sxx*syy), nil
 }
 
 // FitParams derives constant model parameters from a measurement at a

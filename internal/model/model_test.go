@@ -247,3 +247,56 @@ func TestFitParams(t *testing.T) {
 		t.Fatal("FitParams mangled values")
 	}
 }
+
+func TestPearsonPerfect(t *testing.T) {
+	xs := []float64{1, 2, 3, 4, 5}
+	ys := []float64{3, 5, 7, 9, 11} // y = 2x + 1
+	r, err := pearson(xs, ys)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if math.Abs(r-1) > 1e-9 {
+		t.Fatalf("r = %v, want 1", r)
+	}
+	neg := []float64{11, 9, 7, 5, 3}
+	r, _ = pearson(xs, neg)
+	if math.Abs(r+1) > 1e-9 {
+		t.Fatalf("r = %v, want -1", r)
+	}
+}
+
+func TestPearsonErrors(t *testing.T) {
+	if _, err := pearson([]float64{1}, []float64{1, 2}); err == nil {
+		t.Error("mismatched lengths accepted")
+	}
+	if _, err := pearson([]float64{1}, []float64{2}); err == nil {
+		t.Error("single point accepted")
+	}
+	if _, err := pearson([]float64{1, 1}, []float64{1, 2}); err == nil {
+		t.Error("zero-variance x accepted")
+	}
+}
+
+// Property: correlation is symmetric and within [-1, 1].
+func TestPearsonProperty(t *testing.T) {
+	f := func(raw []float64) bool {
+		if len(raw) < 4 {
+			return true
+		}
+		xs, ys := raw[:len(raw)/2], raw[len(raw)/2:len(raw)/2*2]
+		for _, v := range raw {
+			if math.IsNaN(v) || math.IsInf(v, 0) || math.Abs(v) > 1e100 {
+				return true
+			}
+		}
+		r1, err1 := pearson(xs, ys)
+		r2, err2 := pearson(ys, xs)
+		if err1 != nil || err2 != nil {
+			return (err1 == nil) == (err2 == nil)
+		}
+		return math.Abs(r1-r2) < 1e-9 && r1 >= -1.0000001 && r1 <= 1.0000001
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+		t.Fatal(err)
+	}
+}

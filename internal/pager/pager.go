@@ -78,9 +78,6 @@ func (s Stats) FaultRate() float64 {
 	return float64(s.Faults) / float64(s.Accesses)
 }
 
-// Overhead is total swap time, including reconfiguration.
-func (s Stats) Overhead() sim.Duration { return s.TransferTime + s.ReconfigTime }
-
 type frame struct {
 	page    uint64
 	active  bool

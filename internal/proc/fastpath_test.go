@@ -19,8 +19,10 @@ func newStack(reference bool) *CPU {
 }
 
 // TestBulkOpsMatchScalar drives a fast and a reference stack through the
-// same random mix of typed slice operations and requires the time ledger,
-// operation counts, hierarchy statistics, and memory contents to stay
+// same random mix of streams over consecutive elements (entries with
+// Count > 1, which the fast stack charges in one batch and the reference
+// stack one access at a time) and scalar loads and stores, and requires
+// the time ledger, operation counts and hierarchy statistics to stay
 // identical at every step.
 func TestBulkOpsMatchScalar(t *testing.T) {
 	fast, ref := newStack(false), newStack(true)
@@ -41,59 +43,17 @@ func TestBulkOpsMatchScalar(t *testing.T) {
 		}
 	}
 
-	u16 := make([]uint16, 128)
-	u32 := make([]uint32, 128)
-	u64 := make([]uint64, 128)
-	u16b := make([]uint16, 128)
-	u32b := make([]uint32, 128)
-	u64b := make([]uint64, 128)
 	for step := 0; step < 3000; step++ {
-		addr := uint64(rng.Intn(1 << 16))
-		n := rng.Intn(128) + 1
-		switch rng.Intn(6) {
-		case 0:
-			for i := 0; i < n; i++ {
-				u32[i] = rng.Uint32()
-			}
-			fast.StoreU32Slice(addr, u32[:n])
-			ref.StoreU32Slice(addr, u32[:n])
-		case 1:
-			fast.LoadU32Slice(addr, u32[:n])
-			ref.LoadU32Slice(addr, u32b[:n])
-			for i := 0; i < n; i++ {
-				if u32[i] != u32b[i] {
-					t.Fatalf("step %d: load[%d] = %#x, want %#x", step, i, u32[i], u32b[i])
-				}
-			}
-		case 2:
-			for i := 0; i < n; i++ {
-				u16[i] = uint16(rng.Uint32())
-			}
-			fast.StoreU16Slice(addr, u16[:n])
-			ref.StoreU16Slice(addr, u16[:n])
-		case 3:
-			fast.LoadU16Slice(addr, u16[:n])
-			ref.LoadU16Slice(addr, u16b[:n])
-			for i := 0; i < n; i++ {
-				if u16[i] != u16b[i] {
-					t.Fatalf("step %d: load16[%d] diverged", step, i)
-				}
-			}
-		case 4:
-			for i := 0; i < n; i++ {
-				u64[i] = rng.Uint64()
-			}
-			fast.StoreU64Slice(addr, u64[:n])
-			ref.StoreU64Slice(addr, u64[:n])
-		case 5:
-			fast.LoadU64Slice(addr, u64[:n])
-			ref.LoadU64Slice(addr, u64b[:n])
-			for i := 0; i < n; i++ {
-				if u64[i] != u64b[i] {
-					t.Fatalf("step %d: load64[%d] diverged", step, i)
-				}
-			}
+		size := uint64(2) << rng.Intn(3)
+		acc := []memsys.StreamAcc{{Size: size, Count: uint64(rng.Intn(128) + 1), Kind: memsys.Read}}
+		if rng.Intn(2) == 0 {
+			acc[0].Kind = memsys.Write
 		}
+		addr := uint64(rng.Intn(1 << 16))
+		stride := int64(acc[0].Count * size)
+		n := uint64(rng.Intn(4) + 1)
+		fast.Stream(addr, stride, n, acc, 1)
+		ref.Stream(addr, stride, n, acc, 1)
 		// Interleave scalar traffic so the caches see mixed patterns.
 		if rng.Intn(3) == 0 {
 			a := uint64(rng.Intn(1 << 16))
@@ -129,26 +89,4 @@ func BenchmarkCPULoadU32(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		_ = c.LoadU32(uint64(i%1024) * 4)
 	}
-}
-
-// BenchmarkLoadU32Slice compares the batched bulk path against the scalar
-// per-element loop it replaced.
-func BenchmarkLoadU32Slice(b *testing.B) {
-	buf := make([]uint32, 4096)
-	b.Run("bulk", func(b *testing.B) {
-		c := newStack(false)
-		c.StoreU32Slice(0, buf)
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			c.LoadU32Slice(0, buf)
-		}
-	})
-	b.Run("scalar", func(b *testing.B) {
-		c := newStack(true)
-		c.StoreU32Slice(0, buf)
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			c.LoadU32Slice(0, buf)
-		}
-	})
 }

@@ -54,10 +54,6 @@ type Stats struct {
 	FPOps        uint64
 }
 
-// BusyTime is time the processor was doing useful work (compute plus
-// mediation service).
-func (s Stats) BusyTime() sim.Duration { return s.ComputeTime + s.MediationTime }
-
 // TotalTime is the sum of all buckets.
 func (s Stats) TotalTime() sim.Duration {
 	return s.ComputeTime + s.MemStallTime + s.NonOverlapTime + s.MediationTime
@@ -242,54 +238,8 @@ func (c *CPU) access(addr, size uint64, kind memsys.AccessKind) {
 	}
 }
 
-// bulkAccess charges n consecutive elemBytes-wide data accesses in one
-// pass. The ledger split is exactly n scalar access calls' worth: every
-// cached access costs at least L1HitTime (a hit is L1HitTime, a miss is
-// L1HitTime plus the lower levels), so each access's compute share is the
-// full hit time and the remainder of the batch is memory stall. On a
-// Reference hierarchy it issues those n scalar access calls instead: the
-// oracle the batch must match.
-func (c *CPU) bulkAccess(addr, elemBytes, n uint64, kind memsys.AccessKind) {
-	if c.hier.Reference {
-		for i := uint64(0); i < n; i++ {
-			c.access(addr+i*elemBytes, elemBytes, kind)
-		}
-		return
-	}
-	if n == 0 {
-		return
-	}
-	c.pollInterrupt()
-	if c.tracer != nil {
-		c.markCompute(c.now)
-	}
-	t := c.hier.AccessElems(addr, elemBytes, n, kind)
-	var hitTotal sim.Duration
-	if kind != memsys.UncachedRead && kind != memsys.UncachedWrite {
-		hitTotal = sim.Duration(n) * c.hier.L1HitTime()
-	}
-	if c.tracer != nil && t > hitTotal {
-		c.flushCompute(c.now)
-	}
-	c.now += t
-	c.Stats.ComputeTime += hitTotal
-	c.Stats.MemStallTime += t - hitTotal
-	c.Stats.Instructions += n
-	if kind == memsys.Read || kind == memsys.UncachedRead {
-		c.Stats.Loads += n
-	} else {
-		c.Stats.Stores += n
-	}
-}
-
 // The typed accessors perform a functional load/store on the backing store
 // and charge its timing through the cache hierarchy.
-
-// LoadU8 loads one byte.
-func (c *CPU) LoadU8(addr uint64) uint8 {
-	c.access(addr, 1, memsys.Read)
-	return c.store.ByteAt(addr)
-}
 
 // LoadU16 loads a 16-bit value.
 func (c *CPU) LoadU16(addr uint64) uint16 {
@@ -307,18 +257,6 @@ func (c *CPU) LoadU32(addr uint64) uint32 {
 func (c *CPU) LoadU64(addr uint64) uint64 {
 	c.access(addr, 8, memsys.Read)
 	return c.store.ReadU64(addr)
-}
-
-// StoreU8 stores one byte.
-func (c *CPU) StoreU8(addr uint64, v uint8) {
-	c.access(addr, 1, memsys.Write)
-	c.store.SetByte(addr, v)
-}
-
-// StoreU16 stores a 16-bit value.
-func (c *CPU) StoreU16(addr uint64, v uint16) {
-	c.access(addr, 2, memsys.Write)
-	c.store.WriteU16(addr, v)
 }
 
 // StoreU32 stores a 32-bit value.
@@ -347,60 +285,11 @@ func (c *CPU) WriteBlock(addr uint64, p []byte) {
 	c.store.Write(addr, p)
 }
 
-// The typed slice accessors issue one timed access per element — exactly
-// like a hand-written load/store loop — but batch the timing through
-// AccessElems and move the bytes in one pass. Use them where the algorithm
-// genuinely streams over consecutive elements; keep explicit loops where
-// access interleaving matters.
-
-// LoadU16Slice loads len(dst) consecutive 16-bit values, one timed load
-// each.
-func (c *CPU) LoadU16Slice(addr uint64, dst []uint16) {
-	c.bulkAccess(addr, 2, uint64(len(dst)), memsys.Read)
-	c.store.ReadU16Slice(addr, dst)
-}
-
-// StoreU16Slice stores src as consecutive 16-bit values, one timed store
-// each.
-func (c *CPU) StoreU16Slice(addr uint64, src []uint16) {
-	c.bulkAccess(addr, 2, uint64(len(src)), memsys.Write)
-	c.store.WriteU16Slice(addr, src)
-}
-
-// LoadU32Slice loads len(dst) consecutive 32-bit values, one timed load
-// each.
-func (c *CPU) LoadU32Slice(addr uint64, dst []uint32) {
-	c.bulkAccess(addr, 4, uint64(len(dst)), memsys.Read)
-	c.store.ReadU32Slice(addr, dst)
-}
-
-// StoreU32Slice stores src as consecutive 32-bit values, one timed store
-// each.
-func (c *CPU) StoreU32Slice(addr uint64, src []uint32) {
-	c.bulkAccess(addr, 4, uint64(len(src)), memsys.Write)
-	c.store.WriteU32Slice(addr, src)
-}
-
-// LoadU64Slice loads len(dst) consecutive 64-bit values, one timed load
-// each.
-func (c *CPU) LoadU64Slice(addr uint64, dst []uint64) {
-	c.bulkAccess(addr, 8, uint64(len(dst)), memsys.Read)
-	c.store.ReadU64Slice(addr, dst)
-}
-
-// StoreU64Slice stores src as consecutive 64-bit values, one timed store
-// each.
-func (c *CPU) StoreU64Slice(addr uint64, src []uint64) {
-	c.bulkAccess(addr, 8, uint64(len(src)), memsys.Write)
-	c.store.WriteU64Slice(addr, src)
-}
-
 // Stream charges n iterations of a fixed-stride access pattern plus
 // computePerIter instructions per iteration, routing the memory timing
 // through the hierarchy's stream-folding layer. The ledger comes out
 // exactly as the equivalent scalar loop's would — per iteration, each
-// pattern entry as an access (Count == 1) or slice access (Count > 1)
-// followed by Compute(computePerIter); every bucket is a sum, and sums are
+// pattern entry as Count accesses followed by Compute(computePerIter); every bucket is a sum, and sums are
 // order-independent — so folding changes wall-clock only, never a
 // measurement. On a Reference hierarchy or with tracing on, the scalar loop
 // itself runs, preserving the per-access trace span structure.
@@ -499,18 +388,16 @@ func (c *CPU) runScalar(l *loopNest) bool {
 	return true
 }
 
-// streamAccess charges entry a of iteration i of a stream based at base: a
-// slice access when Count > 1, a single access otherwise. The entry's own
-// Stride, when set, overrides stride.
+// streamAccess charges entry a of iteration i of a stream based at base:
+// Count consecutive Size-byte accesses (one when Count is 0). The entry's
+// own Stride, when set, overrides stride.
 func (c *CPU) streamAccess(base uint64, stride int64, i uint64, a *memsys.StreamAcc) {
 	if a.Stride != 0 {
 		stride = a.Stride
 	}
 	addr := base + uint64(stride)*i + uint64(a.Off)
-	if a.Count > 1 {
-		c.bulkAccess(addr, a.Size, a.Count, a.Kind)
-	} else {
-		c.access(addr, a.Size, a.Kind)
+	for k := range max(a.Count, 1) {
+		c.access(addr+k*a.Size, a.Size, a.Kind)
 	}
 }
 
@@ -610,12 +497,4 @@ func (c *CPU) MediationWork(d sim.Duration) {
 	}
 	c.now += d
 	c.Stats.MediationTime += d
-}
-
-// AdvanceTo moves the clock forward without accounting (used by harnesses
-// to align phases); it never moves backward.
-func (c *CPU) AdvanceTo(t sim.Time) {
-	if t > c.now {
-		c.now = t
-	}
 }

@@ -18,18 +18,6 @@ type CostModel struct{}
 // Name returns the backend selector name.
 func (CostModel) Name() string { return "radram" }
 
-// Spec describes RADram's sweepable cost-model knobs (Table 1).
-func (CostModel) Spec() backend.Spec {
-	return backend.Spec{
-		Name:        "radram",
-		Description: "per-subarray reconfigurable logic (LE array at a divided CPU clock)",
-		Knobs: []backend.Knob{
-			{Name: "logic clock divisor", Reference: "10 (100 MHz)", Range: "2-100 (Figure 9)"},
-			{Name: "LE budget per page", Reference: fmt.Sprintf("%d LEs", logic.PageLEBudget), Range: "fixed"},
-		},
-	}
-}
-
 // ComputePeriod derives the reconfigurable-logic clock from the CPU
 // clock: period × divisor (Table 1: 1 GHz / 10 = 100 MHz).
 func (CostModel) ComputePeriod(p backend.Params) sim.Duration {

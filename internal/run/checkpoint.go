@@ -14,9 +14,9 @@ package run
 
 import (
 	"fmt"
-	"sync"
 
 	"activepages/internal/core"
+	"activepages/internal/lru"
 	"activepages/internal/radram"
 )
 
@@ -27,26 +27,14 @@ import (
 const DefaultCheckpointBudget = 512 << 20
 
 // CheckpointCache deduplicates simulation runs by canonical key. It is
-// safe for concurrent use from sweep workers: the first caller of a key
+// safe for concurrent use from sweep workers: Do's first caller of a key
 // simulates ("cold") while concurrent callers of the same key block until
 // the checkpoint is ready ("hit"), so a parallel sweep does the same total
 // simulation work as a serial one and produces identical merged metrics.
-type CheckpointCache struct {
-	mu      sync.Mutex
-	budget  uint64
-	total   uint64
-	stamp   uint64
-	entries map[string]*cacheEntry
-}
-
-type cacheEntry struct {
-	ready chan struct{}
-	ckpt  *radram.Checkpoint
-	err   error
-	bytes uint64
-	stamp uint64
-	done  bool
-}
+// A cold error reaches the callers waiting on it but is not cached:
+// deterministic simulation errors simply recur, while transient ones
+// (cancellation) must not poison later runs.
+type CheckpointCache = lru.Cache[string, *radram.Checkpoint]
 
 // NewCheckpointCache returns a cache bounded to budgetBytes of checkpoint
 // state (0 selects DefaultCheckpointBudget). Eviction is LRU over
@@ -55,74 +43,7 @@ func NewCheckpointCache(budgetBytes uint64) *CheckpointCache {
 	if budgetBytes == 0 {
 		budgetBytes = DefaultCheckpointBudget
 	}
-	return &CheckpointCache{budget: budgetBytes, entries: make(map[string]*cacheEntry)}
-}
-
-// Do returns the checkpoint registered under key, running cold() to
-// produce it if no run has stored one. hit reports whether the checkpoint
-// came from the cache (including waiting out a concurrent cold run of the
-// same key). A cold error is returned to every caller currently waiting on
-// the key but is not cached: deterministic simulation errors will simply
-// recur, while transient ones (cancellation) must not poison later runs.
-func (c *CheckpointCache) Do(key string, cold func() (*radram.Checkpoint, error)) (ckpt *radram.Checkpoint, hit bool, err error) {
-	c.mu.Lock()
-	if e, ok := c.entries[key]; ok {
-		c.stamp++
-		e.stamp = c.stamp
-		c.mu.Unlock()
-		<-e.ready
-		return e.ckpt, true, e.err
-	}
-	e := &cacheEntry{ready: make(chan struct{})}
-	c.stamp++
-	e.stamp = c.stamp
-	c.entries[key] = e
-	c.mu.Unlock()
-
-	e.ckpt, e.err = cold()
-	c.mu.Lock()
-	if e.err != nil {
-		delete(c.entries, key)
-	} else {
-		e.bytes = e.ckpt.Bytes()
-		e.done = true
-		c.total += e.bytes
-		c.evictLocked(e)
-	}
-	c.mu.Unlock()
-	close(e.ready)
-	return e.ckpt, false, e.err
-}
-
-// evictLocked drops least-recently-used completed entries until the cache
-// fits its budget, never evicting keep (the entry just stored) or entries
-// whose cold run is still in flight.
-func (c *CheckpointCache) evictLocked(keep *cacheEntry) {
-	for c.total > c.budget {
-		var victimKey string
-		var victim *cacheEntry
-		for k, e := range c.entries {
-			if !e.done || e == keep {
-				continue
-			}
-			if victim == nil || e.stamp < victim.stamp {
-				victimKey, victim = k, e
-			}
-		}
-		if victim == nil {
-			return
-		}
-		c.total -= victim.bytes
-		delete(c.entries, victimKey)
-	}
-}
-
-// Len reports how many checkpoints are cached (including in-flight cold
-// runs).
-func (c *CheckpointCache) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.entries)
+	return lru.New[string](budgetBytes, (*radram.Checkpoint).Bytes)
 }
 
 // ConvCheckpointKey is the canonical checkpoint key of a conventional-

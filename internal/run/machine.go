@@ -18,7 +18,6 @@
 package run
 
 import (
-	"activepages/internal/backend"
 	"activepages/internal/core"
 	"activepages/internal/cpu"
 	"activepages/internal/mem"
@@ -67,34 +66,16 @@ func MustNew(cfg radram.Config) *Machine {
 	return m
 }
 
-// NewMachines builds an N-way machine set from one configuration: a
-// conventional machine at index 0, then one Active-Page machine per
-// compute backend, in argument order. Every machine is a fully isolated
-// instance — its own store, hierarchy, and processor — so a multi-
-// backend study measures each implementation on identical footing.
-func NewMachines(cfg radram.Config, backends ...backend.ComputeBackend) ([]*Machine, error) {
-	ms := make([]*Machine, 0, len(backends)+1)
-	ms = append(ms, NewConventional(cfg))
-	for _, b := range backends {
-		m, err := New(cfg.WithBackend(b))
-		if err != nil {
-			return nil, err
-		}
-		ms = append(ms, m)
-	}
-	return ms, nil
-}
-
 // NewPair builds the conventional/Active-Page machine pair every
 // application study measures: two fully isolated instances of the same
 // configuration, the Active-Page side on the configuration's backend
 // (RADram when unset).
 func NewPair(cfg radram.Config) (conv, ap *Machine, err error) {
-	ms, err := NewMachines(cfg, cfg.AP.Backend)
-	if err != nil {
+	conv = NewConventional(cfg)
+	if ap, err = New(cfg); err != nil {
 		return nil, nil, err
 	}
-	return ms[0], ms[1], nil
+	return conv, ap, nil
 }
 
 // Snapshot reads the machine's merged metrics.

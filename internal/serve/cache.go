@@ -30,6 +30,7 @@ import (
 	"sync"
 
 	"activepages/internal/experiments"
+	"activepages/internal/lru"
 	"activepages/internal/obs"
 )
 
@@ -74,90 +75,38 @@ type cachedRun struct {
 	output  []byte
 	metrics obs.Snapshot
 	groups  map[string]obs.Snapshot
-	bytes   uint64
-	stamp   uint64
 }
 
 // memoCache is the server's run memoization state: the content-addressed
-// result store plus the in-flight singleflight index. One mutex guards
-// both so a submission observes them consistently — a spec is either
-// cached, in flight, or cold, never ambiguously two of those.
+// result store plus the in-flight singleflight index. The in-flight index
+// is not lru.Cache.Do: a duplicate submission returns the leader's run id
+// at once instead of waiting for its result. One mutex brackets every
+// submission's look at both, so a spec is either cached, in flight, or
+// cold, never ambiguously two of those.
 type memoCache struct {
-	mu      sync.Mutex
-	budget  uint64
-	total   uint64
-	stamp   uint64
-	entries map[string]*cachedRun
+	mu sync.Mutex
 	// inflight maps a spec key to the id of its leader run from the moment
 	// the leader is queued until it reaches a terminal state. Duplicate
 	// submissions in that window return the leader's id.
 	inflight map[string]string
+	results  *lru.Cache[string, *cachedRun]
 }
 
 func newMemoCache(budget uint64) *memoCache {
 	if budget == 0 {
 		budget = DefaultCacheBudget
 	}
-	return &memoCache{budget: budget,
-		entries: make(map[string]*cachedRun), inflight: make(map[string]string)}
+	return &memoCache{inflight: make(map[string]string),
+		results: lru.New[string](budget, (*cachedRun).bytes)}
 }
 
-// lookupLocked returns the cached result for key, bumping its LRU stamp.
-// Callers hold m.mu.
-func (m *memoCache) lookupLocked(key string) *cachedRun {
-	e := m.entries[key]
-	if e != nil {
-		m.stamp++
-		e.stamp = m.stamp
+// store memoizes one completed run's artifacts. A key already present only
+// has its recency refreshed: the artifacts are identical by determinism,
+// and the first store wins so concurrent readers never observe a swap.
+func (m *memoCache) store(key string, output []byte, metrics obs.Snapshot, groups map[string]obs.Snapshot) {
+	if key != "" {
+		m.results.Add(key, &cachedRun{output: output, metrics: metrics, groups: groups})
 	}
-	return e
-}
-
-// store memoizes one completed run's artifacts and evicts least-recently-
-// used entries beyond the byte budget, returning how many were evicted. A
-// key already present only has its recency refreshed: the artifacts are
-// identical by determinism, and the first store wins so concurrent readers
-// never observe a swap.
-func (m *memoCache) store(key string, output []byte, metrics obs.Snapshot, groups map[string]obs.Snapshot) int {
-	if key == "" {
-		return 0
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.stamp++
-	if e, ok := m.entries[key]; ok {
-		e.stamp = m.stamp
-		return 0
-	}
-	e := &cachedRun{
-		output:  output,
-		metrics: metrics,
-		groups:  groups,
-		bytes:   artifactBytes(output, metrics, groups),
-		stamp:   m.stamp,
-	}
-	m.entries[key] = e
-	m.total += e.bytes
-	evicted := 0
-	for m.total > m.budget {
-		var victimKey string
-		var victim *cachedRun
-		for k, c := range m.entries {
-			if c == e {
-				continue
-			}
-			if victim == nil || c.stamp < victim.stamp {
-				victimKey, victim = k, c
-			}
-		}
-		if victim == nil {
-			break
-		}
-		m.total -= victim.bytes
-		delete(m.entries, victimKey)
-		evicted++
-	}
-	return evicted
 }
 
 // release retires id as the in-flight leader of key when its run reaches a
@@ -174,20 +123,12 @@ func (m *memoCache) release(key, id string) {
 	m.mu.Unlock()
 }
 
-// stats reports the store's entry count and accounted bytes, for the
-// cache gauges.
-func (m *memoCache) stats() (entries int, bytes uint64) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return len(m.entries), m.total
-}
-
-// artifactBytes approximates one result's host footprint: the output
-// bytes plus every snapshot entry's key and value. Map overhead is not
-// modeled; the budget is a bound on payload, not allocator truth.
-func artifactBytes(output []byte, metrics obs.Snapshot, groups map[string]obs.Snapshot) uint64 {
-	n := uint64(len(output)) + snapshotBytes(metrics)
-	for k, g := range groups {
+// bytes approximates one result's host footprint: the output bytes plus
+// every snapshot entry's key and value. Map overhead is not modeled; the
+// budget is a bound on payload, not allocator truth.
+func (r *cachedRun) bytes() uint64 {
+	n := uint64(len(r.output)) + snapshotBytes(r.metrics)
+	for k, g := range r.groups {
 		n += uint64(len(k)) + snapshotBytes(g)
 	}
 	return n

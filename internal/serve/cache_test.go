@@ -130,32 +130,29 @@ func TestSingleflightDedup(t *testing.T) {
 func TestMemoCacheLRUEviction(t *testing.T) {
 	m := newMemoCache(100)
 	out := bytes.Repeat([]byte("x"), 40)
-	if ev := m.store("a", out, nil, nil); ev != 0 {
-		t.Fatalf("store a evicted %d", ev)
-	}
-	if ev := m.store("b", out, nil, nil); ev != 0 {
-		t.Fatalf("store b evicted %d", ev)
+	m.store("a", out, nil, nil)
+	m.store("b", out, nil, nil)
+	if ev := m.results.Evicted(); ev != 0 {
+		t.Fatalf("storing a and b evicted %d", ev)
 	}
 	// Touch a so b becomes the LRU victim.
-	m.mu.Lock()
-	if m.lookupLocked("a") == nil {
-		m.mu.Unlock()
+	if _, ok := m.results.Get("a"); !ok {
 		t.Fatal("a not cached")
 	}
-	m.mu.Unlock()
-	if ev := m.store("c", out, nil, nil); ev != 1 {
+	m.store("c", out, nil, nil)
+	if ev := m.results.Evicted(); ev != 1 {
 		t.Fatalf("store c evicted %d entries, want 1", ev)
 	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.entries["b"] != nil {
+	if _, ok := m.results.Get("b"); ok {
 		t.Error("b survived eviction; want it chosen as LRU")
 	}
-	if m.entries["a"] == nil || m.entries["c"] == nil {
+	_, okA := m.results.Get("a")
+	_, okC := m.results.Get("c")
+	if !okA || !okC {
 		t.Error("a (recently used) and c (just stored) must survive")
 	}
-	if m.total != 80 {
-		t.Errorf("accounted bytes = %d, want 80", m.total)
+	if got := m.results.Bytes(); got != 80 {
+		t.Errorf("accounted bytes = %d, want 80", got)
 	}
 }
 
@@ -164,12 +161,10 @@ func TestMemoCacheStoreIdempotent(t *testing.T) {
 	first := []byte("first")
 	m.store("k", first, nil, nil)
 	m.store("k", []byte("second-different-bytes"), nil, nil)
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if got := m.entries["k"]; got == nil || !bytes.Equal(got.output, first) {
+	if got, ok := m.results.Get("k"); !ok || !bytes.Equal(got.output, first) {
 		t.Error("second store of the same key must not replace the artifacts")
 	}
-	if n := len(m.entries); n != 1 {
+	if n := m.results.Len(); n != 1 {
 		t.Errorf("entries = %d, want 1", n)
 	}
 }

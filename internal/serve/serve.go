@@ -121,10 +121,9 @@ type Server struct {
 	runNS         obs.LiveHistogram // wall-clock run durations
 	queueWait     obs.LiveHistogram // wall-clock submit -> worker pickup
 
-	cacheHits    atomic.Uint64 // submissions completed from the result cache
-	cacheMisses  atomic.Uint64 // submissions queued for cold execution
-	cacheDedup   atomic.Uint64 // submissions attached to an in-flight leader
-	cacheEvicted atomic.Uint64 // results evicted by the byte budget
+	cacheHits   atomic.Uint64 // submissions completed from the result cache
+	cacheMisses atomic.Uint64 // submissions queued for cold execution
+	cacheDedup  atomic.Uint64 // submissions attached to an in-flight leader
 
 	// mw is the shared HTTP middleware layer: per-route histograms,
 	// request/error/panic counters under "serve.", access logs, and
@@ -167,15 +166,9 @@ func New(cfg Config) *Server {
 	s.live.Counter("serve.cache_hits", s.cacheHits.Load)
 	s.live.Counter("serve.cache_misses", s.cacheMisses.Load)
 	s.live.Counter("serve.cache_dedup", s.cacheDedup.Load)
-	s.live.Counter("serve.cache_evicted", s.cacheEvicted.Load)
-	s.live.Gauge("serve.cache_entries", func() int64 {
-		n, _ := s.memo.stats()
-		return int64(n)
-	})
-	s.live.Gauge("serve.cache_bytes", func() int64 {
-		_, b := s.memo.stats()
-		return int64(b)
-	})
+	s.live.Counter("serve.cache_evicted", s.memo.results.Evicted)
+	s.live.Gauge("serve.cache_entries", func() int64 { return int64(s.memo.results.Len()) })
+	s.live.Gauge("serve.cache_bytes", func() int64 { return int64(s.memo.results.Bytes()) })
 	s.mw = httpmw.NewInstrument(s.log, s.live, "serve.")
 
 	s.handle("GET /healthz", s.handleHealthz)
@@ -413,9 +406,7 @@ func (s *Server) execute(id string) {
 		// Memoize before finish releases the singleflight registration, so
 		// there is no window where a duplicate spec neither attaches to
 		// this run nor finds its result cached.
-		if evicted := s.memo.store(spec, res.out, res.snap, res.groups); evicted > 0 {
-			s.cacheEvicted.Add(uint64(evicted))
-		}
+		s.memo.store(spec, res.out, res.snap, res.groups)
 		trace.SpanArg(obs.TIDWallLifecycle, "serve", "artifact_write",
 			wstart, time.Since(wstart), int64(len(res.out)))
 		s.runsCompleted.Add(1)
@@ -545,7 +536,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	if res := s.memo.lookupLocked(spec); res != nil {
+	if res, ok := s.memo.results.Get(spec); ok {
 		s.memo.mu.Unlock()
 		s.completeFromCache(w, r, req, spec, res)
 		return

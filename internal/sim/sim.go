@@ -54,22 +54,6 @@ func (t Time) String() string {
 	}
 }
 
-// Max returns the later of a and b.
-func Max(a, b Time) Time {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-// Min returns the earlier of a and b.
-func Min(a, b Time) Time {
-	if a < b {
-		return a
-	}
-	return b
-}
-
 // Clock converts between cycles of a fixed-frequency clock domain and Time.
 type Clock struct {
 	period Duration // picoseconds per cycle

@@ -42,15 +42,6 @@ func TestTimeString(t *testing.T) {
 	}
 }
 
-func TestMaxMin(t *testing.T) {
-	if Max(3, 5) != 5 || Max(5, 3) != 5 {
-		t.Error("Max broken")
-	}
-	if Min(3, 5) != 3 || Min(5, 3) != 3 {
-		t.Error("Min broken")
-	}
-}
-
 func TestClockGHz(t *testing.T) {
 	c := NewClock(1_000_000_000) // 1 GHz
 	if c.Period() != Nanosecond {

@@ -96,20 +96,6 @@ func (c CostModel) WithWidth(w int) CostModel {
 // Name returns the backend selector name.
 func (CostModel) Name() string { return "simdram" }
 
-// Spec describes the bit-serial cost model's sweepable knobs.
-func (c CostModel) Spec() backend.Spec {
-	return backend.Spec{
-		Name:        "simdram",
-		Description: "bit-serial in-DRAM SIMD (majority/NOT row ops over bit-sliced lanes)",
-		Knobs: []backend.Knob{
-			{Name: "row-op time", Reference: DefaultRowOpTime.String(), Range: "20-200 ns"},
-			{Name: "lanes per subarray", Reference: fmt.Sprintf("%d", 8*DefaultRowBytes), Range: "row width"},
-			{Name: "compute-row budget", Reference: fmt.Sprintf("%d rows", DefaultRowBudget), Range: "32-256"},
-			{Name: "operand width", Reference: "per function", Range: "8-64 bits (forced for crossover)"},
-		},
-	}
-}
-
 // Lanes is the number of one-bit SIMD lanes per subarray: one per
 // bitline, i.e. eight per row byte.
 func (c CostModel) Lanes() uint64 { return 8 * c.RowBytes }

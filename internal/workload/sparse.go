@@ -122,9 +122,6 @@ func SparseDotReference(ca []int32, va []float64, cb []int32, vb []float64) floa
 // ---------------------------------------------------------------------------
 // MPEG: synthetic frames and correction matrices (Section 5.2).
 
-// MPEGBlockBytes is the size of one 8x8 block of 16-bit coefficients.
-const MPEGBlockBytes = 8 * 8 * 2
-
 // MPEGFrame holds reference-frame samples and the correction matrix a P or
 // B frame applies to them, as 16-bit values block by block.
 type MPEGFrame struct {
