@@ -31,8 +31,11 @@
 //
 // Completed and failed runs are retained up to -retain entries; beyond the
 // cap the oldest terminal runs lose their artifacts (output, metrics,
-// trace) but keep a lifecycle tombstone, so memory stays bounded under
-// sustained load.
+// trace) but keep a tombstone: the lifecycle record and the final progress
+// tally. The newest 16 × -retain tombstones are kept and older runs are
+// forgotten (their ids answer 404), so the daemon holds at most
+// 17 × -retain finished runs and memory stays bounded under sustained
+// load.
 //
 // Results are memoized by canonical spec: a submission identical to a
 // completed run answers instantly from the content-addressed cache
@@ -79,7 +82,7 @@ func realMain() error {
 		queue      = flag.Int("queue", 16, "accepted runs that may wait for a worker")
 		runTimeout = flag.Duration("runtimeout", 10*time.Minute, "per-run wall-clock budget")
 		jobs       = flag.Int("jobs", runtime.NumCPU(), "simulation worker-pool width inside each run")
-		retain     = flag.Int("retain", 256, "completed/failed runs kept with artifacts before eviction")
+		retain     = flag.Int("retain", 256, "completed/failed runs kept with artifacts before eviction to a tombstone (16 × this many tombstones kept)")
 		pprofOn    = flag.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/")
 		logLevel   = flag.String("loglevel", "info", "log level: debug, info, warn, error")
 		instance   = flag.String("instance", "", "fleet instance id prefixed to run ids (e.g. b0)")

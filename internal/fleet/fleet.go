@@ -28,7 +28,8 @@ type Config struct {
 	Backends []string
 	// HealthInterval is how often each backend's /healthz is probed.
 	HealthInterval time.Duration
-	// Logger receives structured routing logs; nil discards.
+	// Logger receives structured routing logs; nil discards them
+	// unformatted (httpmw.DiscardLogger).
 	Logger *slog.Logger
 }
 
@@ -37,7 +38,7 @@ func (c Config) withDefaults() Config {
 		c.HealthInterval = 2 * time.Second
 	}
 	if c.Logger == nil {
-		c.Logger = slog.New(slog.NewJSONHandler(io.Discard, nil))
+		c.Logger = httpmw.DiscardLogger()
 	}
 	return c
 }
@@ -531,6 +532,15 @@ func (rt *Router) proxy(w http.ResponseWriter, r *http.Request, backend string) 
 // iteration yields, for the relay skip below.
 var ridHeaderKey = http.CanonicalHeaderKey(httpmw.RequestIDHeader)
 
+// relayBufs pools relay's 32 KiB copy buffers. io.Copy would allocate a
+// fresh one per reply: neither the middleware's StatusWriter nor the
+// transport's body implements ReaderFrom or WriterTo. (httputil.
+// ReverseProxy's BufferPool is the same device.)
+var relayBufs = sync.Pool{New: func() any {
+	b := make([]byte, 32<<10)
+	return &b
+}}
+
 // relay copies a backend response — status, headers, body — to the client
 // and closes it. The shard's request-id echo is skipped: the router's own
 // middleware already stamped the same id on the response, and Add would
@@ -546,7 +556,9 @@ func relay(w http.ResponseWriter, resp *http.Response) {
 		}
 	}
 	w.WriteHeader(resp.StatusCode)
-	io.Copy(w, resp.Body)
+	buf := relayBufs.Get().(*[]byte)
+	io.CopyBuffer(w, resp.Body, *buf)
+	relayBufs.Put(buf)
 }
 
 func writeJSON(w http.ResponseWriter, code int, v any) {

@@ -38,6 +38,20 @@ const RequestIDHeader = "X-AP-Request-Id"
 // ridKey is the context key RequestID reads.
 type ridKey struct{}
 
+// DiscardLogger returns a logger that drops every record unformatted: its
+// handler reports every level disabled, so slog skips building the record
+// and callers that check Enabled skip building its arguments. The daemons
+// use it when their Config carries no Logger. (slog.DiscardHandler needs
+// Go 1.24.)
+func DiscardLogger() *slog.Logger { return slog.New(discardHandler{}) }
+
+type discardHandler struct{}
+
+func (discardHandler) Enabled(context.Context, slog.Level) bool  { return false }
+func (discardHandler) Handle(context.Context, slog.Record) error { return nil }
+func (d discardHandler) WithAttrs([]slog.Attr) slog.Handler      { return d }
+func (d discardHandler) WithGroup(string) slog.Handler           { return d }
+
 // NewRequestID returns a fresh 16-hex-char request id.
 func NewRequestID() string {
 	var b [8]byte

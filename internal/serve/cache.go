@@ -26,7 +26,7 @@ package serve
 import (
 	"crypto/sha256"
 	"encoding/hex"
-	"fmt"
+	"strconv"
 	"sync"
 
 	"activepages/internal/experiments"
@@ -63,9 +63,22 @@ func SpecKey(req Request) string {
 	if bk == "" {
 		bk = "radram"
 	}
-	sum := sha256.Sum256(fmt.Appendf(nil, "v1|%s|quick=%t|pb=%d|regions=%t|l2=%t|backend=%s",
-		req.Experiment, req.Quick, pb, req.Regions, req.L2, bk))
-	return hex.EncodeToString(sum[:])
+	// The canonical bytes are "v1|%s|quick=%t|pb=%d|regions=%t|l2=%t|
+	// backend=%s", built without fmt: the router and the shard both key
+	// every submission. They must never change, or every cached result
+	// would cold-miss (TestSpecKeyNormalization pins two keys).
+	var buf [128]byte
+	b := append(buf[:0], "v1|"...)
+	b = append(b, req.Experiment...)
+	b = strconv.AppendBool(append(b, "|quick="...), req.Quick)
+	b = strconv.AppendUint(append(b, "|pb="...), pb, 10)
+	b = strconv.AppendBool(append(b, "|regions="...), req.Regions)
+	b = strconv.AppendBool(append(b, "|l2="...), req.L2)
+	b = append(append(b, "|backend="...), bk...)
+	sum := sha256.Sum256(b)
+	var key [2 * sha256.Size]byte
+	hex.Encode(key[:], sum[:])
+	return string(key[:])
 }
 
 // cachedRun is one memoized result: exactly the artifacts a completed run

@@ -42,6 +42,21 @@ func TestSpecKeyNormalization(t *testing.T) {
 		}
 		seen[k] = i
 	}
+
+	// Keys are content addresses of stored results: a change to their bytes
+	// cold-misses every cached run, so two are pinned verbatim.
+	for body, want := range map[string]string{
+		`{"experiment":"array","quick":true}`: "731fc463909b432274cbb7c176734f2ceb529a8970951f99af07c3fdc00d255d",
+		`{"experiment":"median-kernel","quick":true,"page_bytes":65536,"regions":true,"backend":"simdram"}`: "994c2a858184aff070750a4b2dcaf317fb5586e412ce0d5154de300ed7877405",
+	} {
+		req, err := DecodeRequest(strings.NewReader(body))
+		if err != nil {
+			t.Fatalf("%s: %v", body, err)
+		}
+		if got := SpecKey(req); got != want {
+			t.Errorf("SpecKey(%s) = %s, want %s", body, got, want)
+		}
+	}
 }
 
 // TestSingleflightDedup is the concurrency contract of the submission

@@ -276,6 +276,59 @@ func TestRetentionEviction(t *testing.T) {
 	}
 }
 
+// TestRetentionBounded runs cached hits past both retention bounds: an
+// evicted run keeps only its lifecycle record and final progress tally,
+// the registry keeps at most 16 × RetainRuns tombstones beside the
+// RetainRuns runs with artifacts, and a forgotten id answers 404.
+func TestRetentionBounded(t *testing.T) {
+	const retain = 2
+	s, ts := newTestServer(t, Config{Workers: 1, JobsPerRun: 2, RetainRuns: retain}, true)
+	const spec = `{"experiment":"array","quick":true}`
+	_, first := submit(t, ts, spec)
+	if rn := waitDone(t, ts, first.ID); rn.State != StateDone {
+		t.Fatalf("cold run: %s %s", rn.State, rn.Error)
+	}
+	tally := getProgress(t, ts, first.ID).Progress
+	if tally.PointsDone == 0 {
+		t.Fatalf("cold run progress: %+v", tally)
+	}
+	hits := func(n int) {
+		t.Helper()
+		for i := 0; i < n; i++ {
+			if resp, rn := submit(t, ts, spec); resp.Header.Get(CacheResultHeader) != "hit" || rn.State != StateDone {
+				t.Fatalf("resubmission: %s %q, state %s", CacheResultHeader, resp.Header.Get(CacheResultHeader), rn.State)
+			}
+		}
+	}
+
+	// retain hits evict the executed run to a tombstone that keeps its tally.
+	hits(retain)
+	if code, _ := get(t, ts.URL+"/api/v1/runs/"+first.ID+"/output"); code != http.StatusGone {
+		t.Errorf("tombstone output: HTTP %d, want 410", code)
+	}
+	if pv := getProgress(t, ts, first.ID); !pv.Evicted || pv.Progress != tally {
+		t.Errorf("tombstone progress: evicted=%v %+v, want the final tally %+v", pv.Evicted, pv.Progress, tally)
+	}
+
+	hits(20 * retain)
+	s.reg.mu.Lock()
+	held := len(s.reg.runs)
+	for id, r := range s.reg.runs {
+		if r.Evicted && (r.trace != nil || r.progress != nil || r.spec != "") {
+			t.Errorf("tombstone %s holds trace=%v progress=%v spec=%q", id, r.trace != nil, r.progress != nil, r.spec)
+		}
+	}
+	s.reg.mu.Unlock()
+	if held > retain+tombstonesPerRetained*retain {
+		t.Errorf("registry holds %d runs, want at most %d", held, retain+tombstonesPerRetained*retain)
+	}
+	for _, ep := range []string{"", "/progress"} {
+		if code, _ := get(t, ts.URL+"/api/v1/runs/"+first.ID+ep); code != http.StatusNotFound {
+			t.Errorf("forgotten run %s%s: HTTP %d, want 404", first.ID, ep, code)
+		}
+	}
+}
+
 // TestPprofGated checks the profiling endpoints exist only behind the flag.
 func TestPprofGated(t *testing.T) {
 	_, off := newTestServer(t, Config{}, false)

@@ -79,7 +79,7 @@ type Run struct {
 	EtaMS int64 `json:"eta_ms,omitempty"`
 	// Evicted marks a tombstone: the run hit the registry's retention cap
 	// and its artifacts (output, metrics, trace) were dropped, leaving the
-	// lifecycle record.
+	// lifecycle record and the final progress tally.
 	Evicted bool `json:"evicted,omitempty"`
 	// Cached marks a run completed from the content-addressed result
 	// cache: its artifacts are a previous identical run's, byte for byte,
@@ -101,7 +101,8 @@ type Run struct {
 	// log, created at submission (epoch = submission time) and emitted
 	// into by the executing worker; it is concurrency-safe, so handlers
 	// export it while the run is in flight. progress is the live tracker
-	// the worker's runner reports into. jobs is the run's simulation
+	// the worker's runner reports into; a run completed from the cache
+	// never executes and has none. jobs is the run's simulation
 	// worker-pool width, for the ETA estimate. spec is the run's content
 	// address (SpecKey), keying the result cache and singleflight index.
 	trace    *obs.WallTracer
@@ -114,10 +115,11 @@ type Run struct {
 // marshal after the registry lock is released. output and metrics are
 // intentionally shared: they are written once, before the run is marked
 // done, and never mutated after. The progress snapshot is taken here so
-// every view carries a consistent live reading.
+// every view carries a consistent live reading; a tombstone carries the
+// tally evict stored.
 func (r *Run) view() Run {
 	v := *r
-	if r.progress != nil && r.Started != nil {
+	if r.Started != nil && !r.Evicted {
 		snap := r.progress.Snapshot()
 		v.Progress = &snap
 		if r.State == StateRunning {
@@ -127,11 +129,34 @@ func (r *Run) view() Run {
 	return v
 }
 
+// evict reduces a terminal run to its tombstone: the lifecycle record and
+// the final progress tally. Everything else goes: the artifacts, the
+// trace, the spec (finish has released it) and the progress tracker,
+// whose callbacks hold the trace. The tracker pointer is dropped, never
+// cleared: the abandoned dispatch of a timed-out run may still be
+// reporting into it.
+func (r *Run) evict() {
+	if r.Started != nil {
+		snap := r.progress.Snapshot()
+		r.Progress = &snap
+	}
+	r.Evicted = true
+	r.output, r.metrics, r.groups = nil, nil, nil
+	r.trace, r.progress, r.spec = nil, nil, ""
+}
+
+// tombstonesPerRetained bounds the tombstones a registry keeps, as a
+// multiple of its retention cap: 4,096 at the default cap of 256.
+const tombstonesPerRetained = 16
+
 // registry is the server's run table: id allocation, lookup, listing, and
 // retention. Completed and failed runs are capped at retain entries:
-// finalize evicts the oldest terminal runs' artifacts (output, metrics,
-// trace) beyond the cap, keeping each evicted run's lifecycle record as a
-// tombstone, so the registry's memory stays bounded under sustained load.
+// finalize evicts the oldest terminal runs beyond the cap to tombstones
+// (see Run.evict), and forgets the oldest tombstones beyond
+// tombstonesPerRetained × retain, whose ids then answer 404 like unknown
+// ids. The registry thus holds at most 17 × retain terminal runs, plus the
+// runs queued or running, so its memory stays bounded under sustained
+// load.
 type registry struct {
 	mu     sync.Mutex
 	next   int
@@ -142,19 +167,21 @@ type registry struct {
 	// by id to the shard that owns it.
 	instance string
 	// terminal lists terminal (done/failed), not-yet-evicted run ids in
-	// completion order — the eviction queue.
-	terminal []string
+	// completion order — the eviction queue. tombstones lists evicted run
+	// ids in the same order — the queue of runs to forget.
+	terminal   []string
+	tombstones []string
 }
 
 func newRegistry(retain int, instance string) *registry {
 	return &registry{runs: make(map[string]*Run), retain: retain, instance: instance}
 }
 
-// add registers a freshly submitted run and assigns its id. The run's
-// wall-clock trace, progress tracker, per-run jobs width, and spec key are
-// attached here, under the lock, so no published run is ever mutated
-// outside it.
-func (g *registry) add(req Request, spec, rid string, now time.Time, trace *obs.WallTracer, prog *run.Progress, jobs int) *Run {
+// add registers a freshly submitted run, assigns its id, and returns its
+// view as queued: no worker has seen the run yet. The run's wall-clock
+// trace, progress tracker, per-run jobs width, and spec key are attached
+// here, under the lock, so no published run is ever mutated outside it.
+func (g *registry) add(req Request, spec, rid string, now time.Time, trace *obs.WallTracer, prog *run.Progress, jobs int) Run {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	g.next++
@@ -174,12 +201,13 @@ func (g *registry) add(req Request, spec, rid string, now time.Time, trace *obs.
 		spec:      spec,
 	}
 	g.runs[r.ID] = r
-	return r
+	return r.view()
 }
 
-// finalize enqueues a terminal run for retention accounting and evicts
-// the oldest terminal runs beyond the cap. It returns how many runs were
-// evicted by this call, for the server's counter.
+// finalize enqueues a terminal run for retention accounting, evicts the
+// oldest terminal runs beyond the cap, and forgets the oldest tombstones
+// beyond their bound. It returns how many runs were evicted by this call,
+// for the server's counter.
 func (g *registry) finalize(id string) int {
 	g.mu.Lock()
 	defer g.mu.Unlock()
@@ -195,12 +223,13 @@ func (g *registry) finalize(id string) int {
 		if !ok {
 			continue
 		}
-		r.Evicted = true
-		r.output = nil
-		r.metrics = nil
-		r.groups = nil
-		r.trace = nil
+		r.evict()
+		g.tombstones = append(g.tombstones, victim)
 		evicted++
+	}
+	for len(g.tombstones) > tombstonesPerRetained*g.retain {
+		delete(g.runs, g.tombstones[0])
+		g.tombstones = g.tombstones[1:]
 	}
 	return evicted
 }

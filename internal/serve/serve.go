@@ -17,7 +17,6 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"io"
 	"log/slog"
 	"net/http"
 	"net/http/pprof"
@@ -50,8 +49,11 @@ type Config struct {
 	JobsPerRun int
 	// RetainRuns caps how many completed or failed runs keep their
 	// artifacts: beyond it the oldest terminal runs are evicted oldest
-	// first — artifacts dropped, lifecycle tombstone kept — so the
-	// registry stays bounded under sustained load. Values <= 0 use 256.
+	// first to a tombstone that keeps only the lifecycle record and the
+	// final progress tally, and beyond 16 × RetainRuns tombstones the
+	// oldest are forgotten (their ids answer 404). The registry thus holds
+	// at most 17 × RetainRuns terminal runs, so it stays bounded under
+	// sustained load. Values <= 0 use 256.
 	RetainRuns int
 	// EnablePprof mounts net/http/pprof under /debug/pprof/ for live
 	// wall-clock profiling of the daemon itself.
@@ -63,7 +65,8 @@ type Config struct {
 	// CacheBudget bounds the result cache's artifact bytes before LRU
 	// eviction; 0 selects DefaultCacheBudget.
 	CacheBudget uint64
-	// Logger receives structured request and lifecycle logs; nil discards.
+	// Logger receives structured request and lifecycle logs; nil discards
+	// them unformatted (httpmw.DiscardLogger).
 	Logger *slog.Logger
 }
 
@@ -87,7 +90,7 @@ func (c Config) withDefaults() Config {
 		c.RetainRuns = 256
 	}
 	if c.Logger == nil {
-		c.Logger = slog.New(slog.NewJSONHandler(io.Discard, nil))
+		c.Logger = httpmw.DiscardLogger()
 	}
 	return c
 }
@@ -546,6 +549,8 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	// The run's wall-clock trace starts at submission (epoch zero), so the
 	// queue-wait span renders from the origin of the run's timeline.
 	trace := obs.NewWallTracer(now)
+	// rn is the view the response carries, taken before the enqueue: once
+	// queued, a worker may already have marked the run running.
 	rn := s.reg.add(req, spec, rid, now, trace, newRunProgress(trace), s.cfg.JobsPerRun)
 	trace.SetProcess(1, rn.ID+" (wall clock)")
 	trace.Log(now, "submitted", map[string]string{"request": req.String(), "request_id": rid})
@@ -566,13 +571,12 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 	s.runsSubmitted.Add(1)
 	s.cacheMisses.Add(1)
-	s.log.Info("run submitted", "id", rn.ID, "request", req.String(), "request_id", rid)
+	if s.log.Enabled(r.Context(), slog.LevelInfo) {
+		s.log.Info("run submitted", "id", rn.ID, "request", req.String(), "request_id", rid)
+	}
 	w.Header().Set(CacheResultHeader, "miss")
 	w.Header().Set("Location", "/api/v1/runs/"+rn.ID)
-	// Re-fetch under the registry lock: a worker may already be mutating
-	// the run, and view copies must never race it.
-	view, _ := s.reg.get(rn.ID)
-	s.writeJSON(w, http.StatusAccepted, view)
+	s.writeJSON(w, http.StatusAccepted, rn)
 }
 
 // completeFromCache answers a submission whose spec is already memoized:
@@ -580,12 +584,14 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 // artifacts attached, so the submit response already carries the terminal
 // state. The lifecycle trace gets the same span taxonomy as an executed
 // run — a zero queue_wait and a near-zero execute span — so cached runs
-// are first-class citizens of the §13 tooling, just visibly free.
+// are first-class citizens of the §13 tooling, just visibly free. Nothing
+// executes, so the run gets no progress tracker: its view reports the
+// zero tally.
 func (s *Server) completeFromCache(w http.ResponseWriter, r *http.Request, req Request, spec string, res *cachedRun) {
 	rid := httpmw.RequestID(r.Context())
 	now := time.Now()
 	trace := obs.NewWallTracer(now)
-	rn := s.reg.add(req, spec, rid, now, trace, newRunProgress(trace), s.cfg.JobsPerRun)
+	rn := s.reg.add(req, spec, rid, now, trace, nil, s.cfg.JobsPerRun)
 	trace.SetProcess(1, rn.ID+" (wall clock)")
 	trace.Log(now, "submitted", map[string]string{"request": req.String(), "request_id": rid})
 	s.runsSubmitted.Add(1)
@@ -606,8 +612,10 @@ func (s *Server) completeFromCache(w http.ResponseWriter, r *http.Request, req R
 	s.runNS.Observe(elapsed)
 	s.runsCompleted.Add(1)
 	s.finish(rn.ID, StateDone, "", elapsed)
-	s.log.Info("run served from cache", "id", rn.ID,
-		"request", req.String(), "request_id", rid, "elapsed_us", elapsed.Microseconds())
+	if s.log.Enabled(r.Context(), slog.LevelInfo) {
+		s.log.Info("run served from cache", "id", rn.ID,
+			"request", req.String(), "request_id", rid, "elapsed_us", elapsed.Microseconds())
+	}
 	w.Header().Set(CacheResultHeader, "hit")
 	w.Header().Set("Location", "/api/v1/runs/"+rn.ID)
 	view, _ := s.reg.get(rn.ID)
@@ -725,12 +733,12 @@ func (s *Server) handleProgress(w http.ResponseWriter, r *http.Request) {
 		Submitted: rn.Submitted,
 		Started:   rn.Started,
 		Finished:  rn.Finished,
-		Progress:  rn.progress.Snapshot(),
+		EtaMS:     rn.EtaMS,
 		Evicted:   rn.Evicted,
 		Events:    rn.trace.Events(),
 	}
-	if rn.State == StateRunning {
-		resp.EtaMS = resp.Progress.ETA(rn.jobs).Milliseconds()
+	if rn.Progress != nil {
+		resp.Progress = *rn.Progress
 	}
 	s.writeJSON(w, http.StatusOK, resp)
 	// Progress responses are poll loops' payload: push them out now so a
