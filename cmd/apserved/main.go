@@ -34,15 +34,22 @@
 // trace) but keep a tombstone: the lifecycle record and the final progress
 // tally. The newest 16 × -retain tombstones are kept and older runs are
 // forgotten (their ids answer 404), so the daemon holds at most
-// 17 × -retain finished runs and memory stays bounded under sustained
-// load.
+// 17 × -retain finished runs and the registry stays bounded under
+// sustained load.
 //
 // Results are memoized by canonical spec: a submission identical to a
 // completed run answers instantly from the content-addressed cache
 // (bounded by -cachemb, LRU-evicted), and concurrent identical
-// submissions collapse onto one execution. -instance gives the daemon a
+// submissions collapse onto one execution. That store is the only reuse
+// across runs: each run simulates with its own checkpoint cache, so a
+// run's artifacts depend on its spec alone. -instance gives the daemon a
 // fleet shard id: run ids become "b0-r000001" so an aprouted front can
 // route reads by prefix.
+//
+// Memory: the result store holds at most -cachemb; finished runs number
+// at most 17 × -retain; checkpoints take at most -workers × 512 MiB, and
+// only while runs execute; the applications' workload memos grow with
+// each distinct problem size run and no flag bounds them.
 //
 // Logs are JSON (log/slog) on stderr: one access line per request and one
 // lifecycle line per run transition. Every request gets an

@@ -266,6 +266,9 @@ func (i Inst) Encode() (uint32, error) {
 	if i.A >= NumRegs || i.B >= NumRegs || i.C >= NumRegs {
 		return 0, fmt.Errorf("isa: encode %s: register out of range", i.Op)
 	}
+	if !i.mmxInRange() {
+		return 0, fmt.Errorf("isa: encode %s: multimedia register out of range", i.Op)
+	}
 	w := uint32(i.Op) << 26
 	switch i.Op.Info().Format {
 	case FmtF3:
@@ -303,7 +306,28 @@ func Decode(w uint32) (Inst, error) {
 	case FmtFJ:
 		i.Imm = int32(w & 0x3FFFFFF)
 	}
+	if !i.mmxInRange() {
+		return Inst{}, fmt.Errorf("isa: decode: %s multimedia register out of range in %#08x", op, w)
+	}
 	return i, nil
+}
+
+// mmxInRange reports whether every multimedia-register operand of a valid
+// instruction names one of the NumMMXRegs registers. A register field is
+// five bits wide, so it can name m8..m31, which the core does not have.
+// The multimedia operands are A, B and C of the packed ops, A of movq.l,
+// movq.s and movd.gm, and B of movd.mg; the other fields of those ops name
+// general-purpose registers.
+func (i Inst) mmxInRange() bool {
+	switch {
+	case i.Op == OpMovqL || i.Op == OpMovqS || i.Op == OpMovdGM:
+		return i.A < NumMMXRegs
+	case i.Op == OpMovdMG:
+		return i.B < NumMMXRegs
+	case infos[i.Op].MMX:
+		return i.A < NumMMXRegs && i.B < NumMMXRegs && i.C < NumMMXRegs
+	}
+	return true
 }
 
 // RegName returns the conventional name for a GPR index.

@@ -12,6 +12,9 @@ func TestEncodeDecodeRoundTripAllOps(t *testing.T) {
 			continue
 		}
 		in := Inst{Op: op, A: 3, B: 7, C: 9}
+		if op.Info().MMX {
+			in.C = 5 // a packed op's C names one of the eight m registers
+		}
 		switch op.Info().Format {
 		case FmtFJ:
 			in.A, in.B, in.C = 0, 0, 0
@@ -32,6 +35,53 @@ func TestEncodeDecodeRoundTripAllOps(t *testing.T) {
 		}
 		if got != in {
 			t.Errorf("%s: round trip %+v -> %+v", op, in, got)
+		}
+	}
+}
+
+// TestMultimediaRegisterRange: a register field is five bits wide, but
+// the core has NumMMXRegs multimedia registers. Encode and Decode both
+// refuse register 9 in every multimedia operand and accept it in every
+// field of those ops that names a general-purpose register.
+func TestMultimediaRegisterRange(t *testing.T) {
+	mmxFields := map[Op]string{OpMovqL: "A", OpMovqS: "A", OpMovdGM: "A", OpMovdMG: "B"}
+	shift := map[rune]uint{'A': 21, 'B': 16, 'C': 11}
+	for op := Op(1); op < opMax; op++ {
+		info := op.Info()
+		if !info.MMX {
+			continue
+		}
+		refused, ok := mmxFields[op]
+		if !ok {
+			refused = "ABC" // the packed ops
+		}
+		base := Inst{Op: op, A: 1, B: 2, C: 3}
+		fields := "ABC"
+		if info.Format == FmtFI {
+			base.C = 0
+			fields = "AB"
+		}
+		w, err := base.Encode()
+		if err != nil {
+			t.Fatalf("%s: encode %+v: %v", op, base, err)
+		}
+		for _, f := range fields {
+			in := base
+			switch f {
+			case 'A':
+				in.A = 9
+			case 'B':
+				in.B = 9
+			case 'C':
+				in.C = 9
+			}
+			_, encErr := in.Encode()
+			_, decErr := Decode(w&^(0x1F<<shift[f]) | 9<<shift[f])
+			want := strings.ContainsRune(refused, f)
+			if (encErr != nil) != want || (decErr != nil) != want {
+				t.Errorf("%s with %c = 9: encode error %v, decode error %v; want refused = %v",
+					op, f, encErr, decErr, want)
+			}
 		}
 	}
 }

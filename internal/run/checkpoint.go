@@ -33,7 +33,9 @@ const DefaultCheckpointBudget = 512 << 20
 // simulation work as a serial one and produces identical merged metrics.
 // A cold error reaches the callers waiting on it but is not cached:
 // deterministic simulation errors simply recur, while transient ones
-// (cancellation) must not poison later runs.
+// (cancellation) must not poison later points that share the cache. Both
+// apbench and the daemon build one cache per run, so those later points
+// belong to the same run.
 type CheckpointCache = lru.Cache[string, *radram.Checkpoint]
 
 // NewCheckpointCache returns a cache bounded to budgetBytes of checkpoint

@@ -15,11 +15,13 @@
 //     its own execution, so N concurrent identical submissions simulate
 //     exactly once.
 //
-// The run cache sits above the checkpoint cache (run.CheckpointCache):
-// two *distinct* specs that drive the same machines — say array with and
-// without the regions table — still share machine state one layer down.
-// Spec keys are deliberately conservative: only defaulted knobs are
-// normalized, never knobs an experiment happens to ignore.
+// The result store is the only reuse across runs. A cold run branches
+// sweep points from its own checkpoint cache, which ends with the run
+// (Request.dispatch), so two *distinct* specs that drive the same
+// machines — say array with and without the regions table — each simulate
+// them, and every artifact of a run depends on its spec alone. Spec keys
+// are deliberately conservative: only defaulted knobs are normalized,
+// never knobs an experiment happens to ignore.
 
 package serve
 

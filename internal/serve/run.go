@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -329,6 +330,25 @@ func (req Request) config() radram.Config {
 		return radram.DefaultConfig().WithPageBytes(req.PageBytes)
 	}
 	return radram.DefaultConfig().WithPageBytes(experiments.ScaledPageBytes)
+}
+
+// dispatch runs the request as one run, as one apbench invocation does:
+// the experiment's rendered tables go to w, exactly what apbench prints
+// for the same flags, and the returned collector holds the run's metrics.
+// The run simulates on jobs workers with its own checkpoint cache, so its
+// points branch from each other's machine states and never from another
+// run's; the cache is dropped when the run ends. So every artifact of a
+// run depends on its spec alone, and the result store is the only reuse
+// across runs. ctx cancels the run; prog, when set, tracks it.
+func (req Request) dispatch(ctx context.Context, w io.Writer, jobs int, prog *run.Progress) (*run.Collector, error) {
+	r := (&run.Runner{Jobs: jobs, Context: ctx, Checkpoints: run.NewCheckpointCache(0),
+		Progress: prog}).WithMetrics()
+	points := experiments.DefaultPagePoints()
+	if req.Quick {
+		points = experiments.QuickPagePoints()
+	}
+	opt := experiments.Options{Regions: req.Regions, L2: req.L2, Backend: req.Backend}
+	return r.Metrics, experiments.Dispatch(w, r, req.Experiment, req.config(), points, opt)
 }
 
 // String renders the request compactly for logs.

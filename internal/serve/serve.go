@@ -25,7 +25,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"activepages/internal/experiments"
 	"activepages/internal/httpmw"
 	"activepages/internal/obs"
 	"activepages/internal/report"
@@ -34,6 +33,17 @@ import (
 
 // Config carries the daemon's knobs. The zero value of every field selects
 // a sensible default (see withDefaults).
+//
+// What the daemon holds in memory, and what bounds it:
+//   - the result store: at most CacheBudget bytes of artifacts;
+//   - finished runs: at most RetainRuns with artifacts and 16 × RetainRuns
+//     tombstones (see RetainRuns);
+//   - checkpoints: each executing run owns a checkpoint cache of at most
+//     512 MiB (run.DefaultCheckpointBudget), dropped when the run ends, so
+//     at most Workers × 512 MiB and only while runs execute;
+//   - the applications' workload memos (inputs and reference answers),
+//     shared by every run in the process: they grow with each distinct
+//     problem size the daemon has run and no knob bounds them.
 type Config struct {
 	// Addr is the listen address, e.g. "127.0.0.1:8080".
 	Addr string
@@ -104,10 +114,6 @@ type Server struct {
 	queue chan string
 	agg   *run.Collector
 	live  *obs.Registry
-	// checkpoints is shared by every run the daemon executes: repeated
-	// submissions of the same experiment branch from cached machine state
-	// instead of re-simulating, across requests and workers.
-	checkpoints *run.CheckpointCache
 	// memo is the content-addressed result cache plus the singleflight
 	// index of in-flight specs (see cache.go).
 	memo *memoCache
@@ -141,16 +147,15 @@ type Server struct {
 func New(cfg Config) *Server {
 	cfg = cfg.withDefaults()
 	s := &Server{
-		cfg:         cfg,
-		log:         cfg.Logger,
-		reg:         newRegistry(cfg.RetainRuns, cfg.InstanceID),
-		queue:       make(chan string, cfg.QueueDepth),
-		agg:         run.NewCollector(),
-		live:        obs.New(),
-		memo:        newMemoCache(cfg.CacheBudget),
-		checkpoints: run.NewCheckpointCache(0),
-		workers:     make(chan struct{}),
-		mux:         http.NewServeMux(),
+		cfg:     cfg,
+		log:     cfg.Logger,
+		reg:     newRegistry(cfg.RetainRuns, cfg.InstanceID),
+		queue:   make(chan string, cfg.QueueDepth),
+		agg:     run.NewCollector(),
+		live:    obs.New(),
+		memo:    newMemoCache(cfg.CacheBudget),
+		workers: make(chan struct{}),
+		mux:     http.NewServeMux(),
 	}
 
 	// Every live-registry registration reads an atomic or takes the
@@ -338,6 +343,8 @@ func newRunProgress(trace *obs.WallTracer) *run.Progress {
 // the queue-wait span closes at pickup (and feeds the serve.queue_wait
 // histogram), every sweep point and measurement lands as a span via the
 // progress tracker, and execute/artifact-write spans close at completion.
+// The run simulates with its own checkpoint cache (Request.dispatch), so
+// the shard keeps no machine state once it ends.
 func (s *Server) execute(id string) {
 	var req Request
 	var trace *obs.WallTracer
@@ -374,16 +381,8 @@ func (s *Server) execute(id string) {
 	defer cancel()
 	go func() {
 		var buf bytes.Buffer
-		runner := (&run.Runner{Jobs: s.cfg.JobsPerRun, Context: ctx,
-			Checkpoints: s.checkpoints, Progress: prog}).WithMetrics()
-		cfg := req.config()
-		points := experiments.DefaultPagePoints()
-		if req.Quick {
-			points = experiments.QuickPagePoints()
-		}
-		opt := experiments.Options{Regions: req.Regions, L2: req.L2, Backend: req.Backend}
-		err := experiments.Dispatch(&buf, runner, req.Experiment, cfg, points, opt)
-		done <- result{buf.Bytes(), runner.Metrics.Snapshot(), runner.Metrics.Groups(), err}
+		metrics, err := req.dispatch(ctx, &buf, s.cfg.JobsPerRun, prog)
+		done <- result{buf.Bytes(), metrics.Snapshot(), metrics.Groups(), err}
 	}()
 
 	timer := time.NewTimer(s.cfg.RunTimeout)
