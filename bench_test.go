@@ -97,7 +97,7 @@ func BenchmarkFig4Nonoverlap(b *testing.B) {
 		b.Run(bench.Name(), func(b *testing.B) {
 			var last float64
 			for i := 0; i < b.N; i++ {
-				m, err := apps.Measure(bench, experiments.DefaultConfig(), 32)
+				m, err := apps.Measure(nil, bench, experiments.DefaultConfig(), 32)
 				if err != nil {
 					b.Fatal(err)
 				}

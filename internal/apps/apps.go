@@ -9,11 +9,8 @@
 package apps
 
 import (
-	"fmt"
 	"time"
 
-	"activepages/internal/core"
-	"activepages/internal/obs"
 	"activepages/internal/radram"
 	"activepages/internal/run"
 	"activepages/internal/sim"
@@ -114,20 +111,56 @@ func Supports(b Benchmark, backendName string) bool {
 	return false
 }
 
-// Measure runs b at the given problem size on both machines built from cfg
-// and collects the paper's metrics.
-func Measure(b Benchmark, cfg radram.Config, pages float64) (Measurement, error) {
-	return MeasureWith(nil, b, cfg, pages)
-}
+// Measure runs b at the given problem size through r.Simulate on the
+// conventional machine, then the Active-Page machine, built from cfg, and
+// derives the paper's metrics. When r collects metrics, the pair's
+// snapshot goes to its collector under the benchmark's name, the machines
+// under "conv." and apPrefix. When r tracks progress, the measurement is
+// reported as one run.MeasureEvent; the untracked path never reads the
+// wall clock. A nil runner measures cold, uncancelable and unobserved.
+func Measure(r *run.Runner, b Benchmark, cfg radram.Config, pages float64) (meas Measurement, err error) {
+	var conv, ap run.Outcome
+	if r.ProgressTracker() != nil {
+		start := time.Now()
+		defer func() {
+			r.NoteMeasure(run.MeasureEvent{Benchmark: b.Name(), Pages: pages,
+				Backend: cfg.BackendName(), ConvCheckpoint: conv.Checkpoint,
+				APCheckpoint: ap.Checkpoint, Start: start, Wall: time.Since(start), Err: err})
+		}()
+	}
+	if conv, err = r.Simulate(b, run.Conventional, cfg, pages); err != nil {
+		return Measurement{}, err
+	}
+	if ap, err = r.Simulate(b, run.ActivePage, cfg, pages); err != nil {
+		return Measurement{}, err
+	}
 
-// MeasureWith is Measure through a runner: the runner's checkpoint cache
-// (when attached) lets this point reuse the final state of an identical
-// earlier run instead of simulating from cold, and the runner's context is
-// polled from inside the simulation so a canceled sweep point unwinds
-// mid-run. A nil runner measures cold and uncancelable.
-func MeasureWith(r *run.Runner, b Benchmark, cfg radram.Config, pages float64) (Measurement, error) {
-	m, _, _, _, err := measure(r, b, cfg, pages)
-	return m, err
+	meas = Measurement{
+		Benchmark:  b.Name(),
+		Pages:      pages,
+		ConvTime:   conv.Elapsed,
+		RadTime:    ap.Elapsed,
+		NonOverlap: ap.Stats.NonOverlapFraction(),
+	}
+	// Per-page Table 4 metrics from the Active-Page system's ledger.
+	if n := sim.Duration(ap.Pages); n > 0 {
+		meas.ActivationTime = ap.ActivationTime / n
+		meas.BusyTime = ap.BusyTime / n
+		// T_P: per-page processor time that is neither dispatch nor a
+		// stall on page computation — post-activated work in the model of
+		// Section 7.4 (result summarization, operand multiplies, cross-
+		// page moves).
+		post := ap.Stats.TotalTime() - ap.Stats.NonOverlapTime
+		if post > ap.ActivationTime {
+			meas.PostTime = (post - ap.ActivationTime) / n
+		}
+	}
+	if conv.Snapshot != nil {
+		snap := conv.Snapshot.WithPrefix("conv.")
+		snap.Merge(ap.Snapshot.WithPrefix(apPrefix(cfg)))
+		r.CollectGroup(b.Name(), snap)
+	}
+	return meas, nil
 }
 
 // apPrefix is the metrics namespace of the Active-Page machine: the
@@ -138,180 +171,4 @@ func apPrefix(cfg radram.Config) string {
 		return name + "."
 	}
 	return "rad."
-}
-
-// MeasureObservedWith is MeasureWith plus the pair's merged metrics
-// snapshot: the conventional machine's counters under "conv.", the
-// Active-Page machine's under its backend namespace ("rad." for RADram,
-// else the backend name). When the runner carries a checkpoint cache,
-// each machine's namespace additionally gets one diag.checkpoint_* event
-// recording how this point was satisfied: checkpoint_cold (a full
-// simulation ran), or checkpoint_hit plus checkpoint_branch (a cached
-// checkpoint was found and successfully restored into a branch machine).
-// Diagnostic keys describe the simulation pipeline, not the simulated
-// machine, so the equivalence suites strip them while -json and /metrics
-// expose them.
-func MeasureObservedWith(r *run.Runner, b Benchmark, cfg radram.Config, pages float64) (Measurement, obs.Snapshot, error) {
-	m, conv, rad, hits, err := measure(r, b, cfg, pages)
-	if err != nil {
-		return m, nil, err
-	}
-	snap := conv.Snapshot().WithPrefix("conv.")
-	snap.Merge(rad.Snapshot().WithPrefix(apPrefix(cfg)))
-	if r.CheckpointCache() != nil {
-		injectCheckpointDiag(snap, "conv.", hits[0])
-		injectCheckpointDiag(snap, apPrefix(cfg), hits[1])
-	}
-	return m, snap, nil
-}
-
-// injectCheckpointDiag records how one machine run of a measured point was
-// satisfied, in the machine's diagnostic namespace.
-func injectCheckpointDiag(snap obs.Snapshot, prefix string, hit bool) {
-	d := prefix + obs.DiagPrefix
-	if hit {
-		snap[d+"checkpoint_hit"]++
-		snap[d+"checkpoint_branch"]++
-	} else {
-		snap[d+"checkpoint_cold"]++
-	}
-}
-
-// runMachine produces a machine holding the final state of b run at the
-// given problem size: through the runner's checkpoint cache when one is
-// attached (simulating cold exactly once per canonical key and branching
-// every other request from the stored checkpoint), from cold otherwise.
-// build constructs the right fresh machine shape; key is the run's
-// canonical checkpoint key.
-func runMachine(r *run.Runner, b Benchmark, pages float64, key string,
-	build func() (*run.Machine, error)) (*run.Machine, bool, error) {
-	hook := r.InterruptHook()
-	cold := func() (*run.Machine, error) {
-		m, err := build()
-		if err != nil {
-			return nil, err
-		}
-		m.CPU.Interrupt = hook
-		if err := b.Run(m.Machine, pages); err != nil {
-			return nil, fmt.Errorf("%s (%s, %g pages): %w", b.Name(), m.BackendName(), pages, err)
-		}
-		m.CPU.Interrupt = nil
-		return m, nil
-	}
-	cache := r.CheckpointCache()
-	if cache == nil {
-		m, err := cold()
-		return m, false, err
-	}
-	var coldMachine *run.Machine
-	ckpt, hit, err := cache.Do(key, func() (*radram.Checkpoint, error) {
-		m, err := cold()
-		if err != nil {
-			return nil, err
-		}
-		coldMachine = m
-		return m.Machine.Checkpoint(), nil
-	})
-	if err != nil {
-		return nil, false, err
-	}
-	if !hit {
-		return coldMachine, false, nil
-	}
-	// Branch: a fresh machine of the same shape adopts the cached final
-	// state. Its metrics registry reads the restored components, so its
-	// snapshot is byte-identical to the cold run's.
-	m, err := build()
-	if err != nil {
-		return nil, false, err
-	}
-	if err := m.Machine.Restore(ckpt); err != nil {
-		return nil, false, err
-	}
-	return m, true, nil
-}
-
-// measure builds the machine pair through the run layer, executes b on
-// both (or branches either side from the runner's checkpoint cache), and
-// extracts the paper's metrics. hits reports per machine — conventional
-// then Active-Page — whether the state came from a checkpoint branch.
-// When the runner tracks progress, the completed measurement — including
-// its wall-clock cost and both checkpoint outcomes — is reported through
-// run.Runner.NoteMeasure; the untracked path never reads the wall clock.
-func measure(r *run.Runner, b Benchmark, cfg radram.Config, pages float64) (meas Measurement, conv, rad *run.Machine, hits [2]bool, err error) {
-	if r.ProgressTracker() != nil {
-		start := time.Now()
-		defer func() {
-			r.NoteMeasure(b.Name(), pages, cfg.BackendName(),
-				r.CheckpointCache() != nil, hits[0], hits[1],
-				start, time.Since(start), err)
-		}()
-	}
-	conv, convHit, err := runMachine(r, b, pages,
-		run.ConvCheckpointKey(b.Name(), pages, cfg),
-		func() (*run.Machine, error) { return run.NewConventional(cfg), nil })
-	if err != nil {
-		return Measurement{}, nil, nil, hits, err
-	}
-	// Poll between the pair's runs so a cancellation arriving while the
-	// conventional side was branching (no simulation to poll from) still
-	// stops before the Active-Page simulation starts.
-	if hook := r.InterruptHook(); hook != nil {
-		if cerr := hook(); cerr != nil {
-			return Measurement{}, nil, nil, hits, fmt.Errorf("run canceled: %w", cerr)
-		}
-	}
-	rad, apHit, err := runMachine(r, b, pages,
-		run.APCheckpointKey(b.Name(), pages, cfg),
-		func() (*run.Machine, error) { return run.New(cfg) })
-	if err != nil {
-		return Measurement{}, nil, nil, hits, err
-	}
-	hits = [2]bool{convHit, apHit}
-
-	meas = Measurement{
-		Benchmark:  b.Name(),
-		Pages:      pages,
-		ConvTime:   conv.Elapsed(),
-		RadTime:    rad.Elapsed(),
-		NonOverlap: rad.CPU.Stats.NonOverlapFraction(),
-	}
-
-	// Per-page Table 4 metrics from the Active-Page system's ledger.
-	var nPages uint64
-	var actTotal, busyTotal sim.Duration
-	for _, id := range KnownGroups {
-		g, ok := rad.AP.Group(core.GroupID(id))
-		if !ok {
-			continue
-		}
-		for _, p := range g.Pages() {
-			if p.Activations == 0 {
-				continue
-			}
-			nPages++
-			actTotal += p.ActivationTime
-			busyTotal += p.BusyTime
-		}
-	}
-	if nPages > 0 {
-		meas.ActivationTime = actTotal / sim.Duration(nPages)
-		meas.BusyTime = busyTotal / sim.Duration(nPages)
-		// T_P: per-page processor time that is neither dispatch nor a
-		// stall on page computation — post-activated work in the model of
-		// Section 7.4 (result summarization, operand multiplies, cross-
-		// page moves).
-		st := rad.CPU.Stats
-		post := st.TotalTime() - st.NonOverlapTime
-		if post > actTotal {
-			meas.PostTime = (post - actTotal) / sim.Duration(nPages)
-		}
-	}
-	return meas, conv, rad, hits, nil
-}
-
-// KnownGroups lists every group id a benchmark may allocate, so Measure
-// can walk per-page statistics without coupling to app internals.
-var KnownGroups = []string{
-	"array", "database", "median", "lcs", "matrix", "mpeg",
 }

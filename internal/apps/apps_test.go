@@ -1,6 +1,8 @@
 package apps_test
 
 import (
+	"errors"
+	"reflect"
 	"testing"
 
 	"activepages/internal/apps"
@@ -11,6 +13,7 @@ import (
 	"activepages/internal/apps/median"
 	"activepages/internal/apps/mpeg"
 	"activepages/internal/radram"
+	"activepages/internal/run"
 )
 
 // testConfig keeps pages small so functional verification stays fast.
@@ -64,7 +67,7 @@ func TestScalableRegionSpeedups(t *testing.T) {
 	for _, b := range allBenchmarks() {
 		b := b
 		t.Run(b.Name(), func(t *testing.T) {
-			m, err := apps.Measure(b, testConfig(), 8)
+			m, err := apps.Measure(nil, b, testConfig(), 8)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -81,11 +84,11 @@ func TestSpeedupGrowsThroughScalableRegion(t *testing.T) {
 	for _, b := range []apps.Benchmark{database.Benchmark{}, median.Benchmark{}, lcs.Benchmark{}} {
 		b := b
 		t.Run(b.Name(), func(t *testing.T) {
-			m4, err := apps.Measure(b, testConfig(), 4)
+			m4, err := apps.Measure(nil, b, testConfig(), 4)
 			if err != nil {
 				t.Fatal(err)
 			}
-			m16, err := apps.Measure(b, testConfig(), 16)
+			m16, err := apps.Measure(nil, b, testConfig(), 16)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -106,11 +109,11 @@ func TestProcessorCentricSaturation(t *testing.T) {
 	} {
 		b := b
 		t.Run(b.Name(), func(t *testing.T) {
-			small, err := apps.Measure(b, testConfig(), 1)
+			small, err := apps.Measure(nil, b, testConfig(), 1)
 			if err != nil {
 				t.Fatal(err)
 			}
-			big, err := apps.Measure(b, testConfig(), 32)
+			big, err := apps.Measure(nil, b, testConfig(), 32)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -128,7 +131,7 @@ func TestProcessorCentricSaturation(t *testing.T) {
 // (Figure 4's top curves).
 func TestMemoryCentricHighNonOverlap(t *testing.T) {
 	for _, b := range []apps.Benchmark{array.Benchmark{}, median.Benchmark{}} {
-		m, err := apps.Measure(b, testConfig(), 8)
+		m, err := apps.Measure(nil, b, testConfig(), 8)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -140,7 +143,7 @@ func TestMemoryCentricHighNonOverlap(t *testing.T) {
 
 // The measurement must populate the Table 4 per-page metrics.
 func TestMeasurementMetricsPopulated(t *testing.T) {
-	m, err := apps.Measure(database.Benchmark{}, testConfig(), 4)
+	m, err := apps.Measure(nil, database.Benchmark{}, testConfig(), 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,15 +158,64 @@ func TestMeasurementMetricsPopulated(t *testing.T) {
 	}
 }
 
+// errInjected is the failure failOn injects.
+var errInjected = errors.New("injected failure")
+
+// failOn is array with its run failing on one machine of the pair. Its
+// name keeps its checkpoint keys apart from array's.
+type failOn struct {
+	array.Benchmark
+	ap bool // fail on the Active-Page machine, else on the conventional one
+}
+
+func (f failOn) Name() string {
+	if f.ap {
+		return "array-apfail"
+	}
+	return "array-convfail"
+}
+
+func (f failOn) Run(m *radram.Machine, pages float64) error {
+	if (m.AP != nil) == f.ap {
+		return errInjected
+	}
+	return f.Benchmark.Run(m, pages)
+}
+
+// A measure event reports the machine runs that happened, failed
+// measurements included: a cold run that failed is "cold", a machine that
+// never ran is "", and a restored one is "branch".
+func TestMeasureEventsReportRunsThatHappened(t *testing.T) {
+	var events [][2]string
+	prog := &run.Progress{OnMeasure: func(ev run.MeasureEvent) {
+		events = append(events, [2]string{ev.ConvCheckpoint, ev.APCheckpoint})
+	}}
+	r := &run.Runner{Jobs: 1, Checkpoints: run.NewCheckpointCache(0), Progress: prog}
+	for _, b := range []apps.Benchmark{array.Benchmark{}, failOn{}, failOn{ap: true}, failOn{ap: true}} {
+		_, err := apps.Measure(r, b, testConfig(), 2)
+		if fails := b.Name() != "array"; fails != errors.Is(err, errInjected) {
+			t.Fatalf("%s: err = %v", b.Name(), err)
+		}
+	}
+	want := [][2]string{{"cold", "cold"}, {"cold", ""}, {"cold", "cold"}, {"branch", "cold"}}
+	if !reflect.DeepEqual(events, want) {
+		t.Errorf("events (conv, ap) = %q, want %q", events, want)
+	}
+	if s := prog.Snapshot(); s.CheckpointCold != 6 || s.CheckpointHit != 1 || s.CheckpointBranch != 1 {
+		t.Errorf("cold/hit/branch = %d/%d/%d, want 6/1/1",
+			s.CheckpointCold, s.CheckpointHit, s.CheckpointBranch)
+	}
+}
+
 // Running the same benchmark twice must give identical times: the
 // simulator is deterministic.
 func TestDeterminism(t *testing.T) {
 	for _, b := range []apps.Benchmark{database.Benchmark{}, lcs.Benchmark{}} {
-		m1, err := apps.Measure(b, testConfig(), 2)
+		m1, err := apps.Measure(nil, b, testConfig(), 2)
 		if err != nil {
 			t.Fatal(err)
 		}
-		m2, err := apps.Measure(b, testConfig(), 2)
+		m2, err := apps.Measure(nil, b, testConfig(), 2)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -229,11 +281,11 @@ func TestPartitioningClasses(t *testing.T) {
 // MPEG at larger width: wide-MMX instruction dispatch must scale T_A with
 // page size (Table 4 gives MPEG the workload's largest T_A).
 func TestMPEGActivationGrowsWithPage(t *testing.T) {
-	small, err := apps.Measure(mpeg.Benchmark{}, radram.DefaultConfig().WithPageBytes(32*1024), 4)
+	small, err := apps.Measure(nil, mpeg.Benchmark{}, radram.DefaultConfig().WithPageBytes(32*1024), 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	big, err := apps.Measure(mpeg.Benchmark{}, radram.DefaultConfig().WithPageBytes(128*1024), 4)
+	big, err := apps.Measure(nil, mpeg.Benchmark{}, radram.DefaultConfig().WithPageBytes(128*1024), 4)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -340,6 +340,19 @@ func (s *System) Group(id GroupID) (*Group, bool) {
 	return g, ok
 }
 
+// Table4Totals sums Table 4's accounting over every page activated at
+// least once: how many there are, and their total T_A and T_C.
+func (s *System) Table4Totals() (pages uint64, activation, busy sim.Duration) {
+	for _, p := range s.pages {
+		if p.Activations > 0 {
+			pages++
+			activation += p.ActivationTime
+			busy += p.BusyTime
+		}
+	}
+	return pages, activation, busy
+}
+
 // PageAt returns the Active Page containing addr, if allocated.
 func (s *System) PageAt(addr uint64) (*Page, bool) {
 	p, ok := s.pages[s.geom.PageIndex(addr)]

@@ -133,7 +133,7 @@ func AblationPageSize(r *run.Runner, dataBytes uint64) (*tabler.Figure, error) {
 // (Section 5.2's width discussion is the whole mpeg benchmark; this
 // surfaces the raw times).
 func AblationMMXWidth(r *run.Runner, cfg radram.Config, pages float64) (*tabler.Table, error) {
-	m, err := measure(r, BenchmarksMPEG(), cfg, pages)
+	m, err := apps.Measure(r, BenchmarksMPEG(), cfg, pages)
 	if err != nil {
 		return nil, err
 	}

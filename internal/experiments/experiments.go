@@ -145,22 +145,6 @@ func axis[T any](xs []T, x func(T) float64) []float64 {
 	return out
 }
 
-// measure runs one point through apps, routing the pair's metrics
-// snapshot into the runner's collector — grouped by benchmark name, so a
-// bottleneck report can attribute per benchmark — when one is attached.
-// It is the single simulation entry point for every sweep in this package.
-func measure(r *run.Runner, b apps.Benchmark, cfg radram.Config, pages float64) (apps.Measurement, error) {
-	if r == nil || r.Metrics == nil {
-		return apps.MeasureWith(r, b, cfg, pages)
-	}
-	m, snap, err := apps.MeasureObservedWith(r, b, cfg, pages)
-	if err != nil {
-		return m, err
-	}
-	r.CollectGroup(b.Name(), snap)
-	return m, nil
-}
-
 // grid measures every benchmark at n points, point i on the configuration
 // and problem size at(i) returns, and indexes the measurements
 // [benchmark][point]. It is the one place a benchmarks × points grid meets
@@ -171,7 +155,7 @@ func measure(r *run.Runner, b apps.Benchmark, cfg radram.Config, pages float64) 
 func grid(r *run.Runner, bs []apps.Benchmark, n int, at func(i int) (radram.Config, float64)) ([][]apps.Measurement, error) {
 	flat, err := run.Map(r, len(bs)*n, func(i int) (apps.Measurement, error) {
 		cfg, pages := at(i % n)
-		return measure(r, bs[i/n], cfg, pages)
+		return apps.Measure(r, bs[i/n], cfg, pages)
 	})
 	if err != nil {
 		return nil, err

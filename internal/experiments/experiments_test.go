@@ -365,7 +365,7 @@ func TestEveryBenchmarkFitsMinimumPage(t *testing.T) {
 				t.Fatal(err)
 			}
 			for _, pages := range QuickPagePoints() {
-				if _, err := apps.Measure(b, cfg, pages); err != nil {
+				if _, err := apps.Measure(nil, b, cfg, pages); err != nil {
 					t.Errorf("%s on %s, %g pages: %v", name, backend, pages, err)
 				}
 			}

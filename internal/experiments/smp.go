@@ -6,7 +6,6 @@ import (
 	"activepages/internal/apps/database"
 	"activepages/internal/apps/layout"
 	"activepages/internal/core"
-	"activepages/internal/mem"
 	"activepages/internal/radram"
 	"activepages/internal/run"
 	"activepages/internal/sim"
@@ -31,9 +30,8 @@ func SMPStudy(r *run.Runner, cfg radram.Config, pages float64, processors []int)
 		fmt.Sprintf("SMP: database query time vs processors (%g pages)", pages),
 		"processors", "time (ms)")
 	f.X = axis(processors, func(p int) float64 { return float64(p) })
-	tpl := newSMPTemplate(cfg, pages)
 	y, err := run.Map(r, len(processors), func(i int) (float64, error) {
-		t, err := runSMPDatabase(r, cfg, pages, processors[i], tpl)
+		t, err := runSMPDatabase(r, cfg, pages, processors[i])
 		return t.Milliseconds(), err
 	})
 	if err != nil {
@@ -43,46 +41,9 @@ func SMPStudy(r *run.Runner, cfg radram.Config, pages float64, processors []int)
 	return f, nil
 }
 
-// smpTemplate is the per-study shared-data warm-up, built once: the page
-// blocking of the address book does not depend on the processor count, so
-// every sweep point restores the populated store from one checkpoint
-// instead of rebuilding and rewriting it.
-type smpTemplate struct {
-	perPage  int
-	nRecords int
-	book     []byte
-	want     int
-	store    mem.Checkpoint
-}
-
-// newSMPTemplate lays the address book out into pages in a scratch store
-// and checkpoints it. The template covers the data-dependent part of a
-// sweep point's setup; the per-processor Active-Page views are still
-// built per point (they are the independent variable).
-func newSMPTemplate(cfg radram.Config, pages float64) *smpTemplate {
-	perPage := int((cfg.AP.PageBytes - layout.HeaderBytes) / workload.RecordBytes)
-	t := &smpTemplate{
-		perPage:  perPage,
-		nRecords: int(pages * float64(perPage)),
-	}
-	t.book = workload.SharedAddressBook(1998, t.nRecords)
-	t.want = workload.CountLastName(t.book, workload.QueryName())
-	st := mem.NewStore()
-	nPages := (t.nRecords + perPage - 1) / perPage
-	for pg := 0; pg < nPages; pg++ {
-		vaddr := uint64(layout.DataBase) + uint64(pg)*cfg.AP.PageBytes
-		lo := pg * perPage
-		hi := min(t.nRecords, lo+perPage)
-		st.Write(vaddr+layout.HeaderBytes,
-			t.book[lo*workload.RecordBytes:hi*workload.RecordBytes])
-	}
-	t.store = st.Checkpoint()
-	return t
-}
-
 // runSMPDatabase splits the database pages across an n-processor cluster
 // and returns the slowest processor's elapsed time.
-func runSMPDatabase(r *run.Runner, cfg radram.Config, pages float64, nProc int, tpl *smpTemplate) (sim.Time, error) {
+func runSMPDatabase(r *run.Runner, cfg radram.Config, pages float64, nProc int) (sim.Time, error) {
 	if nProc < 1 {
 		return 0, fmt.Errorf("experiments: need at least one processor")
 	}
@@ -92,21 +53,11 @@ func runSMPDatabase(r *run.Runner, cfg radram.Config, pages float64, nProc int, 
 	}
 
 	// Shared data: one address book blocked into pages, as the database
-	// study lays it out. The degenerate sweep points where the book must
-	// grow to give every processor a record fall back to a cold build —
-	// their store contents depend on nProc, so the template does not
-	// apply.
-	perPage := tpl.perPage
-	nRecords := max(tpl.nRecords, nProc)
-	book := tpl.book
-	want := tpl.want
-	fromTemplate := nRecords == tpl.nRecords
-	if fromTemplate {
-		cl.Store.Restore(tpl.store)
-	} else {
-		book = workload.SharedAddressBook(1998, nRecords)
-		want = workload.CountLastName(book, workload.QueryName())
-	}
+	// study lays it out, grown where needed to give every processor a
+	// record.
+	perPage := int((cfg.AP.PageBytes - layout.HeaderBytes) / workload.RecordBytes)
+	nRecords := max(int(pages*float64(perPage)), nProc)
+	book := workload.SharedAddressBook(1998, nRecords)
 	nPages := (nRecords + perPage - 1) / perPage
 
 	// Each processor owns a contiguous slice of pages via its own
@@ -124,9 +75,6 @@ func runSMPDatabase(r *run.Runner, cfg radram.Config, pages float64, nProc int, 
 			first[w] = pg
 		}
 		owned[w] = append(owned[w], p)
-		if fromTemplate {
-			continue // data already in the restored store
-		}
 		lo := pg * perPage
 		hi := min(nRecords, lo+perPage)
 		cl.Store.Write(vaddr+layout.HeaderBytes,
@@ -150,7 +98,7 @@ func runSMPDatabase(r *run.Runner, cfg radram.Config, pages float64, nProc int, 
 			slowest = now
 		}
 	}
-	if total != want {
+	if want := workload.CountLastName(book, workload.QueryName()); total != want {
 		return 0, fmt.Errorf("experiments: SMP count %d, want %d", total, want)
 	}
 	r.Collect(cl.Metrics.Snapshot().WithPrefix("smp."))

@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 
+	"activepages/internal/apps"
 	"activepages/internal/bus"
 	"activepages/internal/circuits"
 	"activepages/internal/logic"
@@ -79,7 +80,7 @@ type fitted struct {
 func fitAndSweep(r *run.Runner, cfg radram.Config, fitPages float64, sweepPages []float64) ([]fitted, error) {
 	bs := Benchmarks()
 	return run.Map(r, len(bs), func(i int) (fitted, error) {
-		fit, err := measure(r, bs[i], cfg, fitPages)
+		fit, err := apps.Measure(r, bs[i], cfg, fitPages)
 		if err != nil {
 			return fitted{}, err
 		}

@@ -64,7 +64,7 @@ type Report struct {
 }
 
 // machinePrefixes are the snapshot prefixes one benchmark run produces:
-// apps.MeasureObservedWith tags the conventional machine "conv." and the
+// apps.Measure tags the conventional machine "conv." and the
 // Active-Page machine with its backend namespace — the historical "rad."
 // for RADram, the backend's own name otherwise.
 var machinePrefixes = []string{"conv", "rad", "simdram"}

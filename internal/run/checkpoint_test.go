@@ -225,15 +225,22 @@ func diagTotal(s obs.Snapshot, suffix string) int64 {
 func TestCheckpointVsColdEquivalence(t *testing.T) {
 	cfg := radram.DefaultConfig().WithPageBytes(64 * 1024)
 	b := array.Benchmark{}
+	// measure runs the point through r with a fresh collector and returns
+	// the measurement and its snapshot.
+	measure := func(r *run.Runner) (apps.Measurement, obs.Snapshot, error) {
+		r.Metrics = run.NewCollector()
+		m, err := apps.Measure(r, b, cfg, 2)
+		return m, r.Metrics.Snapshot(), err
+	}
 
 	cold := &run.Runner{Jobs: 1}
-	mc, sc, err := apps.MeasureObservedWith(cold, b, cfg, 2)
+	mc, sc, err := measure(cold)
 	if err != nil {
 		t.Fatalf("cold measure: %v", err)
 	}
 
 	cached := &run.Runner{Jobs: 1, Checkpoints: run.NewCheckpointCache(0)}
-	m1, s1, err := apps.MeasureObservedWith(cached, b, cfg, 2)
+	m1, s1, err := measure(cached)
 	if err != nil {
 		t.Fatalf("cached measure: %v", err)
 	}
@@ -249,7 +256,7 @@ func TestCheckpointVsColdEquivalence(t *testing.T) {
 		t.Fatalf("first cached point: %d cold runs recorded, want 2", hits)
 	}
 
-	m2, s2, err := apps.MeasureObservedWith(cached, b, cfg, 2)
+	m2, s2, err := measure(cached)
 	if err != nil {
 		t.Fatalf("second cached measure: %v", err)
 	}

@@ -7,10 +7,8 @@ import (
 	"activepages/internal/apps"
 	"activepages/internal/apps/array"
 	"activepages/internal/apps/database"
-	"activepages/internal/proc"
 	"activepages/internal/radram"
 	"activepages/internal/run"
-	"activepages/internal/sim"
 	"activepages/internal/simdram"
 )
 
@@ -75,43 +73,28 @@ var configKeying = map[string][2]keying{
 	"AP.ChargeBind":            {unkeyed, keyed},
 }
 
-// outcome is everything a measurement reads from one finished machine,
-// less the diag.* keys, which describe the simulator rather than the
-// simulated machine.
-type outcome struct {
-	elapsed sim.Time
-	stats   proc.Stats
-	snap    string
-}
-
-// machineOutcomes runs each benchmark at 2 pages on a fresh conventional
-// machine and a fresh Active-Page machine built from cfg.
-func machineOutcomes(t *testing.T, cfg radram.Config, benches []apps.Benchmark) (conv, ap []outcome) {
+// machineOutcomes runs each benchmark at 2 pages through Simulate on a
+// fresh conventional machine and a fresh Active-Page machine built from
+// cfg. Each outcome's snapshot drops the diag.* keys, which describe the
+// simulator rather than the simulated machine.
+func machineOutcomes(t *testing.T, cfg radram.Config, benches []apps.Benchmark) (conv, ap []run.Outcome) {
 	t.Helper()
+	r := (&run.Runner{}).WithMetrics()
 	for _, b := range benches {
-		c := run.NewConventional(cfg)
-		a, err := run.New(cfg)
-		if err != nil {
-			t.Fatalf("%s: %v", b.Name(), err)
-		}
-		for _, m := range []*run.Machine{c, a} {
-			if err := b.Run(m.Machine, 2); err != nil {
-				t.Fatalf("%s on %s: %v", b.Name(), m.BackendName(), err)
+		for _, kind := range []run.Kind{run.Conventional, run.ActivePage} {
+			o, err := r.Simulate(b, kind, cfg, 2)
+			if err != nil {
+				t.Fatalf("%s: %v", b.Name(), err)
+			}
+			o.Snapshot = o.Snapshot.WithoutDiag()
+			if kind == run.Conventional {
+				conv = append(conv, o)
+			} else {
+				ap = append(ap, o)
 			}
 		}
-		conv = append(conv, outcomeOf(t, c))
-		ap = append(ap, outcomeOf(t, a))
 	}
 	return conv, ap
-}
-
-func outcomeOf(t *testing.T, m *run.Machine) outcome {
-	t.Helper()
-	j, err := m.Snapshot().WithoutDiag().JSON()
-	if err != nil {
-		t.Fatal(err)
-	}
-	return outcome{m.Elapsed(), m.CPU.Stats, string(j)}
 }
 
 // leaves lists the index path and dotted name of every field of t that is

@@ -27,9 +27,9 @@ type MeasureEvent struct {
 	Benchmark string
 	Pages     float64
 	Backend   string
-	// ConvCheckpoint and APCheckpoint are "cold" (a full simulation ran),
-	// "branch" (restored from a cached checkpoint), or "" when the runner
-	// carries no checkpoint cache.
+	// ConvCheckpoint and APCheckpoint are each machine's
+	// Outcome.Checkpoint: "cold", "branch", or "" when the runner carries
+	// no checkpoint cache or the machine never ran.
 	ConvCheckpoint string
 	APCheckpoint   string
 	Start          time.Time
@@ -51,7 +51,8 @@ type ProgressSnapshot struct {
 	// zero or several).
 	Measures int64 `json:"measures"`
 	// CheckpointCold/Hit/Branch tally how the measurement machine runs
-	// were satisfied (two machine runs per measure; zero without a cache).
+	// were satisfied (at most two machine runs per measure; zero without a
+	// cache).
 	CheckpointCold   int64 `json:"checkpoint_cold"`
 	CheckpointHit    int64 `json:"checkpoint_hit"`
 	CheckpointBranch int64 `json:"checkpoint_branch"`
@@ -155,7 +156,7 @@ func (p *Progress) pointDone(start time.Time, wall time.Duration, err error) {
 }
 
 // measureDone records one benchmark measurement completing and invokes
-// OnMeasure. Nil-safe, so the apps layer calls it unconditionally.
+// OnMeasure. Nil-safe.
 func (p *Progress) measureDone(ev MeasureEvent) {
 	if p == nil {
 		return
@@ -190,37 +191,10 @@ func (p *Progress) Snapshot() ProgressSnapshot {
 	return p.snap
 }
 
-// checkpointOutcome names how a machine run was satisfied for a
-// MeasureEvent: hit=true means a cached checkpoint branched.
-func checkpointOutcome(cached, hit bool) string {
-	switch {
-	case !cached:
-		return ""
-	case hit:
-		return "branch"
-	default:
-		return "cold"
-	}
-}
-
 // NoteMeasure reports one completed benchmark measurement to the runner's
-// progress tracker, if any. cached reports whether a checkpoint cache was
-// in play; convHit/apHit whether each machine branched from it. Nil-safe
-// on both the runner and its tracker, so the measurement layer calls it
-// unconditionally.
-func (r *Runner) NoteMeasure(benchmark string, pages float64, backend string,
-	cached, convHit, apHit bool, start time.Time, wall time.Duration, err error) {
-	r.ProgressTracker().measureDone(MeasureEvent{
-		Benchmark:      benchmark,
-		Pages:          pages,
-		Backend:        backend,
-		ConvCheckpoint: checkpointOutcome(cached, convHit),
-		APCheckpoint:   checkpointOutcome(cached, apHit),
-		Start:          start,
-		Wall:           wall,
-		Err:            err,
-	})
-}
+// progress tracker, if any. Nil-safe on both the runner and its tracker,
+// so the measurement layer calls it unconditionally.
+func (r *Runner) NoteMeasure(ev MeasureEvent) { r.ProgressTracker().measureDone(ev) }
 
 // ProgressTracker returns the runner's progress tracker, nil-safe: nil
 // when the runner is nil or none is attached, and every *Progress method

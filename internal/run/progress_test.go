@@ -67,7 +67,7 @@ func TestProgressNilSafe(t *testing.T) {
 	if r.ProgressTracker() != nil {
 		t.Fatal("nil runner should have no tracker")
 	}
-	r.NoteMeasure("array", 1, "radram", false, false, false, time.Time{}, 0, nil)
+	r.NoteMeasure(MeasureEvent{Benchmark: "array", Pages: 1, Backend: "radram"})
 	r2 := &Runner{Jobs: 2}
 	if _, err := Map(r2, 4, func(i int) (int, error) { return i, nil }); err != nil {
 		t.Fatal(err)
@@ -81,11 +81,13 @@ func TestProgressMeasureTallies(t *testing.T) {
 	prog := &Progress{}
 	r := &Runner{Progress: prog}
 	// Cached, both machines cold.
-	r.NoteMeasure("array", 2, "radram", true, false, false, time.Time{}, time.Second, nil)
+	r.NoteMeasure(MeasureEvent{Benchmark: "array", Pages: 2, Backend: "radram",
+		ConvCheckpoint: "cold", APCheckpoint: "cold", Wall: time.Second})
 	// Cached, conventional cold, Active-Page branched.
-	r.NoteMeasure("database", 4, "radram", true, false, true, time.Time{}, time.Second, nil)
+	r.NoteMeasure(MeasureEvent{Benchmark: "database", Pages: 4, Backend: "radram",
+		ConvCheckpoint: "cold", APCheckpoint: "branch", Wall: time.Second})
 	// Uncached.
-	r.NoteMeasure("median", 8, "simdram", false, false, false, time.Time{}, time.Second, nil)
+	r.NoteMeasure(MeasureEvent{Benchmark: "median", Pages: 8, Backend: "simdram", Wall: time.Second})
 	snap := prog.Snapshot()
 	if snap.Measures != 3 {
 		t.Fatalf("measures = %d, want 3", snap.Measures)
@@ -98,21 +100,6 @@ func TestProgressMeasureTallies(t *testing.T) {
 	}
 	if snap.LastBenchmark != "median" || snap.LastPages != 8 {
 		t.Errorf("last = %s/%g, want median/8", snap.LastBenchmark, snap.LastPages)
-	}
-}
-
-func TestCheckpointOutcome(t *testing.T) {
-	cases := []struct {
-		cached, hit bool
-		want        string
-	}{
-		{false, false, ""}, {false, true, ""},
-		{true, false, "cold"}, {true, true, "branch"},
-	}
-	for _, c := range cases {
-		if got := checkpointOutcome(c.cached, c.hit); got != c.want {
-			t.Errorf("checkpointOutcome(%v, %v) = %q, want %q", c.cached, c.hit, got, c.want)
-		}
 	}
 }
 

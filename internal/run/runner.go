@@ -22,13 +22,13 @@ type Runner struct {
 	// observed run.
 	Metrics *Collector
 	// Context, when set, cancels a sweep: Map checks it before dispatching
-	// each index, and the simulation layer polls it from inside a running
-	// point (via InterruptHook wired into proc.CPU.Interrupt), so an
-	// abandoned run unwinds mid-point instead of simulating to completion.
+	// each index, and Simulate polls it before each machine run and from
+	// inside a cold one (through proc.CPU.Interrupt), so an abandoned run
+	// unwinds mid-point instead of simulating to completion.
 	Context context.Context
-	// Checkpoints, when set, deduplicates simulation runs across sweep
-	// points that share a canonical configuration (see CheckpointCache).
-	// Nil disables checkpoint/branch: every point simulates from cold.
+	// Checkpoints, when set, lets Simulate reuse the final state of an
+	// identical earlier machine run (see CheckpointCache). Nil disables
+	// checkpoint/branch: every run simulates from cold.
 	Checkpoints *CheckpointCache
 	// Progress, when set, tracks the dispatch live: Map reports scheduled
 	// and completed points with wall-clock timing, and the measurement
@@ -66,18 +66,10 @@ func (r *Runner) interrupted() error {
 	return r.Context.Err()
 }
 
-// CheckpointCache returns the runner's checkpoint cache, nil-safe.
-func (r *Runner) CheckpointCache() *CheckpointCache {
-	if r == nil {
-		return nil
-	}
-	return r.Checkpoints
-}
-
-// InterruptHook returns a cancellation poll suitable for
+// interruptHook returns a cancellation poll suitable for
 // proc.CPU.Interrupt, or nil when the runner carries no context — so an
 // uncancelable run's access path stays hook-free.
-func (r *Runner) InterruptHook() func() error {
+func (r *Runner) interruptHook() func() error {
 	if r == nil || r.Context == nil {
 		return nil
 	}

@@ -456,9 +456,8 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 }
 
 // backendSlices maps each Active-Page backend name to the machine
-// prefix its run metrics carry inside a snapshot
-// (apps.MeasureObservedWith tags RADram machines with the historical
-// "rad.").
+// prefix its run metrics carry inside a snapshot (apps.Measure tags
+// RADram machines with the historical "rad.").
 var backendSlices = []struct{ name, prefix string }{
 	{"radram", "rad."},
 	{"simdram", "simdram."},
