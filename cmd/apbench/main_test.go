@@ -49,6 +49,10 @@ func TestRejectsBadFlags(t *testing.T) {
 			"apbench: -tracepages 0: " + pagesErr},
 		{"TracePagesNegative", []string{"-experiment", "table2", "-trace", trace, "-tracepages", "-1"},
 			"apbench: -tracepages -1: " + pagesErr},
+		// matrix-boeing runs on RADram but has no SIMDRAM port: the whole
+		// run is refused before its RADram sweep prints.
+		{"UnportedBackendAll", []string{"-experiment", "matrix-boeing", "-quick", "-backend", "all"},
+			"apbench: benchmark \"matrix-boeing\" has no simdram port (ported: array, database, median-kernel)\n"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cmd := exec.Command(os.Args[0], tc.args...)

@@ -1,8 +1,10 @@
 package apps_test
 
 import (
+	"context"
 	"errors"
 	"reflect"
+	"strings"
 	"testing"
 
 	"activepages/internal/apps"
@@ -204,6 +206,56 @@ func TestMeasureEventsReportRunsThatHappened(t *testing.T) {
 	if s := prog.Snapshot(); s.CheckpointCold != 6 || s.CheckpointHit != 1 || s.CheckpointBranch != 1 {
 		t.Errorf("cold/hit/branch = %d/%d/%d, want 6/1/1",
 			s.CheckpointCold, s.CheckpointHit, s.CheckpointBranch)
+	}
+}
+
+// cancelOn is array with its conventional run canceling the runner's
+// context, as a daemon's run timeout can while a machine runs. It keeps
+// array's name, so its checkpoint keys are array's.
+type cancelOn struct {
+	array.Benchmark
+	cancel context.CancelFunc
+}
+
+func (c cancelOn) Run(m *radram.Machine, pages float64) error {
+	if m.AP == nil {
+		c.cancel()
+	}
+	return c.Benchmark.Run(m, pages)
+}
+
+// A measure canceled while its conventional machine runs finishes that run
+// and stops before the Active-Page one: the sweep fails with "run
+// canceled", the measure event reports the cold run that happened and the
+// one that never started, and the finished run stays cached, so a later
+// runner sharing the cache branches from it.
+func TestCancelStopsBetweenMachineRuns(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	var events []run.MeasureEvent
+	prog := &run.Progress{OnMeasure: func(ev run.MeasureEvent) { events = append(events, ev) }}
+	cache := run.NewCheckpointCache(0)
+	r := &run.Runner{Jobs: 1, Context: ctx, Checkpoints: cache, Progress: prog}
+	_, err := run.Map(r, 1, func(int) (apps.Measurement, error) {
+		return apps.Measure(r, cancelOn{cancel: cancel}, testConfig(), 8)
+	})
+	if !errors.Is(err, context.Canceled) || !strings.Contains(err.Error(), "run canceled") {
+		t.Fatalf("Map err = %v, want a run canceled error", err)
+	}
+	if len(events) != 1 {
+		t.Fatalf("%d measure events, want 1", len(events))
+	}
+	if ev := events[0]; ev.ConvCheckpoint != "cold" || ev.APCheckpoint != "" || !errors.Is(ev.Err, context.Canceled) {
+		t.Errorf("event (conv, ap, err) = (%q, %q, %v), want (cold, \"\", context canceled)",
+			ev.ConvCheckpoint, ev.APCheckpoint, ev.Err)
+	}
+	if s := prog.Snapshot(); s.CheckpointCold != 1 || s.CheckpointHit != 0 {
+		t.Errorf("cold/hit = %d/%d, want 1/0", s.CheckpointCold, s.CheckpointHit)
+	}
+	r2 := &run.Runner{Jobs: 1, Checkpoints: cache}
+	out, err := r2.Simulate(array.Benchmark{}, run.Conventional, testConfig(), 8)
+	if err != nil || out.Checkpoint != "branch" {
+		t.Errorf("second runner's conventional run = %q, %v, want a branch", out.Checkpoint, err)
 	}
 }
 

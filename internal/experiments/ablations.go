@@ -35,6 +35,10 @@ func ablations(r *run.Runner, cfg radram.Config) ([]block, error) {
 	if err != nil {
 		return nil, err
 	}
+	paging, err := PagingStudy(r, 8, 3500)
+	if err != nil {
+		return nil, err
+	}
 	return []block{
 		{figure: act, csv: "ablation-activation"},
 		{figure: inter, csv: "ablation-interpage"},
@@ -42,7 +46,7 @@ func ablations(r *run.Runner, cfg radram.Config) ([]block, error) {
 		{figure: size, csv: "ablation-pagesize"},
 		{table: mmx},
 		{table: SwapCost(radram.DefaultConfig())},
-		{figure: PagingStudy(r, 8, 3500), csv: "paging"},
+		{figure: paging, csv: "paging"},
 	}, nil
 }
 
@@ -159,7 +163,7 @@ func BenchmarksMPEG() apps.Benchmark {
 // Pages (which reload their function bitstreams on swap-in) — Section 10's
 // OS-integration concern made quantitative. The trace visits the working
 // set cyclically, the worst case for LRU.
-func PagingStudy(r *run.Runner, residentPages int, bitstreamBytes int) *tabler.Figure {
+func PagingStudy(r *run.Runner, residentPages int, bitstreamBytes int) (*tabler.Figure, error) {
 	f := tabler.NewFigure(
 		"Paging: fault overhead vs working set (resident="+fmt.Sprint(residentPages)+" pages)",
 		"working-set pages", "fault time (ms)")
@@ -168,8 +172,9 @@ func PagingStudy(r *run.Runner, residentPages int, bitstreamBytes int) *tabler.F
 	f.X = axis(sets, func(ws int) float64 { return float64(ws) })
 	type point struct{ conv, act float64 }
 	// Each point builds its own pagers, so the sweep parallelizes like any
-	// other; RunTrace cannot fail, so the error is always nil.
-	points, _ := run.Map(r, len(sets), func(i int) (point, error) {
+	// other. RunTrace cannot fail, but Map reports a canceled runner or a
+	// crashed point.
+	points, err := run.Map(r, len(sets), func(i int) (point, error) {
 		ws := sets[i]
 		trace := make([]uint64, 0, ws*20)
 		for rep := 0; rep < 20; rep++ {
@@ -184,6 +189,9 @@ func PagingStudy(r *run.Runner, residentPages int, bitstreamBytes int) *tabler.F
 			act:  pa.RunTrace(trace, true, bitstreamBytes).Milliseconds(),
 		}, nil
 	})
+	if err != nil {
+		return nil, err
+	}
 	conv := make([]float64, len(sets))
 	act := make([]float64, len(sets))
 	for i, p := range points {
@@ -191,5 +199,5 @@ func PagingStudy(r *run.Runner, residentPages int, bitstreamBytes int) *tabler.F
 	}
 	f.Add("conventional", conv)
 	f.Add("active-pages", act)
-	return f
+	return f, nil
 }

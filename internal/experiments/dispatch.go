@@ -5,6 +5,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 
 	"activepages/internal/apps"
@@ -34,19 +35,37 @@ type Options struct {
 	Backend string
 }
 
-// IsKnown reports whether name is a dispatchable experiment: "all", a
-// composite experiment, the backends study, or a benchmark name.
-func IsKnown(name string) bool {
-	if name == "all" || name == "backends" {
-		return true
-	}
-	for _, e := range All {
-		if e == name {
-			return true
+// Check refuses what Dispatch would refuse, before anything runs: an
+// unknown backend, an unknown experiment, or a benchmark whose kernel has
+// no port on the backend (on any backend, for "all"). Dispatch calls it
+// before writing anything and serve.DecodeRequest on every submission, so
+// a refused run prints nothing and occupies no worker. Accepting a RADram
+// run allocates nothing: the fleet checks every request it routes.
+func Check(experiment, backend string) error {
+	if backend != "all" {
+		if _, err := BackendByName(backend); err != nil {
+			return err
 		}
 	}
-	_, err := BenchmarkByName(name)
-	return err == nil
+	if experiment == "all" || experiment == "backends" || slices.Contains(All, experiment) {
+		return nil
+	}
+	b, err := BenchmarkByName(experiment)
+	if err != nil {
+		return fmt.Errorf("unknown experiment %q (want all, backends, %s, or a benchmark: %s)",
+			experiment, strings.Join(All, ", "), strings.Join(BenchmarkNames(), ", "))
+	}
+	backends := []string{backend}
+	if backend == "all" {
+		backends = BackendNames()
+	}
+	for _, bk := range backends {
+		if !apps.Supports(b, bk) {
+			return fmt.Errorf("benchmark %q has no %s port (ported: %s)",
+				experiment, bk, strings.Join(portedNames(bk), ", "))
+		}
+	}
+	return nil
 }
 
 // block is one unit of an experiment's output: a table, a figure with the
@@ -103,18 +122,17 @@ func writeCSV(dir, name string, f *tabler.Figure) error {
 // single benchmark name (which sweeps that benchmark over the problem-size
 // axis) — rendering its tables to out. It is the single entry point shared
 // by the apbench CLI and the apserved daemon; out receives exactly what
-// apbench historically printed to stdout. Each experiment's output is
-// written before the next one starts, so a reader of out sees every
-// experiment as soon as it is computed.
+// apbench historically printed to stdout. A run Check refuses writes
+// nothing. Each experiment's output is written before the next one
+// starts, so a reader of out sees every experiment as soon as it is
+// computed.
 func Dispatch(out io.Writer, r *run.Runner, experiment string, cfg radram.Config, points []float64, opt Options) error {
+	if err := Check(experiment, opt.Backend); err != nil {
+		return err
+	}
 	bk := opt.Backend
 	if bk == "" {
 		bk = "radram"
-	}
-	if bk != "all" {
-		if _, err := BackendByName(bk); err != nil {
-			return err
-		}
 	}
 	// The backends study is inherently three-way; it ignores the backend
 	// selector.
@@ -220,15 +238,10 @@ func experimentBlocks(r *run.Runner, experiment string, cfg radram.Config, point
 		return backendsStudy(r, cfg, points)
 	}
 	// Any benchmark name is an experiment: sweep that benchmark alone over
-	// the problem-size axis.
+	// the problem-size axis. Check has vetted the name and the port.
 	b, err := BenchmarkByName(experiment)
 	if err != nil {
-		return nil, fmt.Errorf("unknown experiment %q (want all, backends, %s, or a benchmark: %s)",
-			experiment, strings.Join(All, ", "), strings.Join(BenchmarkNames(), ", "))
-	}
-	if bk := cfg.BackendName(); !apps.Supports(b, bk) {
-		return nil, fmt.Errorf("benchmark %q has no %s port (ported: %s)",
-			experiment, bk, strings.Join(portedNames(bk), ", "))
+		return nil, err
 	}
 	s, err := RunSweep(r, b, cfg, points)
 	if err != nil {

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"fmt"
 	"io"
 	"os"
 	"path/filepath"
@@ -53,16 +54,55 @@ func TestWriteCSVReportsWriteError(t *testing.T) {
 	}
 }
 
-func TestIsKnown(t *testing.T) {
-	for _, name := range append([]string{"all", "array", "median-total"}, All...) {
-		if !IsKnown(name) {
-			t.Errorf("IsKnown(%q) = false, want true", name)
+// TestCheck pins what Check accepts and the message of each refusal.
+// Accepting a RADram pair must cost no allocation: the router and each
+// shard check every submission they decode, and the hot specs all run on
+// RADram.
+func TestCheck(t *testing.T) {
+	var accepted [][2]string
+	for _, name := range append([]string{"all", "backends", "array", "median-total"}, All...) {
+		accepted = append(accepted, [2]string{name, ""})
+	}
+	accepted = append(accepted,
+		[2]string{"array", "simdram"}, [2]string{"median-total", "all"},
+		[2]string{"fig9", "simdram"}, [2]string{"all", "all"},
+		[2]string{"backends", "simdram"}, [2]string{"mpeg-mmx", "radram"})
+	for _, c := range accepted {
+		if err := Check(c[0], c[1]); err != nil {
+			t.Errorf("Check(%q, %q) = %v, want nil", c[0], c[1], err)
+		}
+		if c[1] != "" && c[1] != "radram" {
+			continue
+		}
+		if n := testing.AllocsPerRun(10, func() { Check(c[0], c[1]) }); n != 0 {
+			t.Errorf("Check(%q, %q) allocates %v times, want 0", c[0], c[1], n)
 		}
 	}
-	for _, name := range []string{"", "fig99", "bogus"} {
-		if IsKnown(name) {
-			t.Errorf("IsKnown(%q) = true, want false", name)
+	unknown := "unknown experiment %q (want all, backends, " + strings.Join(All, ", ") +
+		", or a benchmark: " + strings.Join(BenchmarkNames(), ", ") + ")"
+	ported := strings.Join(portedNames("simdram"), ", ")
+	for _, c := range []struct{ experiment, backend, want string }{
+		{"", "", fmt.Sprintf(unknown, "")},
+		{"fig99", "", fmt.Sprintf(unknown, "fig99")},
+		{"bogus", "all", fmt.Sprintf(unknown, "bogus")},
+		{"array", "fpga", `experiments: unknown backend "fpga" (want radram, simdram, or all)`},
+		{"all", "RADram", `experiments: unknown backend "RADram" (want radram, simdram, or all)`},
+		{"matrix-boeing", "simdram", `benchmark "matrix-boeing" has no simdram port (ported: ` + ported + ")"},
+		{"mpeg-mmx", "all", `benchmark "mpeg-mmx" has no simdram port (ported: ` + ported + ")"},
+	} {
+		if err := Check(c.experiment, c.backend); err == nil || err.Error() != c.want {
+			t.Errorf("Check(%q, %q) = %v, want %s", c.experiment, c.backend, err, c.want)
 		}
+	}
+}
+
+// TestDispatchRefusesBeforeWriting checks that Dispatch prints nothing for
+// a run Check refuses, even one whose first backend would run.
+func TestDispatchRefusesBeforeWriting(t *testing.T) {
+	var b strings.Builder
+	err := Dispatch(&b, nil, "matrix-boeing", DefaultConfig(), []float64{0.5}, Options{Backend: "all"})
+	if err == nil || b.Len() != 0 {
+		t.Fatalf("Dispatch = %v after writing %q, want an error and no output", err, b.String())
 	}
 }
 

@@ -1,6 +1,8 @@
 package experiments
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"strings"
 	"testing"
@@ -241,7 +243,10 @@ func TestSwapCostInPaperWindow(t *testing.T) {
 }
 
 func TestPagingStudyShape(t *testing.T) {
-	f := PagingStudy(nil, 8, 3500)
+	f, err := PagingStudy(nil, 8, 3500)
+	if err != nil {
+		t.Fatal(err)
+	}
 	conv, act := f.Series[0].Y, f.Series[1].Y
 	// Working set within the resident set: only cold faults (cheap).
 	if conv[0] >= conv[3] {
@@ -257,6 +262,12 @@ func TestPagingStudyShape(t *testing.T) {
 	// Thrashing region: the Active-Page penalty is visible.
 	if act[4] <= conv[4] {
 		t.Fatal("no reconfiguration penalty while thrashing")
+	}
+	// A canceled runner gets the error, not a figure of zeros.
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if f, err := PagingStudy(&run.Runner{Context: ctx}, 8, 3500); f != nil || !errors.Is(err, context.Canceled) {
+		t.Errorf("canceled PagingStudy = %v, %v, want no figure and a canceled error", f, err)
 	}
 }
 

@@ -390,6 +390,8 @@ func TestRouterRejectsBadSubmission(t *testing.T) {
 		`{"experiment":"array","page_bytes":4096}`,
 		`{"experiment":"array","page_bytes":1048576}`,
 		`{"experiment":"array","bogus":true}`,
+		`{"experiment":"matrix-boeing","backend":"simdram","quick":true}`,
+		`{"experiment":"mpeg-mmx","backend":"all","quick":true}`,
 	} {
 		resp, err := http.Post(ts.URL+"/api/v1/runs", "application/json", strings.NewReader(body))
 		if err != nil {

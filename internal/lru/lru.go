@@ -65,9 +65,9 @@ func New[K comparable, V any](budget uint64, size func(V) uint64) *Cache[K, V] {
 // the key is absent. hit reports whether the value came from the cache,
 // including by waiting out a fill of the same key already in flight. A
 // fill error reaches every caller waiting on that fill and is not stored,
-// so the next Do of the key fills again. So does a fill that panics (a
-// canceled simulation unwinds that way): its waiters get an error and the
-// panic continues in the filling caller.
+// so the next Do of the key fills again. So does a fill that panics, which
+// only a bug does: its waiters get an error instead of blocking on the key,
+// and the panic continues in the filling caller.
 func (c *Cache[K, V]) Do(key K, fill func() (V, error)) (v V, hit bool, err error) {
 	c.mu.Lock()
 	if e, ok := c.entries[key]; ok {

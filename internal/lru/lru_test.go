@@ -241,17 +241,17 @@ func TestFillErrorReachesWaiters(t *testing.T) {
 	}
 }
 
-// TestFillPanicReleasesWaiters checks that a fill that panics (as a
-// canceled simulation does) still releases the callers waiting on it with
-// an error, re-raises in the filling caller, and leaves the key to be
-// filled again.
+// TestFillPanicReleasesWaiters checks that a fill that panics (a buggy
+// benchmark inside a checkpoint fill) still releases the callers waiting on
+// it with an error, re-raises in the filling caller, and leaves the key to
+// be filled again.
 func TestFillPanicReleasesWaiters(t *testing.T) {
 	c := newSized(100)
 	release := make(chan struct{})
 	recovered := make(chan any, 1)
 	go func() {
 		defer func() { recovered <- recover() }()
-		c.Do("k", func() (uint64, error) { <-release; panic("canceled") })
+		c.Do("k", func() (uint64, error) { <-release; panic("fill bug") })
 	}()
 	for c.Len() == 0 {
 		runtime.Gosched()
@@ -264,7 +264,7 @@ func TestFillPanicReleasesWaiters(t *testing.T) {
 	}()
 	waitFront(c, "k")
 	close(release)
-	if v := <-recovered; v != "canceled" {
+	if v := <-recovered; v != "fill bug" {
 		t.Errorf("filling caller recovered %v, want the fill's panic", v)
 	}
 	select {

@@ -2,12 +2,6 @@ package proc
 
 import "activepages/internal/sim"
 
-// CancelPanic is the sentinel the cancellation hook throws to unwind a
-// simulated program mid-run. Simulated programs are plain Go call stacks
-// with no side channel for an error return, so the unwind is a panic;
-// run.Map recovers it and surfaces Err as an ordinary error.
-type CancelPanic struct{ Err error }
-
 // Checkpoint is a value snapshot of the processor's simulated state: the
 // clock position and the time/operation ledger. Everything else on the CPU
 // is configuration or host-side scratch.

@@ -78,16 +78,6 @@ type CPU struct {
 	now   sim.Time
 	Stats Stats
 
-	// Interrupt, when set, is polled periodically from the access paths (and
-	// once per Stream call). A non-nil return unwinds the simulated program
-	// with a CancelPanic carrying that error; run.Map translates it back
-	// into a clean error. The hook makes an in-flight simulation point
-	// cancelable mid-run — without it, only point boundaries observe
-	// cancellation. It must stay nil when cancellation is not in play so the
-	// hot path pays a single predictable branch.
-	Interrupt func() error
-	intrOps   uint64
-
 	// tracer is the tracing hook, nil when tracing is off; every use is
 	// behind a nil check so the untraced hot path pays one branch at most.
 	// Consecutive compute work (including the L1-hit share of accesses) is
@@ -190,27 +180,9 @@ func (c *CPU) ComputeFP(n uint64) {
 	c.Stats.FPOps += n
 }
 
-// interruptMask paces the cancellation poll: one hook call per ~64K scalar
-// accesses, cheap enough to disappear into the access cost yet fine-grained
-// enough that a canceled point unwinds within a sliver of its runtime.
-const interruptMask = 1<<16 - 1
-
-// pollInterrupt runs the cancellation hook on its pacing schedule.
-func (c *CPU) pollInterrupt() {
-	if c.Interrupt == nil {
-		return
-	}
-	if c.intrOps++; c.intrOps&interruptMask == 0 {
-		if err := c.Interrupt(); err != nil {
-			panic(CancelPanic{Err: err})
-		}
-	}
-}
-
 // access charges a data access, splitting hit time into compute and the
 // remainder into memory stall.
 func (c *CPU) access(addr, size uint64, kind memsys.AccessKind) {
-	c.pollInterrupt()
 	if c.tracer != nil {
 		c.markCompute(c.now)
 	}
@@ -346,19 +318,12 @@ type loopNest struct {
 	tailCpi     uint64
 }
 
-// runScalar polls the cancellation hook once — a single stream call can
-// stand in for an arbitrarily long loop, so the paced per-access poll never
-// fires inside its fast path — and then, unless the stream layer may take
-// l, runs l as the scalar loop itself and reports true. The scalar loop is
-// the oracle on a Reference hierarchy, keeps the per-access span structure
-// when tracing, and takes any uncached entry: chargeNest's ledger split
-// assumes every access costs at least L1HitTime.
+// runScalar runs l as the scalar loop itself and reports true, unless the
+// stream layer may take l. The scalar loop is the oracle on a Reference
+// hierarchy, keeps the per-access span structure when tracing, and takes
+// any uncached entry: chargeNest's ledger split assumes every access costs
+// at least L1HitTime.
 func (c *CPU) runScalar(l *loopNest) bool {
-	if c.Interrupt != nil {
-		if err := c.Interrupt(); err != nil {
-			panic(CancelPanic{Err: err})
-		}
-	}
 	scalar := c.hier.Reference || c.tracer != nil
 	for _, s := range [2][]memsys.StreamAcc{l.accs, l.tail} {
 		for k := range s {

@@ -125,9 +125,9 @@ type Outcome struct {
 // cache attached, the first run of a canonical key simulates cold and is
 // checkpointed, and every other run of the key — a caller waiting on that
 // cold run included — builds a fresh machine and restores the cached
-// final state instead. The runner's context is polled before the run and
-// from inside a cold simulation, so a canceled sweep point unwinds
-// mid-run. A nil runner simulates cold, uncancelable and unobserved.
+// final state instead. The runner's context is checked before the run, so
+// a canceled sweep stops between machine runs with a "run canceled" error.
+// A nil runner simulates cold, uncancelable and unobserved.
 func (r *Runner) Simulate(w Workload, kind Kind, cfg radram.Config, pages float64) (out Outcome, err error) {
 	if err := r.interrupted(); err != nil {
 		return out, fmt.Errorf("run canceled: %w", err)
@@ -143,11 +143,9 @@ func (r *Runner) Simulate(w Workload, kind Kind, cfg radram.Config, pages float6
 		if err != nil {
 			return nil, err
 		}
-		m.CPU.Interrupt = r.interruptHook()
 		if err := w.Run(m.Machine, pages); err != nil {
 			return nil, fmt.Errorf("%s (%s, %g pages): %w", w.Name(), m.BackendName(), pages, err)
 		}
-		m.CPU.Interrupt = nil
 		return m, nil
 	}
 	if r == nil || r.Checkpoints == nil {

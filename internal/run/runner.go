@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"activepages/internal/obs"
-	"activepages/internal/proc"
 )
 
 // Runner executes independent simulation points. The zero value and a nil
@@ -22,9 +21,9 @@ type Runner struct {
 	// observed run.
 	Metrics *Collector
 	// Context, when set, cancels a sweep: Map checks it before dispatching
-	// each index, and Simulate polls it before each machine run and from
-	// inside a cold one (through proc.CPU.Interrupt), so an abandoned run
-	// unwinds mid-point instead of simulating to completion.
+	// each index and Simulate before each machine run, so an abandoned run
+	// stops at the next machine run instead of simulating to completion.
+	// A machine run already in progress finishes first.
 	Context context.Context
 	// Checkpoints, when set, lets Simulate reuse the final state of an
 	// identical earlier machine run (see CheckpointCache). Nil disables
@@ -64,16 +63,6 @@ func (r *Runner) interrupted() error {
 		return nil
 	}
 	return r.Context.Err()
-}
-
-// interruptHook returns a cancellation poll suitable for
-// proc.CPU.Interrupt, or nil when the runner carries no context — so an
-// uncancelable run's access path stays hook-free.
-func (r *Runner) interruptHook() func() error {
-	if r == nil || r.Context == nil {
-		return nil
-	}
-	return r.Context.Err
 }
 
 // Collect merges a run's metrics snapshot into the runner's collector, if
@@ -119,8 +108,8 @@ func (e *PanicError) Error() string {
 //
 // When the runner carries a Context, each point checks it before
 // starting: after cancellation the remaining points fail immediately
-// with the context's error, so an abandoned sweep unwinds at point
-// granularity.
+// with the context's error, and a point already running stops at its
+// next Simulate call, so an abandoned sweep ends between machine runs.
 func Map[T any](r *Runner, n int, fn func(i int) (T, error)) ([]T, error) {
 	results := make([]T, n)
 	errs := make([]error, n)
@@ -134,13 +123,6 @@ func Map[T any](r *Runner, n int, fn func(i int) (T, error)) ([]T, error) {
 		}
 		defer func() {
 			if v := recover(); v != nil {
-				// A CancelPanic is the processor's cancellation hook
-				// unwinding a point mid-run — a clean cancellation, not a
-				// crash.
-				if cp, ok := v.(proc.CancelPanic); ok {
-					errs[i] = fmt.Errorf("run canceled: %w", cp.Err)
-					return
-				}
 				errs[i] = &PanicError{Index: i, Value: v, Stack: debug.Stack()}
 			}
 		}()

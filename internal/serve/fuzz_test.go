@@ -22,6 +22,8 @@ func FuzzDecodeRequest(f *testing.F) {
 		`{"experiment":"array","page_bytes":16}`,
 		`{"experiment":"array","page_bytes":3000}`,
 		`{"experiment":"array","backend":"fpga"}`,
+		`{"experiment":"matrix-boeing","backend":"simdram"}`,
+		`{"experiment":"mpeg-mmx","backend":"all"}`,
 		`{"experiment":"array","nope":1}`,
 		`{"experiment":"bogus"}`,
 		`{}`,
@@ -60,7 +62,7 @@ func FuzzDecodeRequest(f *testing.F) {
 		case experiments.ScaledPageBytes:
 			norm.PageBytes = 0
 		}
-		if err := norm.validate(experiments.IsKnown); err != nil {
+		if err := norm.validate(); err != nil {
 			t.Fatalf("default spelled differently %+v rejected: %v", norm, err)
 		}
 		if SpecKey(norm) != key {

@@ -2,11 +2,15 @@ package serve
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"regexp"
+	"sort"
 	"testing"
 	"time"
 
@@ -220,6 +224,45 @@ func TestTraceEndpoint(t *testing.T) {
 }
 
 var pointSpanRE = regexp.MustCompile(`^point \d+/\d+$`)
+
+// TestRunTraceMarksFailures feeds a run's progress callbacks one failed
+// and one successful point and measure, and reads the span names back
+// from the trace's Chrome export: only the failed ones say so.
+func TestRunTraceMarksFailures(t *testing.T) {
+	start := time.Now()
+	trace := obs.NewWallTracer(start)
+	prog := newRunProgress(trace)
+	canceled := fmt.Errorf("run canceled: %w", context.Canceled)
+	prog.OnPoint(run.PointEvent{Done: 1, Total: 2, Start: start, Wall: time.Millisecond, Err: canceled})
+	prog.OnPoint(run.PointEvent{Done: 2, Total: 2, Start: start, Wall: time.Millisecond})
+	prog.OnMeasure(run.MeasureEvent{Benchmark: "array", Pages: 8, ConvCheckpoint: "cold",
+		Start: start, Wall: time.Millisecond, Err: canceled})
+	prog.OnMeasure(run.MeasureEvent{Benchmark: "array", Pages: 4, ConvCheckpoint: "cold",
+		APCheckpoint: "branch", Start: start, Wall: time.Millisecond})
+	prog.OnMeasure(run.MeasureEvent{Benchmark: "database", Pages: 2,
+		Start: start, Wall: time.Millisecond, Err: errors.New("injected")})
+
+	var b bytes.Buffer
+	if err := trace.WriteChrome(&b); err != nil {
+		t.Fatal(err)
+	}
+	var doc traceDoc
+	if err := json.Unmarshal(b.Bytes(), &doc); err != nil {
+		t.Fatalf("trace not valid JSON: %v\n%s", err, b.String())
+	}
+	var names []string
+	for _, ev := range doc.TraceEvents {
+		if n, ok := ev["name"].(string); ok && ev["ph"] == "X" {
+			names = append(names, n)
+		}
+	}
+	sort.Strings(names)
+	want := []string{"array p=4 conv=cold ap=branch", "array p=8 conv=cold ap= failed",
+		"database p=2 failed", "point 1/2 failed", "point 2/2"}
+	if !reflect.DeepEqual(names, want) {
+		t.Errorf("span names = %q, want %q", names, want)
+	}
+}
 
 // TestRetentionEviction caps the registry at one retained terminal run and
 // checks older runs decay to tombstones: lifecycle JSON survives, artifact

@@ -297,28 +297,24 @@ func DecodeRequest(body io.Reader) (Request, error) {
 	if err := dec.Decode(&req); err != nil {
 		return Request{}, fmt.Errorf("bad request body: %v", err)
 	}
-	if err := req.validate(experiments.IsKnown); err != nil {
+	if err := req.validate(); err != nil {
 		return Request{}, err
 	}
 	return req, nil
 }
 
 // validate rejects a request the dispatcher would refuse, so a bad
-// experiment name fails the POST with 400 instead of occupying a worker.
-func (req Request) validate(known func(string) bool) error {
+// experiment, backend or page size fails the POST with 400 instead of
+// occupying a worker.
+func (req Request) validate() error {
 	if req.Experiment == "" {
 		return fmt.Errorf("missing experiment name")
 	}
-	if !known(req.Experiment) {
-		return fmt.Errorf("unknown experiment %q", req.Experiment)
+	if err := experiments.Check(req.Experiment, req.Backend); err != nil {
+		return err
 	}
 	if err := req.config().Validate(); err != nil {
 		return fmt.Errorf("page_bytes %d: %w", req.PageBytes, err)
-	}
-	switch req.Backend {
-	case "", "radram", "simdram", "all":
-	default:
-		return fmt.Errorf("unknown backend %q (want radram, simdram, or all)", req.Backend)
 	}
 	return nil
 }

@@ -313,10 +313,11 @@ func (s *Server) finish(id string, st State, errMsg string, elapsed time.Duratio
 // newRunProgress builds the progress tracker one run's runner reports
 // into, wired to emit wall-clock spans and event-log entries into the
 // run's trace: one span per scheduled sweep point, one benchmark-labeled
-// span per measurement carrying its checkpoint outcomes, and an instant
-// plus log entry per experiment the dispatch enters. The callbacks run on
-// the run's worker goroutine; the trace is concurrency-safe against
-// handlers exporting it mid-run.
+// span per measurement carrying its checkpoint outcomes, each named
+// "… failed" when it failed or was canceled, and an instant plus log entry
+// per experiment the dispatch enters. The callbacks run on the run's
+// worker goroutine; the trace is concurrency-safe against handlers
+// exporting it mid-run.
 func newRunProgress(trace *obs.WallTracer) *run.Progress {
 	return &run.Progress{
 		OnLabel: func(label string) {
@@ -326,16 +327,25 @@ func newRunProgress(trace *obs.WallTracer) *run.Progress {
 		},
 		OnPoint: func(ev run.PointEvent) {
 			trace.SpanArg(obs.TIDWallPoints, "point",
-				fmt.Sprintf("point %d/%d", ev.Done, ev.Total), ev.Start, ev.Wall, ev.Done)
+				fmt.Sprintf("point %d/%d", ev.Done, ev.Total)+failedSuffix(ev.Err), ev.Start, ev.Wall, ev.Done)
 		},
 		OnMeasure: func(ev run.MeasureEvent) {
 			name := fmt.Sprintf("%s p=%g", ev.Benchmark, ev.Pages)
 			if ev.ConvCheckpoint != "" {
 				name += " conv=" + ev.ConvCheckpoint + " ap=" + ev.APCheckpoint
 			}
-			trace.Span(obs.TIDWallMeasures, "measure", name, ev.Start, ev.Wall)
+			trace.Span(obs.TIDWallMeasures, "measure", name+failedSuffix(ev.Err), ev.Start, ev.Wall)
 		},
 	}
+}
+
+// failedSuffix is the suffix of a trace span whose point or measure failed
+// (canceled ones included).
+func failedSuffix(err error) string {
+	if err != nil {
+		return " failed"
+	}
+	return ""
 }
 
 // execute runs one queued experiment on this worker, bounded by
@@ -416,10 +426,10 @@ func (s *Server) execute(id string) {
 		s.log.Info("run done", "id", id, "elapsed_ms", elapsed.Milliseconds(), "output_bytes", len(res.out))
 	case <-timer.C:
 		// Cancel the abandoned dispatch: the run layer checks the context
-		// before each experiment point, and the processor model polls it
-		// from inside a running point (proc.CPU.Interrupt), so the
-		// goroutine unwinds promptly — mid-point — instead of simulating
-		// anything to completion. Its result is discarded (done is
+		// before each experiment point and each machine run, so the
+		// goroutine stops once every worker finishes the machine run it is
+		// in (a few seconds at the largest accepted size) instead of
+		// simulating the rest of the run. Its result is discarded (done is
 		// buffered, so the send never blocks).
 		cancel()
 		trace.Span(obs.TIDWallLifecycle, "serve", "execute (timed out)", now, s.cfg.RunTimeout)

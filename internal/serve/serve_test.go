@@ -171,6 +171,10 @@ func TestSubmitValidation(t *testing.T) {
 		// would panic, so the POST must fail before anything is queued.
 		`{"experiment":"array","quick":true,"page_bytes":16}`,
 		`{"experiment":"array","backend":"fpga"}`,
+		// Benchmarks without a port on the backend (on one of them, for
+		// "all") would fail in a worker.
+		`{"experiment":"matrix-boeing","backend":"simdram","quick":true}`,
+		`{"experiment":"mpeg-mmx","backend":"all","quick":true}`,
 	} {
 		if resp, _ := submit(t, ts, body); resp.StatusCode != http.StatusBadRequest {
 			t.Errorf("submit(%s): HTTP %d, want 400", body, resp.StatusCode)
