@@ -52,7 +52,7 @@ func TestRejectsBadFlags(t *testing.T) {
 		// matrix-boeing runs on RADram but has no SIMDRAM port: the whole
 		// run is refused before its RADram sweep prints.
 		{"UnportedBackendAll", []string{"-experiment", "matrix-boeing", "-quick", "-backend", "all"},
-			"apbench: benchmark \"matrix-boeing\" has no simdram port (ported: array, database, median-kernel)\n"},
+			"apbench: benchmark \"matrix-boeing\" has no simdram port (ported: array, database, median-kernel, median-total)\n"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cmd := exec.Command(os.Args[0], tc.args...)

@@ -226,6 +226,10 @@ func realMain() error {
 		return fmt.Errorf("-c %d: need at least 1 client", *c)
 	case !(*zipfS >= 0) || math.IsInf(*zipfS, 1):
 		return fmt.Errorf("-zipf %g: want a finite skew >= 0", *zipfS)
+	case *poll <= 0:
+		return fmt.Errorf("-poll %s: want an interval above 0", *poll)
+	case *timeout <= 0:
+		return fmt.Errorf("-timeout %s: want a deadline above 0", *timeout)
 	}
 	if *fleet {
 		return printFleet(*addr)

@@ -35,6 +35,11 @@ func TestRejectsBadFlags(t *testing.T) {
 		{"ZipfNaN", []string{"-zipf", "NaN"}, "apload: -zipf NaN: want a finite skew >= 0\n"},
 		{"ZipfNegative", []string{"-zipf", "-1"}, "apload: -zipf -1: want a finite skew >= 0\n"},
 		{"ZipfInf", []string{"-zipf", "+Inf"}, "apload: -zipf +Inf: want a finite skew >= 0\n"},
+		// A zero backoff doubles to zero: a tight POST loop on a shedding
+		// daemon, and a status poll that never sleeps.
+		{"PollZero", []string{"-poll", "0"}, "apload: -poll 0s: want an interval above 0\n"},
+		// Every run not answered from the cache would fail at once.
+		{"TimeoutNegative", []string{"-timeout", "-1s"}, "apload: -timeout -1s: want a deadline above 0\n"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cmd := exec.Command(os.Args[0], append([]string{"-addr", "http://127.0.0.1:1"}, tc.args...)...)

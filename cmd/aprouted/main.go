@@ -13,6 +13,11 @@
 // the one-command fleet for local experiments. The two compose: spawned
 // shards are appended to the -backends list.
 //
+// Flags are checked before anything binds or spawns: a negative -spawn or
+// -cachemb, a -healthinterval of 0 or less, and -workers, -queue or -jobs
+// below 1 each exit 1 with a one-line error instead of being replaced by
+// a default or ignored.
+//
 // API (client-compatible with a single apserved):
 //
 //	GET  /healthz                   503 when no backend is healthy
@@ -82,7 +87,18 @@ func realMain() error {
 		logLevel = flag.String("loglevel", "info", "log level: debug, info, warn, error")
 	)
 	flag.Parse()
-	if *cacheMB < 0 {
+	switch {
+	case *spawn < 0:
+		return fmt.Errorf("-spawn %d: want 0 or more shards", *spawn)
+	case *interval <= 0:
+		return fmt.Errorf("-healthinterval %s: want a period above 0", *interval)
+	case *workers < 1:
+		return fmt.Errorf("-workers %d: want at least 1 worker per shard", *workers)
+	case *queue < 1:
+		return fmt.Errorf("-queue %d: want a queue depth of at least 1", *queue)
+	case *jobs < 1:
+		return fmt.Errorf("-jobs %d: want at least 1 simulation worker per run", *jobs)
+	case *cacheMB < 0:
 		return fmt.Errorf("-cachemb %d: want a budget >= 0 MiB", *cacheMB)
 	}
 

@@ -46,6 +46,11 @@
 // fleet shard id: run ids become "b0-r000001" so an aprouted front can
 // route reads by prefix.
 //
+// Flags are checked before the daemon listens: -workers, -queue, -jobs
+// and -retain below 1, a -runtimeout of 0 or less, a negative -cachemb,
+// and an -instance with a character outside [A-Za-z0-9._-] each exit 1
+// with a one-line error instead of falling back to a default.
+//
 // Memory: the result store holds at most -cachemb; finished runs number
 // at most 17 × -retain; checkpoints take at most -workers × 512 MiB, and
 // only while runs execute; the applications' workload memos grow with
@@ -68,12 +73,17 @@ import (
 	"log/slog"
 	"os"
 	"os/signal"
+	"regexp"
 	"runtime"
 	"syscall"
 	"time"
 
 	"activepages/internal/serve"
 )
+
+// instanceID matches the fleet instance ids -instance accepts: the id
+// prefixes every run id, which travels in URL paths.
+var instanceID = regexp.MustCompile(`^[A-Za-z0-9._-]*$`)
 
 func main() {
 	if err := realMain(); err != nil {
@@ -96,7 +106,20 @@ func realMain() error {
 		cacheMB    = flag.Int("cachemb", 0, "result cache byte budget in MiB (0 = default 256)")
 	)
 	flag.Parse()
-	if *cacheMB < 0 {
+	switch {
+	case *workers < 1:
+		return fmt.Errorf("-workers %d: want at least 1 worker", *workers)
+	case *queue < 1:
+		return fmt.Errorf("-queue %d: want a queue depth of at least 1", *queue)
+	case *runTimeout <= 0:
+		return fmt.Errorf("-runtimeout %s: want a budget above 0", *runTimeout)
+	case *jobs < 1:
+		return fmt.Errorf("-jobs %d: want at least 1 simulation worker per run", *jobs)
+	case *retain < 1:
+		return fmt.Errorf("-retain %d: want at least 1 retained run", *retain)
+	case !instanceID.MatchString(*instance):
+		return fmt.Errorf("-instance %q: use only letters, digits, '.', '_' and '-'", *instance)
+	case *cacheMB < 0:
 		return fmt.Errorf("-cachemb %d: want a budget >= 0 MiB", *cacheMB)
 	}
 

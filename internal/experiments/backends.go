@@ -65,12 +65,15 @@ func backendBenchmarks(name string) []apps.Benchmark {
 	return out
 }
 
-// portedNames lists the benchmark names available on the named backend.
+// portedNames lists every benchmark name BenchmarkByName accepts that has
+// a port on the named backend, in BenchmarkNames order. BenchmarkByName
+// resolves every name BenchmarkNames lists, so its error is dropped.
 func portedNames(name string) []string {
-	bs := backendBenchmarks(name)
-	out := make([]string, len(bs))
-	for i, b := range bs {
-		out[i] = b.Name()
+	var out []string
+	for _, n := range BenchmarkNames() {
+		if b, _ := BenchmarkByName(n); apps.Supports(b, name) {
+			out = append(out, n)
+		}
 	}
 	return out
 }

@@ -43,24 +43,15 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// healthView is the load slice of a shard's extended /healthz report:
-// queue and worker saturation at probe time, surfaced on /api/v1/fleet.
-type healthView struct {
-	QueueDepth    int `json:"queue_depth"`
-	QueueCapacity int `json:"queue_capacity"`
-	WorkersBusy   int `json:"workers_busy"`
-	WorkersTotal  int `json:"workers_total"`
-}
-
 // backendState is one shard as the router sees it: reachable or not, the
 // run-id prefix it stamps on its runs (learned from /healthz and from the
 // run ids its submit answers carry), which routes GETs by id back to the
-// shard that owns the run, plus the load reading and timestamp of the last
-// successful probe.
+// shard that owns the run, plus the health report (whose load fields
+// /api/v1/fleet surfaces) and timestamp of the last probe.
 type backendState struct {
 	healthy   bool
 	instance  string
-	load      healthView
+	load      serve.Health
 	lastProbe time.Time
 }
 
@@ -205,21 +196,16 @@ func (rt *Router) ProbeHealth() int {
 // answers /healthz with 503 but still names its instance, so the prefix
 // table stays complete even while a shard is leaving the fleet; the load
 // fields of the extended health report ride along for /api/v1/fleet.
-func (rt *Router) probe(backend string) (healthy bool, instance string, load healthView) {
+func (rt *Router) probe(backend string) (healthy bool, instance string, load serve.Health) {
 	resp, err := rt.prober.Get(backend + "/healthz")
 	if err != nil {
-		return false, "", healthView{}
+		return false, "", serve.Health{}
 	}
 	defer resp.Body.Close()
-	var body struct {
-		Status   string `json:"status"`
-		Instance string `json:"instance"`
-		healthView
+	if err := json.NewDecoder(io.LimitReader(resp.Body, 1<<16)).Decode(&load); err != nil {
+		return false, "", serve.Health{}
 	}
-	if err := json.NewDecoder(io.LimitReader(resp.Body, 1<<16)).Decode(&body); err != nil {
-		return false, "", healthView{}
-	}
-	return resp.StatusCode == http.StatusOK && body.Status == "ok", body.Instance, body.healthView
+	return resp.StatusCode == http.StatusOK && load.Status == "ok", load.Instance, load
 }
 
 // Start launches the periodic health prober (after one synchronous sweep,
@@ -288,7 +274,7 @@ func (rt *Router) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		code = http.StatusServiceUnavailable
 		status = "no healthy backends"
 	}
-	writeJSON(w, code, map[string]any{
+	rt.mw.WriteJSON(w, code, map[string]any{
 		"status": status, "backends_healthy": healthy, "backends_total": len(rt.cfg.Backends),
 	})
 }
@@ -308,14 +294,14 @@ func (rt *Router) handleHealthz(w http.ResponseWriter, r *http.Request) {
 func (rt *Router) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, 1<<20))
 	if err != nil {
-		writeJSON(w, http.StatusBadRequest, map[string]string{"error": fmt.Sprintf("bad request body: %v", err)})
+		rt.mw.WriteError(w, http.StatusBadRequest, fmt.Sprintf("bad request body: %v", err))
 		return
 	}
 	// Validate before hashing: a body every shard would refuse gets its 400
 	// here instead of a ring walk and a proxy hop.
 	req, err := serve.DecodeRequest(bytes.NewReader(body))
 	if err != nil {
-		writeJSON(w, http.StatusBadRequest, map[string]string{"error": err.Error()})
+		rt.mw.WriteError(w, http.StatusBadRequest, err.Error())
 		return
 	}
 	rt.requests.Add(1)
@@ -335,7 +321,7 @@ func (rt *Router) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		attemptStart := time.Now()
 		preq, err := http.NewRequest(http.MethodPost, backend+"/api/v1/runs", bytes.NewReader(body))
 		if err != nil {
-			writeJSON(w, http.StatusInternalServerError, map[string]string{"error": err.Error()})
+			rt.mw.WriteError(w, http.StatusInternalServerError, err.Error())
 			return
 		}
 		preq.Header.Set("Content-Type", "application/json")
@@ -380,8 +366,7 @@ func (rt *Router) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	rt.shed.Add(1)
-	writeJSON(w, http.StatusServiceUnavailable,
-		map[string]string{"error": fmt.Sprintf("no backend accepted the run (%d tried)", len(order))})
+	rt.mw.WriteError(w, http.StatusServiceUnavailable, fmt.Sprintf("no backend accepted the run (%d tried)", len(order)))
 }
 
 // runIDFromLocation extracts the run id a shard allocated from its submit
@@ -402,19 +387,14 @@ func runIDFromLocation(loc string) string {
 // view: runs concatenated and sorted by id (instance prefix first, so each
 // shard's runs group together), per-state counts summed.
 func (rt *Router) handleList(w http.ResponseWriter, r *http.Request) {
-	type listing struct {
-		Runs   []serve.Run         `json:"runs"`
-		Counts map[serve.State]int `json:"counts"`
-		Shards map[string]int      `json:"shards,omitempty"`
-	}
-	merged := listing{Counts: make(map[serve.State]int), Shards: make(map[string]int)}
+	merged := serve.Listing{Counts: make(map[serve.State]int), Shards: make(map[string]int)}
 	for _, backend := range rt.cfg.Backends {
 		resp, err := rt.client.Get(backend + "/api/v1/runs")
 		if err != nil {
 			rt.proxyErrors.Add(1)
 			continue
 		}
-		var one listing
+		var one serve.Listing
 		err = json.NewDecoder(io.LimitReader(resp.Body, 64<<20)).Decode(&one)
 		resp.Body.Close()
 		if err != nil {
@@ -428,7 +408,7 @@ func (rt *Router) handleList(w http.ResponseWriter, r *http.Request) {
 		merged.Shards[backend] = len(one.Runs)
 	}
 	sort.Slice(merged.Runs, func(i, j int) bool { return merged.Runs[i].ID < merged.Runs[j].ID })
-	writeJSON(w, http.StatusOK, merged)
+	rt.mw.WriteJSON(w, http.StatusOK, merged)
 }
 
 // handleProxyGet routes a read to the shard that owns the run (see
@@ -439,7 +419,7 @@ func (rt *Router) handleProxyGet(w http.ResponseWriter, r *http.Request) {
 		rt.proxy(w, r, backend)
 		return
 	}
-	writeNoOwner(w, id)
+	rt.writeNoOwner(w, id)
 }
 
 // instancePrefix extracts the shard instance from a fleet run id:
@@ -476,9 +456,8 @@ func (rt *Router) backendFor(id string) string {
 }
 
 // writeNoOwner answers a read of a run id no shard owns.
-func writeNoOwner(w http.ResponseWriter, id string) {
-	writeJSON(w, http.StatusNotFound, map[string]string{"error": fmt.Sprintf(
-		"no shard owns run %q (fleet shards need -instance)", id)})
+func (rt *Router) writeNoOwner(w http.ResponseWriter, id string) {
+	rt.mw.WriteError(w, http.StatusNotFound, fmt.Sprintf("no shard owns run %q (fleet shards need -instance)", id))
 }
 
 // learnInstance records the instance prefix of a run id backend just
@@ -521,8 +500,7 @@ func (rt *Router) proxy(w http.ResponseWriter, r *http.Request, backend string) 
 	if err != nil {
 		rt.proxyErrors.Add(1)
 		rt.markUnhealthy(backend)
-		writeJSON(w, http.StatusBadGateway,
-			map[string]string{"error": fmt.Sprintf("shard %s unreachable: %v", backend, err)})
+		rt.mw.WriteError(w, http.StatusBadGateway, fmt.Sprintf("shard %s unreachable: %v", backend, err))
 		return
 	}
 	relay(w, resp)
@@ -559,12 +537,4 @@ func relay(w http.ResponseWriter, resp *http.Response) {
 	buf := relayBufs.Get().(*[]byte)
 	io.CopyBuffer(w, resp.Body, *buf)
 	relayBufs.Put(buf)
-}
-
-func writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(v)
 }

@@ -39,15 +39,14 @@ func (rt *Router) handleRunTrace(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	backend := rt.backendFor(id)
 	if backend == "" {
-		writeNoOwner(w, id)
+		rt.writeNoOwner(w, id)
 		return
 	}
 	resp, err := rt.do(r, backend)
 	if err != nil {
 		rt.proxyErrors.Add(1)
 		rt.markUnhealthy(backend)
-		writeJSON(w, http.StatusBadGateway,
-			map[string]string{"error": fmt.Sprintf("shard %s unreachable: %v", backend, err)})
+		rt.mw.WriteError(w, http.StatusBadGateway, fmt.Sprintf("shard %s unreachable: %v", backend, err))
 		return
 	}
 	if resp.StatusCode != http.StatusOK {
@@ -58,8 +57,7 @@ func (rt *Router) handleRunTrace(w http.ResponseWriter, r *http.Request) {
 	resp.Body.Close()
 	if err != nil {
 		rt.proxyErrors.Add(1)
-		writeJSON(w, http.StatusBadGateway,
-			map[string]string{"error": fmt.Sprintf("shard trace read failed: %v", err)})
+		rt.mw.WriteError(w, http.StatusBadGateway, fmt.Sprintf("shard trace read failed: %v", err))
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
@@ -188,7 +186,7 @@ func (rt *Router) handleMetricsz(w http.ResponseWriter, r *http.Request) {
 	for _, sc := range scrapes {
 		shards[sc.instance] = sc.snap
 	}
-	writeJSON(w, http.StatusOK, map[string]any{
+	rt.mw.WriteJSON(w, http.StatusOK, map[string]any{
 		"router": rt.live.Snapshot(),
 		"fleet":  fleet,
 		"shards": shards,
@@ -200,7 +198,11 @@ type fleetBackend struct {
 	Backend  string `json:"backend"`
 	Instance string `json:"instance,omitempty"`
 	Healthy  bool   `json:"healthy"`
-	healthView
+	// The shard's queue and worker saturation at the last probe.
+	QueueDepth    int `json:"queue_depth"`
+	QueueCapacity int `json:"queue_capacity"`
+	WorkersBusy   int `json:"workers_busy"`
+	WorkersTotal  int `json:"workers_total"`
 	// CacheHitRate is hits/(hits+misses) over the shard's lifetime, from
 	// its live metrics; -1 when the shard was unreachable or has served
 	// no submissions.
@@ -222,12 +224,15 @@ func (rt *Router) handleFleet(w http.ResponseWriter, r *http.Request) {
 	for _, b := range rt.cfg.Backends {
 		st := rt.state[b]
 		fb := fleetBackend{
-			Backend:      b,
-			Instance:     st.instance,
-			Healthy:      st.healthy,
-			healthView:   st.load,
-			CacheHitRate: -1,
-			LastProbeMS:  -1,
+			Backend:       b,
+			Instance:      st.instance,
+			Healthy:       st.healthy,
+			QueueDepth:    st.load.QueueDepth,
+			QueueCapacity: st.load.QueueCapacity,
+			WorkersBusy:   st.load.WorkersBusy,
+			WorkersTotal:  st.load.WorkersTotal,
+			CacheHitRate:  -1,
+			LastProbeMS:   -1,
 		}
 		if !st.lastProbe.IsZero() {
 			fb.LastProbeMS = now.Sub(st.lastProbe).Milliseconds()
@@ -245,7 +250,7 @@ func (rt *Router) handleFleet(w http.ResponseWriter, r *http.Request) {
 		backends = append(backends, fb)
 	}
 	rt.mu.Unlock()
-	writeJSON(w, http.StatusOK, map[string]any{
+	rt.mw.WriteJSON(w, http.StatusOK, map[string]any{
 		"healthy":  healthy,
 		"total":    len(rt.cfg.Backends),
 		"backends": backends,

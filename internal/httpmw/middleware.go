@@ -3,7 +3,8 @@
 // latency histograms pre-registered into a live metrics registry, a
 // status-capturing response writer, structured access logs, a
 // panic-to-500 recoverer, and fleet-wide request correlation via the
-// X-AP-Request-Id header.
+// X-AP-Request-Id header. Both daemons write their JSON bodies through
+// Instrument.WriteJSON, so the layout of every answer is set here.
 //
 // The request-id contract is the spine of the fleet observability plane:
 // every request entering any daemon gets an id — the inbound header's
@@ -204,11 +205,29 @@ func (m *Instrument) Recoverer(next http.Handler) http.Handler {
 				m.log.Error("handler panic",
 					"method", r.Method, "path", r.URL.Path,
 					"panic", v, "stack", string(debug.Stack()))
-				w.Header().Set("Content-Type", "application/json")
-				w.WriteHeader(http.StatusInternalServerError)
-				json.NewEncoder(w).Encode(map[string]string{"error": "internal error"})
+				m.WriteError(w, http.StatusInternalServerError, "internal error")
 			}
 		}()
 		next.ServeHTTP(w, r)
 	})
+}
+
+// WriteJSON renders v as the response body, indented by two spaces: every
+// JSON body either daemon encodes goes through it. An encode error after
+// the header has gone out cannot change the status anymore, but it is not
+// silent: a client hanging up mid-body or an unmarshalable value logs at
+// debug, so a flaky endpoint is diagnosable from the daemon's logs.
+func (m *Instrument) WriteJSON(w http.ResponseWriter, code int, v any) {
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(code)
+	enc := json.NewEncoder(w)
+	enc.SetIndent("", "  ")
+	if err := enc.Encode(v); err != nil {
+		m.log.Debug("json encode failed", "status", code, "err", err.Error())
+	}
+}
+
+// WriteError answers code with the body {"error": msg}.
+func (m *Instrument) WriteError(w http.ResponseWriter, code int, msg string) {
+	m.WriteJSON(w, code, map[string]string{"error": msg})
 }

@@ -170,3 +170,19 @@ func TestStatusWriterFlush(t *testing.T) {
 
 // nopWriter hides the recorder's Flusher implementation.
 type nopWriter struct{ http.ResponseWriter }
+
+// TestWriteJSONEncodeError checks an unencodable value surfaces in the
+// debug log instead of vanishing; the status has already gone out.
+func TestWriteJSONEncodeError(t *testing.T) {
+	var log bytes.Buffer
+	m := NewInstrument(slog.New(slog.NewJSONHandler(&log, &slog.HandlerOptions{Level: slog.LevelDebug})),
+		obs.New(), "serve.")
+	rec := httptest.NewRecorder()
+	m.WriteJSON(rec, http.StatusOK, map[string]any{"bad": make(chan int)})
+	if rec.Code != http.StatusOK {
+		t.Fatalf("status = %d (headers were already sent)", rec.Code)
+	}
+	if !bytes.Contains(log.Bytes(), []byte(`"msg":"json encode failed"`)) {
+		t.Errorf("encode error not logged at debug: %q", log.String())
+	}
+}

@@ -3,17 +3,18 @@
 // (jobs-1-vs-8 byte-identical output is CI-pinned), so two requests with
 // the same normalized (experiment, backend, quick, knobs) tuple produce
 // the same output bytes, the same metrics snapshot, and the same
-// per-benchmark groups. The memoCache exploits that twice:
+// per-benchmark groups. The server exploits that twice:
 //
-//   - Completed runs are stored under their spec key with byte-budgeted
-//     LRU eviction, so a repeat submission completes at submit time —
-//     same artifact bytes, near-zero execute span — without touching the
-//     worker pool.
+//   - Completed runs are stored under their spec key in the result store
+//     (Server.results) with byte-budgeted LRU eviction, so a repeat
+//     submission completes at submit time — same artifact bytes,
+//     near-zero execute span — without touching the worker pool.
 //   - In-flight runs are singleflighted: while a spec's leader run is
 //     queued or executing, every duplicate submission attaches to the
 //     leader (same run id, same eventual artifacts) instead of queueing
 //     its own execution, so N concurrent identical submissions simulate
-//     exactly once.
+//     exactly once. The registry alone knows each spec's leader
+//     (registry.admit, registry.finish).
 //
 // The result store is the only reuse across runs. A cold run branches
 // sweep points from its own checkpoint cache, which ends with the run
@@ -29,10 +30,8 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"strconv"
-	"sync"
 
 	"activepages/internal/experiments"
-	"activepages/internal/lru"
 	"activepages/internal/obs"
 )
 
@@ -84,58 +83,13 @@ func SpecKey(req Request) string {
 }
 
 // cachedRun is one memoized result: exactly the artifacts a completed run
-// serves. All fields are written once at store time and never mutated, so
-// cache hits share them with the runs they complete.
+// serves. All fields are written once, when the run that produced them
+// finishes, and never mutated, so cache hits share them with the runs they
+// complete.
 type cachedRun struct {
 	output  []byte
 	metrics obs.Snapshot
 	groups  map[string]obs.Snapshot
-}
-
-// memoCache is the server's run memoization state: the content-addressed
-// result store plus the in-flight singleflight index. The in-flight index
-// is not lru.Cache.Do: a duplicate submission returns the leader's run id
-// at once instead of waiting for its result. One mutex brackets every
-// submission's look at both, so a spec is either cached, in flight, or
-// cold, never ambiguously two of those.
-type memoCache struct {
-	mu sync.Mutex
-	// inflight maps a spec key to the id of its leader run from the moment
-	// the leader is queued until it reaches a terminal state. Duplicate
-	// submissions in that window return the leader's id.
-	inflight map[string]string
-	results  *lru.Cache[string, *cachedRun]
-}
-
-func newMemoCache(budget uint64) *memoCache {
-	if budget == 0 {
-		budget = DefaultCacheBudget
-	}
-	return &memoCache{inflight: make(map[string]string),
-		results: lru.New[string](budget, (*cachedRun).bytes)}
-}
-
-// store memoizes one completed run's artifacts. A key already present only
-// has its recency refreshed: the artifacts are identical by determinism,
-// and the first store wins so concurrent readers never observe a swap.
-func (m *memoCache) store(key string, output []byte, metrics obs.Snapshot, groups map[string]obs.Snapshot) {
-	if key != "" {
-		m.results.Add(key, &cachedRun{output: output, metrics: metrics, groups: groups})
-	}
-}
-
-// release retires id as the in-flight leader of key when its run reaches a
-// terminal state. The id guard keeps a cache-completed run (which was
-// never a leader) from unregistering a new cold leader of the same spec.
-func (m *memoCache) release(key, id string) {
-	if key == "" {
-		return
-	}
-	m.mu.Lock()
-	if m.inflight[key] == id {
-		delete(m.inflight, key)
-	}
-	m.mu.Unlock()
 }
 
 // bytes approximates one result's host footprint: the output bytes plus

@@ -384,17 +384,6 @@ func TestPprofGated(t *testing.T) {
 	}
 }
 
-// TestWriteJSONEncodeError checks an unencodable value surfaces in the
-// debug log instead of vanishing.
-func TestWriteJSONEncodeError(t *testing.T) {
-	s := New(Config{})
-	rec := httptest.NewRecorder()
-	s.writeJSON(rec, http.StatusOK, map[string]any{"bad": make(chan int)})
-	if rec.Code != http.StatusOK {
-		t.Fatalf("status = %d (headers were already sent)", rec.Code)
-	}
-}
-
 // TestHealthzLoadFields checks the extended health report: the historical
 // status/instance fields keep their shape while queue and worker load ride
 // along, so a router probe doubles as a saturation reading.

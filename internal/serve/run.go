@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"activepages/internal/experiments"
+	"activepages/internal/lru"
 	"activepages/internal/obs"
 	"activepages/internal/radram"
 	"activepages/internal/run"
@@ -52,6 +53,9 @@ type Request struct {
 // Run is one submitted experiment and everything it produced. The struct
 // is guarded by its server's registry lock; handlers only ever see copies
 // taken under that lock (see view), so a run in flight never races a read.
+// The worker executing a run reads its Request, Submitted and trace
+// without the lock: they are set before the run is published and change
+// only when a terminal run is evicted.
 type Run struct {
 	ID      string  `json:"id"`
 	Request Request `json:"request"`
@@ -87,25 +91,24 @@ type Run struct {
 	// and no simulation executed.
 	Cached bool `json:"cached,omitempty"`
 
-	// output is the experiment's rendered tables — exactly what apbench
-	// would have printed to stdout. metrics is the run's merged snapshot
-	// and groups its per-benchmark snapshots (for the attribution report).
-	// All are populated only once the run is done and are immutable
-	// afterwards, so handlers may serve them without copying. Eviction
-	// nils them under the registry lock; handlers re-check through the
-	// lock (lookup copies), never through a stale view.
-	output  []byte
-	metrics obs.Snapshot
-	groups  map[string]obs.Snapshot
+	// result holds the run's artifacts once it is done: the rendered
+	// tables (exactly what apbench would have printed to stdout), the
+	// merged metrics snapshot and the per-benchmark snapshots for the
+	// attribution report. They are immutable, so handlers serve them
+	// without copying. Eviction nils the pointer under the registry lock;
+	// handlers re-check through the lock (lookup copies), never through a
+	// stale view.
+	result *cachedRun
 
 	// trace is the run's wall-clock lifecycle trace and structured event
 	// log, created at submission (epoch = submission time) and emitted
 	// into by the executing worker; it is concurrency-safe, so handlers
 	// export it while the run is in flight. progress is the live tracker
-	// the worker's runner reports into; a run completed from the cache
-	// never executes and has none. jobs is the run's simulation
-	// worker-pool width, for the ETA estimate. spec is the run's content
-	// address (SpecKey), keying the result cache and singleflight index.
+	// the worker's runner reports into from pickup on; a run completed
+	// from the cache never executes and has none. jobs is the run's
+	// simulation worker-pool width, for the ETA estimate. spec is the
+	// run's content address (SpecKey), keying the result store and the
+	// registry's leader index.
 	trace    *obs.WallTracer
 	progress *run.Progress
 	jobs     int
@@ -113,8 +116,8 @@ type Run struct {
 }
 
 // view returns a shallow copy of the run's JSON-visible fields, safe to
-// marshal after the registry lock is released. output and metrics are
-// intentionally shared: they are written once, before the run is marked
+// marshal after the registry lock is released. The artifacts are
+// intentionally shared: they are written once, when the run is marked
 // done, and never mutated after. The progress snapshot is taken here so
 // every view carries a consistent live reading; a tombstone carries the
 // tally evict stored.
@@ -132,9 +135,9 @@ func (r *Run) view() Run {
 
 // evict reduces a terminal run to its tombstone: the lifecycle record and
 // the final progress tally. Everything else goes: the artifacts, the
-// trace, the spec (finish has released it) and the progress tracker,
-// whose callbacks hold the trace. The tracker pointer is dropped, never
-// cleared: the abandoned dispatch of a timed-out run may still be
+// trace, the spec (finish has dropped its leadership) and the progress
+// tracker, whose callbacks hold the trace. The tracker pointer is dropped,
+// never cleared: the abandoned dispatch of a timed-out run may still be
 // reporting into it.
 func (r *Run) evict() {
 	if r.Started != nil {
@@ -142,22 +145,21 @@ func (r *Run) evict() {
 		r.Progress = &snap
 	}
 	r.Evicted = true
-	r.output, r.metrics, r.groups = nil, nil, nil
-	r.trace, r.progress, r.spec = nil, nil, ""
+	r.result, r.trace, r.progress, r.spec = nil, nil, nil, ""
 }
 
 // tombstonesPerRetained bounds the tombstones a registry keeps, as a
 // multiple of its retention cap: 4,096 at the default cap of 256.
 const tombstonesPerRetained = 16
 
-// registry is the server's run table: id allocation, lookup, listing, and
-// retention. Completed and failed runs are capped at retain entries:
-// finalize evicts the oldest terminal runs beyond the cap to tombstones
-// (see Run.evict), and forgets the oldest tombstones beyond
-// tombstonesPerRetained × retain, whose ids then answer 404 like unknown
-// ids. The registry thus holds at most 17 × retain terminal runs, plus the
-// runs queued or running, so its memory stays bounded under sustained
-// load.
+// registry is the server's run table: id allocation, the spec → leader
+// index, lookup, listing, and retention. Completed and failed runs are
+// capped at retain entries: each terminal transition evicts the oldest
+// terminal runs beyond the cap to tombstones (see Run.evict), and forgets
+// the oldest tombstones beyond tombstonesPerRetained × retain, whose ids
+// then answer 404 like unknown ids. The registry thus holds at most
+// 17 × retain terminal runs, plus the runs queued or running, so its
+// memory stays bounded under sustained load.
 type registry struct {
 	mu     sync.Mutex
 	next   int
@@ -167,6 +169,14 @@ type registry struct {
 	// globally unique across a sharded fleet so a router can route a GET
 	// by id to the shard that owns it.
 	instance string
+	// leaders maps a spec key to the id of its leader run from the moment
+	// the leader is queued until it reaches a terminal state; duplicate
+	// submissions in that window attach to the leader. results is the
+	// server's result store: a done run's artifacts enter it in the same
+	// transaction that drops the run's leadership, so a spec is always
+	// either led, stored, or cold, never ambiguously two of those.
+	leaders map[string]string
+	results *lru.Cache[string, *cachedRun]
 	// terminal lists terminal (done/failed), not-yet-evicted run ids in
 	// completion order — the eviction queue. tombstones lists evicted run
 	// ids in the same order — the queue of runs to forget.
@@ -174,57 +184,87 @@ type registry struct {
 	tombstones []string
 }
 
-func newRegistry(retain int, instance string) *registry {
-	return &registry{runs: make(map[string]*Run), retain: retain, instance: instance}
+func newRegistry(retain int, instance string, results *lru.Cache[string, *cachedRun]) *registry {
+	return &registry{runs: make(map[string]*Run), retain: retain, instance: instance,
+		leaders: make(map[string]string), results: results}
 }
 
-// add registers a freshly submitted run, assigns its id, and returns its
-// view as queued: no worker has seen the run yet. The run's wall-clock
-// trace, progress tracker, per-run jobs width, and spec key are attached
-// here, under the lock, so no published run is ever mutated outside it.
-func (g *registry) add(req Request, spec, rid string, now time.Time, trace *obs.WallTracer, prog *run.Progress, jobs int) Run {
-	g.mu.Lock()
-	defer g.mu.Unlock()
+// insert gives a new run the next id, names its trace's process after it,
+// and publishes it. The caller holds the lock.
+func (g *registry) insert(r *Run) {
 	g.next++
-	id := fmt.Sprintf("r%06d", g.next)
+	r.ID = fmt.Sprintf("r%06d", g.next)
 	if g.instance != "" {
-		id = g.instance + "-" + id
+		r.ID = g.instance + "-" + r.ID
 	}
-	r := &Run{
-		ID:        id,
-		Request:   req,
-		State:     StateQueued,
-		RequestID: rid,
-		Submitted: now,
-		trace:     trace,
-		progress:  prog,
-		jobs:      jobs,
-		spec:      spec,
-	}
+	r.trace.SetProcess(1, r.ID+" (wall clock)")
 	g.runs[r.ID] = r
-	return r.view()
 }
 
-// finalize enqueues a terminal run for retention accounting, evicts the
-// oldest terminal runs beyond the cap, and forgets the oldest tombstones
-// beyond their bound. It returns how many runs were evicted by this call,
-// for the server's counter.
-func (g *registry) finalize(id string) int {
+// admit is a submission's one registry transaction: it decides whether r,
+// a submitted record not yet published, is a dedup (its spec has a leader,
+// whose view it returns), a hit (its spec's result is stored, which it
+// returns; the caller finishes r with it), a miss (r becomes the spec's
+// leader, is published and queued, and its view is returned as queued:
+// no worker has seen it yet), or shed (the queue is full; r leaves no
+// trace). The disposition is the CacheResultHeader value, "" when shed.
+// Both lookups and the enqueue are non-blocking, so the critical section
+// is microseconds, and a spec is never queued twice by racing duplicates.
+func (g *registry) admit(r *Run, queue chan<- *Run) (Run, *cachedRun, string) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	if _, ok := g.runs[id]; !ok {
-		return 0
+	if id, ok := g.leaders[r.spec]; ok {
+		return g.runs[id].view(), nil, "dedup"
 	}
-	g.terminal = append(g.terminal, id)
+	if res, ok := g.results.Get(r.spec); ok {
+		return Run{}, res, "hit"
+	}
+	select {
+	case queue <- r:
+	default:
+		return Run{}, nil, ""
+	}
+	// The worker that receives r waits for this lock before it reads r.
+	g.insert(r)
+	g.leaders[r.spec] = r.ID
+	return r.view(), nil, "miss"
+}
+
+// start marks a queued run running, executing under prog from now on.
+func (g *registry) start(r *Run, now time.Time, prog *run.Progress) {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	r.State, r.Started, r.progress = StateRunning, &now, prog
+}
+
+// finish makes r terminal in one transaction: state st, finished at at,
+// after elapsed of execution, with the artifacts res when done. An
+// executed run's artifacts enter the result store before the spec's
+// leadership is dropped, so there is no window where a duplicate
+// submission neither attaches to the run nor finds its result stored. A
+// record not yet published — a cache hit, whose artifacts came from the
+// store — is published here with a fresh id. Then the retention cap
+// applies: finish returns r's view and how many runs it evicted.
+func (g *registry) finish(r *Run, st State, errMsg string, at time.Time, elapsed time.Duration, res *cachedRun) (Run, int) {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	if r.ID == "" {
+		g.insert(r)
+	}
+	r.State, r.Error, r.Finished, r.ElapsedMS = st, errMsg, &at, elapsed.Milliseconds()
+	r.result = res
+	if res != nil && !r.Cached {
+		g.results.Add(r.spec, res)
+	}
+	if g.leaders[r.spec] == r.ID {
+		delete(g.leaders, r.spec)
+	}
+	g.terminal = append(g.terminal, r.ID)
 	evicted := 0
 	for len(g.terminal) > g.retain {
 		victim := g.terminal[0]
 		g.terminal = g.terminal[1:]
-		r, ok := g.runs[victim]
-		if !ok {
-			continue
-		}
-		r.evict()
+		g.runs[victim].evict()
 		g.tombstones = append(g.tombstones, victim)
 		evicted++
 	}
@@ -232,7 +272,7 @@ func (g *registry) finalize(id string) int {
 		delete(g.runs, g.tombstones[0])
 		g.tombstones = g.tombstones[1:]
 	}
-	return evicted
+	return r.view(), evicted
 }
 
 // get returns a consistent copy of one run.
@@ -247,43 +287,18 @@ func (g *registry) get(id string) (Run, bool) {
 }
 
 // list returns consistent copies of every run, sorted by id (submission
-// order, since ids are sequential and zero-padded).
-func (g *registry) list() []Run {
+// order, since ids are sequential and zero-padded), with the per-state
+// counts.
+func (g *registry) list() Listing {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	out := make([]Run, 0, len(g.runs))
+	l := Listing{Runs: make([]Run, 0, len(g.runs)), Counts: make(map[State]int, 4)}
 	for _, r := range g.runs {
-		out = append(out, r.view())
+		l.Runs = append(l.Runs, r.view())
+		l.Counts[r.State]++
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	return out
-}
-
-// remove deletes a run (used to reclaim the slot of a shed submission).
-func (g *registry) remove(id string) {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	delete(g.runs, id)
-}
-
-// update applies fn to the run under the registry lock.
-func (g *registry) update(id string, fn func(*Run)) {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	if r, ok := g.runs[id]; ok {
-		fn(r)
-	}
-}
-
-// counts tallies runs per state for the queue gauges.
-func (g *registry) counts() map[State]int {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	c := make(map[State]int, 4)
-	for _, r := range g.runs {
-		c[r.State]++
-	}
-	return c
+	sort.Slice(l.Runs, func(i, j int) bool { return l.Runs[i].ID < l.Runs[j].ID })
+	return l
 }
 
 // DecodeRequest decodes one submission body — a JSON object naming only

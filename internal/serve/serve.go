@@ -15,7 +15,6 @@ package serve
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"fmt"
 	"log/slog"
 	"net/http"
@@ -26,6 +25,7 @@ import (
 	"time"
 
 	"activepages/internal/httpmw"
+	"activepages/internal/lru"
 	"activepages/internal/obs"
 	"activepages/internal/report"
 	"activepages/internal/run"
@@ -99,6 +99,9 @@ func (c Config) withDefaults() Config {
 	if c.RetainRuns <= 0 {
 		c.RetainRuns = 256
 	}
+	if c.CacheBudget == 0 {
+		c.CacheBudget = DefaultCacheBudget
+	}
 	if c.Logger == nil {
 		c.Logger = httpmw.DiscardLogger()
 	}
@@ -111,12 +114,13 @@ type Server struct {
 	log *slog.Logger
 
 	reg   *registry
-	queue chan string
+	queue chan *Run
 	agg   *run.Collector
 	live  *obs.Registry
-	// memo is the content-addressed result cache plus the singleflight
-	// index of in-flight specs (see cache.go).
-	memo *memoCache
+	// results is the content-addressed result store (see cache.go): spec
+	// key -> a done run's artifacts, charged by (*cachedRun).bytes against
+	// CacheBudget. The registry fills it as runs finish.
+	results *lru.Cache[string, *cachedRun]
 
 	draining atomic.Bool
 	workers  chan struct{} // closed when the worker pool has drained
@@ -146,14 +150,15 @@ type Server struct {
 // New builds a server. Workers do not run until Start or ListenAndServe.
 func New(cfg Config) *Server {
 	cfg = cfg.withDefaults()
+	results := lru.New[string](cfg.CacheBudget, (*cachedRun).bytes)
 	s := &Server{
 		cfg:     cfg,
 		log:     cfg.Logger,
-		reg:     newRegistry(cfg.RetainRuns, cfg.InstanceID),
-		queue:   make(chan string, cfg.QueueDepth),
+		reg:     newRegistry(cfg.RetainRuns, cfg.InstanceID, results),
+		queue:   make(chan *Run, cfg.QueueDepth),
 		agg:     run.NewCollector(),
 		live:    obs.New(),
-		memo:    newMemoCache(cfg.CacheBudget),
+		results: results,
 		workers: make(chan struct{}),
 		mux:     http.NewServeMux(),
 	}
@@ -174,9 +179,9 @@ func New(cfg Config) *Server {
 	s.live.Counter("serve.cache_hits", s.cacheHits.Load)
 	s.live.Counter("serve.cache_misses", s.cacheMisses.Load)
 	s.live.Counter("serve.cache_dedup", s.cacheDedup.Load)
-	s.live.Counter("serve.cache_evicted", s.memo.results.Evicted)
-	s.live.Gauge("serve.cache_entries", func() int64 { return int64(s.memo.results.Len()) })
-	s.live.Gauge("serve.cache_bytes", func() int64 { return int64(s.memo.results.Bytes()) })
+	s.live.Counter("serve.cache_evicted", s.results.Evicted)
+	s.live.Gauge("serve.cache_entries", func() int64 { return int64(s.results.Len()) })
+	s.live.Gauge("serve.cache_bytes", func() int64 { return int64(s.results.Bytes()) })
 	s.mw = httpmw.NewInstrument(s.log, s.live, "serve.")
 
 	s.handle("GET /healthz", s.handleHealthz)
@@ -214,14 +219,14 @@ func (s *Server) Start() {
 	for i := 0; i < s.cfg.Workers; i++ {
 		go func() {
 			defer func() { done <- struct{}{} }()
-			for id := range s.queue {
+			for r := range s.queue {
 				if s.draining.Load() {
 					// The daemon is shutting down: whatever is still queued
 					// is abandoned, visibly.
-					s.finish(id, StateFailed, "daemon shutting down before run started", 0)
+					s.finish(r, StateFailed, "daemon shutting down before run started", 0, nil)
 					continue
 				}
-				s.execute(id)
+				s.execute(r)
 			}
 		}()
 	}
@@ -281,33 +286,30 @@ func (s *Server) ListenAndServe(ctx context.Context) error {
 	return nil
 }
 
-// finish moves a run to a terminal state under the registry lock, stamps
-// the terminal transition into the run's event log, retires the run's
-// singleflight registration, and applies the retention cap: terminal runs
-// beyond RetainRuns are evicted oldest first, counted in
-// serve.runs_evicted.
-func (s *Server) finish(id string, st State, errMsg string, elapsed time.Duration) {
+// finish is the one exit of every run — executed, answered from the
+// result store, or abandoned at shutdown: it makes r terminal, done with
+// the artifacts res or failed with errMsg, in one registry transaction
+// (registry.finish), which also stores a done run's result, drops the
+// spec's leadership and applies the retention cap; evictions are counted
+// in serve.runs_evicted. The terminal transition is logged into the run's
+// event log first, so a reader who sees the run terminal sees the entry.
+// It returns the run's view.
+func (s *Server) finish(r *Run, st State, errMsg string, elapsed time.Duration, res *cachedRun) Run {
 	now := time.Now()
-	var trace *obs.WallTracer
-	var spec string
-	s.reg.update(id, func(r *Run) {
-		r.State = st
-		r.Error = errMsg
-		r.Finished = &now
-		r.ElapsedMS = elapsed.Milliseconds()
-		trace = r.trace
-		spec = r.spec
-	})
-	s.memo.release(spec, id)
 	var attrs map[string]string
 	if errMsg != "" {
 		attrs = map[string]string{"error": errMsg}
 	}
-	trace.Log(now, "run "+string(st), attrs)
-	if n := s.reg.finalize(id); n > 0 {
+	r.trace.Log(now, "run "+string(st), attrs)
+	if st == StateDone {
+		s.runsCompleted.Add(1)
+	}
+	view, n := s.reg.finish(r, st, errMsg, now, elapsed, res)
+	if n > 0 {
 		s.runsEvicted.Add(uint64(n))
 		s.log.Info("runs evicted", "count", n, "retain", s.cfg.RetainRuns)
 	}
+	return view
 }
 
 // newRunProgress builds the progress tracker one run's runner reports
@@ -355,75 +357,52 @@ func failedSuffix(err error) string {
 // progress tracker, and execute/artifact-write spans close at completion.
 // The run simulates with its own checkpoint cache (Request.dispatch), so
 // the shard keeps no machine state once it ends.
-func (s *Server) execute(id string) {
-	var req Request
-	var trace *obs.WallTracer
-	var prog *run.Progress
-	var spec string
+func (s *Server) execute(r *Run) {
 	now := time.Now()
-	var queued time.Time
-	s.reg.update(id, func(r *Run) {
-		req = r.Request
-		r.State = StateRunning
-		r.Started = &now
-		queued = r.Submitted
-		trace = r.trace
-		prog = r.progress
-		spec = r.spec
-	})
-	qw := now.Sub(queued)
+	trace := r.trace
+	prog := newRunProgress(trace)
+	s.reg.start(r, now, prog)
+	qw := now.Sub(r.Submitted)
 	s.queueWait.Observe(qw)
-	trace.Span(obs.TIDWallLifecycle, "serve", "queue_wait", queued, qw)
+	trace.Span(obs.TIDWallLifecycle, "serve", "queue_wait", r.Submitted, qw)
 	trace.Log(now, "worker pickup", map[string]string{"queue_wait": qw.String()})
 	s.runsActive.Add(1)
 	defer s.runsActive.Add(-1)
-	s.log.Info("run started", "id", id, "request", req.String(),
+	s.log.Info("run started", "id", r.ID, "request", r.Request.String(),
 		"queue_wait_ms", qw.Milliseconds())
 
 	type result struct {
-		out    []byte
-		snap   obs.Snapshot
-		groups map[string]obs.Snapshot
-		err    error
+		res *cachedRun
+		err error
 	}
 	done := make(chan result, 1)
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	go func() {
 		var buf bytes.Buffer
-		metrics, err := req.dispatch(ctx, &buf, s.cfg.JobsPerRun, prog)
-		done <- result{buf.Bytes(), metrics.Snapshot(), metrics.Groups(), err}
+		metrics, err := r.Request.dispatch(ctx, &buf, s.cfg.JobsPerRun, prog)
+		done <- result{&cachedRun{buf.Bytes(), metrics.Snapshot(), metrics.Groups()}, err}
 	}()
 
 	timer := time.NewTimer(s.cfg.RunTimeout)
 	defer timer.Stop()
 	select {
-	case res := <-done:
+	case out := <-done:
 		elapsed := time.Since(now)
 		s.runNS.Observe(elapsed)
 		trace.Span(obs.TIDWallLifecycle, "serve", "execute", now, elapsed)
-		if res.err != nil {
+		if out.err != nil {
 			s.runsFailed.Add(1)
-			s.finish(id, StateFailed, res.err.Error(), elapsed)
-			s.log.Error("run failed", "id", id, "err", res.err.Error(), "elapsed_ms", elapsed.Milliseconds())
+			s.finish(r, StateFailed, out.err.Error(), elapsed, nil)
+			s.log.Error("run failed", "id", r.ID, "err", out.err.Error(), "elapsed_ms", elapsed.Milliseconds())
 			return
 		}
-		s.agg.Add(res.snap)
 		wstart := time.Now()
-		s.reg.update(id, func(r *Run) {
-			r.output = res.out
-			r.metrics = res.snap
-			r.groups = res.groups
-		})
-		// Memoize before finish releases the singleflight registration, so
-		// there is no window where a duplicate spec neither attaches to
-		// this run nor finds its result cached.
-		s.memo.store(spec, res.out, res.snap, res.groups)
+		s.agg.Add(out.res.metrics)
 		trace.SpanArg(obs.TIDWallLifecycle, "serve", "artifact_write",
-			wstart, time.Since(wstart), int64(len(res.out)))
-		s.runsCompleted.Add(1)
-		s.finish(id, StateDone, "", elapsed)
-		s.log.Info("run done", "id", id, "elapsed_ms", elapsed.Milliseconds(), "output_bytes", len(res.out))
+			wstart, time.Since(wstart), int64(len(out.res.output)))
+		s.finish(r, StateDone, "", elapsed, out.res)
+		s.log.Info("run done", "id", r.ID, "elapsed_ms", elapsed.Milliseconds(), "output_bytes", len(out.res.output))
 	case <-timer.C:
 		// Cancel the abandoned dispatch: the run layer checks the context
 		// before each experiment point and each machine run, so the
@@ -434,35 +413,45 @@ func (s *Server) execute(id string) {
 		cancel()
 		trace.Span(obs.TIDWallLifecycle, "serve", "execute (timed out)", now, s.cfg.RunTimeout)
 		s.runsFailed.Add(1)
-		s.finish(id, StateFailed,
-			fmt.Sprintf("timed out after %s (simulation abandoned)", s.cfg.RunTimeout), s.cfg.RunTimeout)
-		s.log.Error("run timed out", "id", id, "timeout", s.cfg.RunTimeout.String())
+		s.finish(r, StateFailed,
+			fmt.Sprintf("timed out after %s (simulation abandoned)", s.cfg.RunTimeout), s.cfg.RunTimeout, nil)
+		s.log.Error("run timed out", "id", r.ID, "timeout", s.cfg.RunTimeout.String())
 	}
 }
 
 // --- handlers ---
 
+// Health is the body of GET /healthz, which a fleet router decodes too:
+// besides the status and instance, the load fields let the router's probe
+// double as a saturation report without a second request. The fields are
+// declared in alphabetical key order: the body's layout is part of the
+// API.
+type Health struct {
+	// Instance is the daemon's run-id prefix, from which a fleet router
+	// learns which shard owns a run; empty for a single daemon.
+	Instance      string `json:"instance,omitempty"`
+	QueueCapacity int    `json:"queue_capacity"`
+	QueueDepth    int    `json:"queue_depth"`
+	// Status is "ok", or "draining" (with 503) while shutting down.
+	Status       string `json:"status"`
+	WorkersBusy  int    `json:"workers_busy"`
+	WorkersTotal int    `json:"workers_total"`
+}
+
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	// The status and instance fields keep their historical shape (string
-	// values, same keys); the load fields ride along so a fleet router's
-	// probe doubles as a saturation report without a second request.
-	body := map[string]any{
-		"status":         "ok",
-		"queue_depth":    len(s.queue),
-		"queue_capacity": cap(s.queue),
-		"workers_busy":   s.runsActive.Load(),
-		"workers_total":  s.cfg.Workers,
+	h := Health{
+		Instance:      s.cfg.InstanceID,
+		QueueCapacity: cap(s.queue),
+		QueueDepth:    len(s.queue),
+		Status:        "ok",
+		WorkersBusy:   int(s.runsActive.Load()),
+		WorkersTotal:  s.cfg.Workers,
 	}
-	if s.cfg.InstanceID != "" {
-		// The fleet router learns each shard's run-id prefix from here.
-		body["instance"] = s.cfg.InstanceID
-	}
+	code := http.StatusOK
 	if s.draining.Load() {
-		body["status"] = "draining"
-		s.writeJSON(w, http.StatusServiceUnavailable, body)
-		return
+		h.Status, code = "draining", http.StatusServiceUnavailable
 	}
-	s.writeJSON(w, http.StatusOK, body)
+	s.mw.WriteJSON(w, code, h)
 }
 
 // backendSlices maps each Active-Page backend name to the machine
@@ -511,131 +500,91 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleMetricsz(w http.ResponseWriter, r *http.Request) {
 	j, err := s.MetricsSnapshot().JSON()
 	if err != nil {
-		s.writeError(w, http.StatusInternalServerError, err.Error())
+		s.mw.WriteError(w, http.StatusInternalServerError, err.Error())
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
 	w.Write(append(j, '\n'))
 }
 
+// handleSubmit records a submission and answers with its run: a cold
+// run queued (X-AP-Cache: miss), the spec's in-flight leader (dedup), or
+// a run finished at once from the result store (hit). The registry
+// decides which in one transaction (registry.admit); a hit is then
+// recorded by one more (registry.finish), through the same exit as an
+// executed run.
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	req, err := DecodeRequest(http.MaxBytesReader(w, r.Body, 1<<20))
 	if err != nil {
-		s.writeError(w, http.StatusBadRequest, err.Error())
+		s.mw.WriteError(w, http.StatusBadRequest, err.Error())
 		return
 	}
 	if s.draining.Load() {
 		s.runsRejected.Add(1)
-		s.writeError(w, http.StatusServiceUnavailable, "daemon is shutting down")
+		s.mw.WriteError(w, http.StatusServiceUnavailable, "daemon is shutting down")
 		return
 	}
 
-	// The memo lock brackets the cached / in-flight / cold decision and,
-	// for the cold case, the enqueue itself — so a spec is never queued
-	// twice by racing duplicates. Both lookups and the enqueue are
-	// non-blocking, so the critical section is microseconds.
-	spec := SpecKey(req)
-	s.memo.mu.Lock()
-	if id, ok := s.memo.inflight[spec]; ok {
-		if view, vok := s.reg.get(id); vok {
-			s.memo.mu.Unlock()
-			s.cacheDedup.Add(1)
-			s.log.Info("run deduplicated", "id", id, "request", req.String())
-			w.Header().Set(CacheResultHeader, "dedup")
-			w.Header().Set("Location", "/api/v1/runs/"+id)
-			s.writeJSON(w, http.StatusAccepted, view)
-			return
-		}
-	}
-	if res, ok := s.memo.results.Get(spec); ok {
-		s.memo.mu.Unlock()
-		s.completeFromCache(w, r, req, spec, res)
-		return
-	}
 	rid := httpmw.RequestID(r.Context())
 	now := time.Now()
 	// The run's wall-clock trace starts at submission (epoch zero), so the
 	// queue-wait span renders from the origin of the run's timeline.
 	trace := obs.NewWallTracer(now)
-	// rn is the view the response carries, taken before the enqueue: once
-	// queued, a worker may already have marked the run running.
-	rn := s.reg.add(req, spec, rid, now, trace, newRunProgress(trace), s.cfg.JobsPerRun)
-	trace.SetProcess(1, rn.ID+" (wall clock)")
 	trace.Log(now, "submitted", map[string]string{"request": req.String(), "request_id": rid})
-	select {
-	case s.queue <- rn.ID:
-		s.memo.inflight[spec] = rn.ID
-		s.memo.mu.Unlock()
-	default:
-		// Load shed: the queue is full. The slot in the registry is
-		// reclaimed so a rejected submission leaves no trace but the
-		// counter.
-		s.memo.mu.Unlock()
-		s.reg.remove(rn.ID)
+	rn := &Run{Request: req, State: StateQueued, RequestID: rid, Submitted: now,
+		trace: trace, jobs: s.cfg.JobsPerRun, spec: SpecKey(req)}
+	view, res, how := s.reg.admit(rn, s.queue)
+	switch how {
+	case "":
 		s.runsRejected.Add(1)
-		s.writeError(w, http.StatusServiceUnavailable,
+		s.mw.WriteError(w, http.StatusServiceUnavailable,
 			fmt.Sprintf("run queue full (%d queued)", cap(s.queue)))
 		return
+	case "dedup":
+		s.cacheDedup.Add(1)
+		s.log.Info("run deduplicated", "id", view.ID, "request", req.String())
+	case "miss":
+		s.runsSubmitted.Add(1)
+		s.cacheMisses.Add(1)
+		if s.log.Enabled(r.Context(), slog.LevelInfo) {
+			s.log.Info("run submitted", "id", view.ID, "request", req.String(), "request_id", rid)
+		}
+	case "hit":
+		// Nothing executes: the record is finished already, with a zero
+		// queue wait and a near-zero cached execute span, so cached runs
+		// are first-class citizens of the §13 tooling, just visibly free.
+		// It gets no progress tracker; its view reports the zero tally.
+		s.runsSubmitted.Add(1)
+		s.cacheHits.Add(1)
+		started := time.Now()
+		rn.Started, rn.Cached = &started, true
+		trace.Span(obs.TIDWallLifecycle, "serve", "queue_wait", now, 0)
+		trace.Log(started, "cache hit", map[string]string{"spec": rn.spec})
+		elapsed := time.Since(now)
+		trace.Span(obs.TIDWallLifecycle, "serve", "execute (cached)", started, elapsed)
+		s.runNS.Observe(elapsed)
+		view = s.finish(rn, StateDone, "", elapsed, res)
+		if s.log.Enabled(r.Context(), slog.LevelInfo) {
+			s.log.Info("run served from cache", "id", view.ID,
+				"request", req.String(), "request_id", rid, "elapsed_us", elapsed.Microseconds())
+		}
 	}
-	s.runsSubmitted.Add(1)
-	s.cacheMisses.Add(1)
-	if s.log.Enabled(r.Context(), slog.LevelInfo) {
-		s.log.Info("run submitted", "id", rn.ID, "request", req.String(), "request_id", rid)
-	}
-	w.Header().Set(CacheResultHeader, "miss")
-	w.Header().Set("Location", "/api/v1/runs/"+rn.ID)
-	s.writeJSON(w, http.StatusAccepted, rn)
+	w.Header().Set(CacheResultHeader, how)
+	w.Header().Set("Location", "/api/v1/runs/"+view.ID)
+	s.mw.WriteJSON(w, http.StatusAccepted, view)
 }
 
-// completeFromCache answers a submission whose spec is already memoized:
-// the run record is created, started, and finished inline with the cached
-// artifacts attached, so the submit response already carries the terminal
-// state. The lifecycle trace gets the same span taxonomy as an executed
-// run — a zero queue_wait and a near-zero execute span — so cached runs
-// are first-class citizens of the §13 tooling, just visibly free. Nothing
-// executes, so the run gets no progress tracker: its view reports the
-// zero tally.
-func (s *Server) completeFromCache(w http.ResponseWriter, r *http.Request, req Request, spec string, res *cachedRun) {
-	rid := httpmw.RequestID(r.Context())
-	now := time.Now()
-	trace := obs.NewWallTracer(now)
-	rn := s.reg.add(req, spec, rid, now, trace, nil, s.cfg.JobsPerRun)
-	trace.SetProcess(1, rn.ID+" (wall clock)")
-	trace.Log(now, "submitted", map[string]string{"request": req.String(), "request_id": rid})
-	s.runsSubmitted.Add(1)
-	s.cacheHits.Add(1)
-	started := time.Now()
-	s.reg.update(rn.ID, func(r *Run) {
-		r.State = StateRunning
-		r.Started = &started
-		r.Cached = true
-		r.output = res.output
-		r.metrics = res.metrics
-		r.groups = res.groups
-	})
-	elapsed := time.Since(now)
-	trace.Span(obs.TIDWallLifecycle, "serve", "queue_wait", now, 0)
-	trace.Span(obs.TIDWallLifecycle, "serve", "execute (cached)", started, elapsed)
-	trace.Log(started, "cache hit", map[string]string{"spec": spec})
-	s.runNS.Observe(elapsed)
-	s.runsCompleted.Add(1)
-	s.finish(rn.ID, StateDone, "", elapsed)
-	if s.log.Enabled(r.Context(), slog.LevelInfo) {
-		s.log.Info("run served from cache", "id", rn.ID,
-			"request", req.String(), "request_id", rid, "elapsed_us", elapsed.Microseconds())
-	}
-	w.Header().Set(CacheResultHeader, "hit")
-	w.Header().Set("Location", "/api/v1/runs/"+rn.ID)
-	view, _ := s.reg.get(rn.ID)
-	s.writeJSON(w, http.StatusAccepted, view)
+// Listing is the body of GET /api/v1/runs: every run the registry holds,
+// sorted by id, and how many are in each state. A fleet router merges its
+// shards' listings into one and counts each shard's runs in Shards.
+type Listing struct {
+	Runs   []Run          `json:"runs"`
+	Counts map[State]int  `json:"counts"`
+	Shards map[string]int `json:"shards,omitempty"`
 }
 
 func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
-	type listing struct {
-		Runs   []Run         `json:"runs"`
-		Counts map[State]int `json:"counts"`
-	}
-	s.writeJSON(w, http.StatusOK, listing{Runs: s.reg.list(), Counts: s.reg.counts()})
+	s.mw.WriteJSON(w, http.StatusOK, s.reg.list())
 }
 
 // lookup fetches the run named by the request path, writing the 404 itself.
@@ -643,7 +592,7 @@ func (s *Server) lookup(w http.ResponseWriter, r *http.Request) (Run, bool) {
 	id := r.PathValue("id")
 	rn, ok := s.reg.get(id)
 	if !ok {
-		s.writeError(w, http.StatusNotFound, fmt.Sprintf("no run %q", id))
+		s.mw.WriteError(w, http.StatusNotFound, fmt.Sprintf("no run %q", id))
 	}
 	return rn, ok
 }
@@ -656,12 +605,12 @@ func (s *Server) lookupDone(w http.ResponseWriter, r *http.Request) (Run, bool) 
 		return rn, false
 	}
 	if rn.State != StateDone {
-		s.writeError(w, http.StatusConflict,
+		s.mw.WriteError(w, http.StatusConflict,
 			fmt.Sprintf("run %s is %s, not done", rn.ID, rn.State))
 		return rn, false
 	}
 	if rn.Evicted {
-		s.writeError(w, http.StatusGone,
+		s.mw.WriteError(w, http.StatusGone,
 			fmt.Sprintf("run %s artifacts evicted (retention cap %d)", rn.ID, s.cfg.RetainRuns))
 		return rn, false
 	}
@@ -670,7 +619,7 @@ func (s *Server) lookupDone(w http.ResponseWriter, r *http.Request) (Run, bool) 
 
 func (s *Server) handleGet(w http.ResponseWriter, r *http.Request) {
 	if rn, ok := s.lookup(w, r); ok {
-		s.writeJSON(w, http.StatusOK, rn)
+		s.mw.WriteJSON(w, http.StatusOK, rn)
 	}
 }
 
@@ -679,7 +628,7 @@ func (s *Server) handleOutput(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	writeArtifact(w, r, "text/plain; charset=utf-8", rn.output)
+	writeArtifact(w, r, "text/plain; charset=utf-8", rn.result.output)
 }
 
 func (s *Server) handleRunMetrics(w http.ResponseWriter, r *http.Request) {
@@ -687,9 +636,9 @@ func (s *Server) handleRunMetrics(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	j, err := rn.metrics.JSON()
+	j, err := rn.result.metrics.JSON()
 	if err != nil {
-		s.writeError(w, http.StatusInternalServerError, err.Error())
+		s.mw.WriteError(w, http.StatusInternalServerError, err.Error())
 		return
 	}
 	writeArtifact(w, r, "application/json", append(j, '\n'))
@@ -700,11 +649,11 @@ func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	groups := rn.groups
+	groups := rn.result.groups
 	if len(groups) == 0 {
 		// Experiments that collect no per-benchmark groups still get a
 		// whole-run attribution, mirroring apreport on a single file.
-		groups = map[string]obs.Snapshot{rn.ID: rn.metrics}
+		groups = map[string]obs.Snapshot{rn.ID: rn.result.metrics}
 	}
 	var buf bytes.Buffer
 	report.FromGroups(groups).WriteTo(&buf)
@@ -748,7 +697,7 @@ func (s *Server) handleProgress(w http.ResponseWriter, r *http.Request) {
 	if rn.Progress != nil {
 		resp.Progress = *rn.Progress
 	}
-	s.writeJSON(w, http.StatusOK, resp)
+	s.mw.WriteJSON(w, http.StatusOK, resp)
 	// Progress responses are poll loops' payload: push them out now so a
 	// client behind buffering proxies sees each sample promptly.
 	if f, ok := w.(http.Flusher); ok {
@@ -766,7 +715,7 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if rn.Evicted || rn.trace == nil {
-		s.writeError(w, http.StatusGone,
+		s.mw.WriteError(w, http.StatusGone,
 			fmt.Sprintf("run %s trace evicted (retention cap %d)", rn.ID, s.cfg.RetainRuns))
 		return
 	}
@@ -778,24 +727,4 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 	if f, ok := w.(http.Flusher); ok {
 		f.Flush()
 	}
-}
-
-// --- response helpers ---
-
-// writeJSON renders v as the response body. Encode errors after the header
-// has gone out cannot change the status anymore, but they are no longer
-// silent: a client hanging up mid-body or an unmarshalable value logs at
-// debug, so a flaky endpoint is diagnosable from the daemon's logs.
-func (s *Server) writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(v); err != nil {
-		s.log.Debug("writeJSON encode failed", "status", code, "err", err.Error())
-	}
-}
-
-func (s *Server) writeError(w http.ResponseWriter, code int, msg string) {
-	s.writeJSON(w, code, map[string]string{"error": msg})
 }

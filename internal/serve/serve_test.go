@@ -213,14 +213,58 @@ func TestQueueFullShedsLoad(t *testing.T) {
 	if got := s.runsRejected.Load(); got != 1 {
 		t.Errorf("runs_rejected = %d, want 1", got)
 	}
-	if got := len(s.reg.list()); got != 2 {
-		t.Errorf("registry has %d runs, want 2 (shed run removed)", got)
+	if got := len(s.reg.list().Runs); got != 2 {
+		t.Errorf("registry has %d runs, want 2 (shed run never recorded)", got)
 	}
 
 	// A queued (not yet executed) run refuses to serve artifacts.
-	id := s.reg.list()[0].ID
+	id := s.reg.list().Runs[0].ID
 	if code, _ := get(t, ts.URL+"/api/v1/runs/"+id+"/output"); code != http.StatusConflict {
 		t.Errorf("output of queued run: HTTP %d, want 409", code)
+	}
+}
+
+// TestShedLeavesNoLeader: a shed submission and a failed leader each
+// leave their spec cold, so a resubmission of either spec is a cold run
+// with a new id, neither attached to a dead run nor refused.
+func TestShedLeavesNoLeader(t *testing.T) {
+	s, ts := newTestServer(t, Config{Workers: 1, QueueDepth: 1, JobsPerRun: 1, RunTimeout: time.Nanosecond}, false)
+	const a = `{"experiment":"array","quick":true,"page_bytes":8192}`
+	const b = `{"experiment":"array","quick":true,"page_bytes":16384}`
+	resp, leader := submit(t, ts, a)
+	if resp.StatusCode != http.StatusAccepted || resp.Header.Get(CacheResultHeader) != "miss" {
+		t.Fatalf("first submit: HTTP %d %s %q", resp.StatusCode, CacheResultHeader, resp.Header.Get(CacheResultHeader))
+	}
+	if resp, _ := submit(t, ts, b); resp.StatusCode != http.StatusServiceUnavailable {
+		t.Fatalf("submit to a full queue: HTTP %d, want 503", resp.StatusCode)
+	}
+
+	// The one-nanosecond budget fails the leader as soon as it starts.
+	s.Start()
+	t.Cleanup(func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+		defer cancel()
+		if err := s.Shutdown(ctx); err != nil {
+			t.Errorf("shutdown: %v", err)
+		}
+	})
+	if rn := waitDone(t, ts, leader.ID); rn.State != StateFailed {
+		t.Fatalf("leader: %s %s, want failed", rn.State, rn.Error)
+	}
+	for _, body := range []string{a, b} {
+		resp, rn := submit(t, ts, body)
+		if got := resp.Header.Get(CacheResultHeader); resp.StatusCode != http.StatusAccepted || got != "miss" {
+			t.Errorf("resubmit %s: HTTP %d %s %q, want 202 miss", body, resp.StatusCode, CacheResultHeader, got)
+		}
+		if rn.ID == "" || rn.ID == leader.ID {
+			t.Errorf("resubmit %s: run id %q, want a new one", body, rn.ID)
+		}
+		waitDone(t, ts, rn.ID)
+	}
+	s.reg.mu.Lock()
+	defer s.reg.mu.Unlock()
+	if len(s.reg.leaders) != 0 {
+		t.Errorf("terminal runs still lead specs: %v", s.reg.leaders)
 	}
 }
 
