@@ -9,7 +9,6 @@
 //	apbench -experiment table4 -json
 //	apbench -experiment ablations
 //	apbench -experiment array -quick -json -report
-//	apbench -experiment all -quick -trace out.json
 //	apbench -experiment backends -quick
 //	apbench -experiment array -quick -backend simdram
 //
@@ -34,11 +33,8 @@
 // simulations of the invocation — after the human-readable tables.
 // -report appends a bottleneck attribution report: per-benchmark phase
 // breakdown (compute / memory stall / Active-Page wait / mediation, plus
-// bus and logic occupancy) and latency-histogram quantiles. -trace runs
-// one extra traced simulation pair — it contributes nothing to the tables,
-// metrics, or report, so all other output is byte-identical with or
-// without it — and writes a Chrome trace_event JSON file loadable in
-// Perfetto (https://ui.perfetto.dev) or chrome://tracing.
+// bus and logic occupancy) and latency-histogram quantiles. To trace one
+// conventional/RADram pair in Perfetto, run apsim -trace.
 package main
 
 import (
@@ -51,7 +47,6 @@ import (
 	"strings"
 
 	"activepages/internal/experiments"
-	"activepages/internal/obs"
 	"activepages/internal/radram"
 	"activepages/internal/report"
 	"activepages/internal/run"
@@ -81,9 +76,6 @@ func realMain() error {
 		nocheck    = flag.Bool("nocheckpoint", false, "disable checkpoint/branch sweep reuse (A/B timing)")
 		jsonOut    = flag.Bool("json", false, "append a merged metrics snapshot as JSON")
 		reportOut  = flag.Bool("report", false, "append a bottleneck attribution report")
-		traceFile  = flag.String("trace", "", "write a Chrome trace of one traced run to this file")
-		traceBench = flag.String("tracebench", "database", "with -trace: benchmark to trace")
-		tracePages = flag.Float64("tracepages", 2, "with -trace: problem size in pages")
 		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memProfile = flag.String("memprofile", "", "write an allocation profile to this file on exit")
 	)
@@ -102,9 +94,6 @@ func realMain() error {
 	cfg := radram.DefaultConfig().WithPageBytes(*pageBytes)
 	if err := cfg.Validate(); err != nil {
 		return fmt.Errorf("-pagebytes %d: %w", *pageBytes, err)
-	}
-	if err := experiments.ValidatePages(*tracePages); err != nil {
-		return fmt.Errorf("-tracepages %g: %w", *tracePages, err)
 	}
 
 	if *cpuProfile != "" {
@@ -164,55 +153,5 @@ func realMain() error {
 		}
 		fmt.Printf("\n%s\n%s\n", report.MetricsMarker, j)
 	}
-	if *traceFile != "" {
-		if err := writeTrace(*traceFile, *traceBench, cfg, *tracePages); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// writeTrace runs one dedicated conventional/RADram pair of the named
-// benchmark with simulated-time tracing enabled and exports the combined
-// trace as Chrome trace_event JSON. The traced pair is separate from the
-// experiment's machines and feeds no metrics collector, so enabling
-// -trace changes nothing else about the invocation's output.
-func writeTrace(path, bench string, cfg radram.Config, pages float64) error {
-	b, err := experiments.BenchmarkByName(bench)
-	if err != nil {
-		return err
-	}
-	conv, rad, err := run.NewPair(cfg)
-	if err != nil {
-		return err
-	}
-	convTr := obs.NewTracer(0)
-	convTr.SetProcess(1, "conventional")
-	radTr := obs.NewTracer(0)
-	radTr.SetProcess(2, "radram")
-	conv.EnableTracing(convTr)
-	rad.EnableTracing(radTr)
-	if err := b.Run(conv.Machine, pages); err != nil {
-		return err
-	}
-	if err := b.Run(rad.Machine, pages); err != nil {
-		return err
-	}
-	conv.FlushTrace()
-	rad.FlushTrace()
-
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := obs.WriteChrome(f, convTr, radTr); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	fmt.Fprintf(os.Stderr, "apbench: wrote %d trace events (%d dropped) to %s\n",
-		convTr.Len()+radTr.Len(), convTr.Dropped()+radTr.Dropped(), path)
 	return nil
 }

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"os"
 	"os/exec"
-	"path/filepath"
 	"testing"
 )
 
@@ -24,8 +23,6 @@ func TestMain(m *testing.M) {
 // stdout — instead of a constructor's panic, an out-of-memory error or a
 // run that quietly measures something else.
 func TestRejectsBadFlags(t *testing.T) {
-	trace := filepath.Join(t.TempDir(), "t.json")
-	const pagesErr = "problem size must be above 0 and at most 256 pages\n"
 	for _, tc := range []struct {
 		name string
 		args []string
@@ -41,14 +38,6 @@ func TestRejectsBadFlags(t *testing.T) {
 		// Above the paper's 512 KiB page the sweep runs out of memory.
 		{"PageAboveCap", []string{"-experiment", "array", "-quick", "-pagebytes", "1099511627776"},
 			"apbench: -pagebytes 1099511627776: radram: core: page size 1099511627776 exceeds the paper's 524288-byte page\n"},
-		{"TracePagesHuge", []string{"-experiment", "table2", "-trace", trace, "-tracepages", "1e12"},
-			"apbench: -tracepages 1e+12: " + pagesErr},
-		{"TracePagesNaN", []string{"-experiment", "table2", "-trace", trace, "-tracepages", "NaN"},
-			"apbench: -tracepages NaN: " + pagesErr},
-		{"TracePagesZero", []string{"-experiment", "table2", "-trace", trace, "-tracepages", "0"},
-			"apbench: -tracepages 0: " + pagesErr},
-		{"TracePagesNegative", []string{"-experiment", "table2", "-trace", trace, "-tracepages", "-1"},
-			"apbench: -tracepages -1: " + pagesErr},
 		// matrix-boeing runs on RADram but has no SIMDRAM port: the whole
 		// run is refused before its RADram sweep prints.
 		{"UnportedBackendAll", []string{"-experiment", "matrix-boeing", "-quick", "-backend", "all"},

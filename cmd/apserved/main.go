@@ -61,9 +61,15 @@
 // X-AP-Request-Id — the inbound header's value when a router forwarded
 // one, a fresh id otherwise — echoed on the response, written in the
 // access line, and recorded on the run it submitted, so one id joins a
-// client interaction across the whole fleet. SIGINT/SIGTERM shut down gracefully:
-// the listener closes, in-flight runs finish (bounded by -runtimeout), and
-// still-queued runs are marked failed.
+// client interaction across the whole fleet.
+//
+// -runtimeout bounds each run: a run still executing at the deadline
+// stops after the machine run each of its simulation workers is in (at
+// most about 3.3 s later at 256 pages of 512 KiB) and fails "timed out";
+// its worker takes the next run only then. SIGINT/SIGTERM shut down
+// gracefully: the listener closes, new submissions get 503, in-flight runs
+// finish (each bounded by -runtimeout), and still-queued runs are marked
+// failed.
 package main
 
 import (

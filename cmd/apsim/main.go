@@ -2,9 +2,16 @@
 // and prints the timing breakdown: conventional versus RADram execution,
 // speedup, and the processor's time ledger.
 //
+// -trace FILE also records both runs in simulated time and writes them as
+// one Chrome trace_event JSON file, loadable in Perfetto
+// (https://ui.perfetto.dev) or chrome://tracing: the conventional machine
+// is process 1, RADram process 2. Tracing never changes what the machines
+// compute, so stdout is byte-identical with or without it.
+//
 // Usage:
 //
 //	apsim -app database -pages 16
+//	apsim -app database -pages 4 -trace trace.json
 //	apsim -app matrix-boeing -pages 64 -pagebytes 524288 -logicdiv 20 -missns 100
 package main
 
@@ -14,6 +21,7 @@ import (
 	"os"
 
 	"activepages/internal/experiments"
+	"activepages/internal/obs"
 	"activepages/internal/radram"
 	"activepages/internal/run"
 	"activepages/internal/sim"
@@ -35,6 +43,7 @@ func realMain() error {
 		missNs    = flag.Uint64("missns", 50, "cache-miss (DRAM access) latency in ns")
 		l1d       = flag.Uint64("l1d", 64*1024, "L1 data cache bytes")
 		l2        = flag.Uint64("l2", 1024*1024, "L2 cache bytes")
+		traceFile = flag.String("trace", "", "also write a Chrome trace of both runs to this file")
 	)
 	flag.Parse()
 
@@ -59,11 +68,26 @@ func realMain() error {
 	if err != nil {
 		return err
 	}
+	var convTr, radTr *obs.Tracer
+	if *traceFile != "" {
+		convTr, radTr = obs.NewTracer(0), obs.NewTracer(0)
+		convTr.SetProcess(1, "conventional")
+		radTr.SetProcess(2, "radram")
+		conv.EnableTracing(convTr)
+		rad.EnableTracing(radTr)
+	}
 	if err := b.Run(conv.Machine, *pages); err != nil {
 		return fmt.Errorf("conventional: %w", err)
 	}
 	if err := b.Run(rad.Machine, *pages); err != nil {
 		return fmt.Errorf("radram: %w", err)
+	}
+	if *traceFile != "" {
+		conv.FlushTrace()
+		rad.FlushTrace()
+		if err := writeTrace(*traceFile, convTr, radTr); err != nil {
+			return err
+		}
 	}
 
 	fmt.Printf("benchmark      %s (%s)\n", b.Name(), b.Partitioning())
@@ -86,5 +110,24 @@ func realMain() error {
 	fmt.Printf("inter-page transfers   %d (%d bytes)\n",
 		rad.AP.Stats.InterPageTransfers, rad.AP.Stats.InterPageBytes)
 	fmt.Printf("stalled on AP          %.1f%%\n", 100*rs.NonOverlapFraction())
+	return nil
+}
+
+// writeTrace exports both machines' traces as one Chrome trace_event
+// document and reports the event count on stderr.
+func writeTrace(path string, convTr, radTr *obs.Tracer) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := obs.WriteChrome(f, convTr, radTr); err != nil {
+		f.Close()
+		return err
+	}
+	if err := f.Close(); err != nil {
+		return err
+	}
+	fmt.Fprintf(os.Stderr, "apsim: wrote %d trace events (%d dropped) to %s\n",
+		convTr.Len()+radTr.Len(), convTr.Dropped()+radTr.Dropped(), path)
 	return nil
 }

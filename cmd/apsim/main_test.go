@@ -2,9 +2,11 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
 	"os"
 	"os/exec"
+	"path/filepath"
 	"testing"
 )
 
@@ -57,5 +59,53 @@ func TestRejectsBadFlags(t *testing.T) {
 				t.Errorf("output was printed before the error: %q", stdout.String())
 			}
 		})
+	}
+}
+
+// TestTraceLeavesOutputUnchanged runs one pair with and without -trace.
+// Tracing turns folding and stream batching off, so equal stdout checks
+// the scalar path against the batched one end to end. The file must be a
+// Chrome trace document with both machines as processes.
+func TestTraceLeavesOutputUnchanged(t *testing.T) {
+	apsim := func(args ...string) []byte {
+		t.Helper()
+		cmd := exec.Command(os.Args[0], args...)
+		cmd.Env = append(os.Environ(), "APSIM_RUN_MAIN=1")
+		out, err := cmd.Output()
+		if err != nil {
+			t.Fatalf("apsim %q: %v", args, err)
+		}
+		return out
+	}
+	path := filepath.Join(t.TempDir(), "trace.json")
+	args := []string{"-app", "database", "-pages", "2"}
+	plain := apsim(args...)
+	if traced := apsim(append(args, "-trace", path)...); !bytes.Equal(traced, plain) {
+		t.Errorf("stdout with -trace:\n%s\nwithout:\n%s", traced, plain)
+	}
+
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var doc struct {
+		TraceEvents []struct {
+			Name string         `json:"name"`
+			Pid  int            `json:"pid"`
+			Args map[string]any `json:"args"`
+		} `json:"traceEvents"`
+	}
+	if err := json.Unmarshal(data, &doc); err != nil {
+		t.Fatalf("trace is not JSON: %v", err)
+	}
+	procs := map[int]any{}
+	for _, ev := range doc.TraceEvents {
+		if ev.Name == "process_name" {
+			procs[ev.Pid] = ev.Args["name"]
+		}
+	}
+	if procs[1] != "conventional" || procs[2] != "radram" || len(doc.TraceEvents) <= len(procs) {
+		t.Errorf("trace processes %v over %d events, want conventional (1) and radram (2) with events",
+			procs, len(doc.TraceEvents))
 	}
 }

@@ -16,6 +16,7 @@ package run
 import (
 	"fmt"
 
+	"activepages/internal/cache"
 	"activepages/internal/core"
 	"activepages/internal/lru"
 	"activepages/internal/obs"
@@ -52,29 +53,28 @@ func NewCheckpointCache(budgetBytes uint64) *CheckpointCache {
 	return lru.New[string](budgetBytes, (*radram.Checkpoint).Bytes)
 }
 
-// convCheckpointKey is the canonical checkpoint key of a conventional-
-// machine run: benchmark, problem size, and exactly the configuration a
-// conventional machine observes. Every Active-Page-only knob (backend,
-// logic divisor, dispatch/interrupt costs, bind charging) is zeroed out of
-// the key, so sweeps over those knobs share one conventional run per
-// point — the prefix-key = config-minus-swept-knob rule.
-func convCheckpointKey(bench string, pages float64, cfg radram.Config) string {
-	ap := core.Config{PageBytes: cfg.AP.PageBytes}
-	return fmt.Sprintf("conv|%s|%g|cpu%+v|mem%+v|ap%+v", bench, pages, cfg.CPU, cfg.Mem, ap)
-}
-
-// apCheckpointKey is the canonical checkpoint key of an Active-Page
-// machine run: benchmark, problem size, the full configuration, and the
+// checkpointKey is the canonical checkpoint key of one machine run: the
+// machine's kind, benchmark, problem size, and exactly the configuration
+// that machine observes. No run reads the L1I, since tier (b) fetches no
+// instructions, or the cache names, which label error messages only, so
+// both are zeroed out of the key. A conventional machine observes no
+// Active-Page knob but the page size: the backend, logic divisor,
+// dispatch/interrupt costs and bind charging are zeroed too, so sweeps
+// over those knobs share one conventional run per point — the
+// prefix-key = config-minus-swept-knob rule. An Active-Page key names the
 // backend's concrete type and parameters (a nil backend normalizes to the
 // RADram cost model, matching radram.New).
-func apCheckpointKey(bench string, pages float64, cfg radram.Config) string {
-	b := cfg.AP.Backend
-	if b == nil {
-		b = radram.CostModel{}
+func checkpointKey(kind Kind, bench string, pages float64, cfg radram.Config) string {
+	cfg.Mem.L1I = cache.Config{}
+	cfg.Mem.L1D.Name, cfg.Mem.L2.Name = "", ""
+	if kind == Conventional {
+		cfg.AP = core.Config{PageBytes: cfg.AP.PageBytes}
+	} else if cfg.AP.Backend == nil {
+		cfg.AP.Backend = radram.CostModel{}
 	}
-	ap := cfg.AP
-	ap.Backend = nil
-	return fmt.Sprintf("ap|%T%+v|%s|%g|cpu%+v|mem%+v|ap%+v", b, b, bench, pages, cfg.CPU, cfg.Mem, ap)
+	b := cfg.AP.Backend
+	cfg.AP.Backend = nil
+	return fmt.Sprintf("%d|%T%+v|%s|%g|cpu%+v|mem%+v|ap%+v", kind, b, b, bench, pages, cfg.CPU, cfg.Mem, cfg.AP)
 }
 
 // Workload is a benchmark kernel as Simulate runs it: its name keys the
@@ -133,10 +133,8 @@ func (r *Runner) Simulate(w Workload, kind Kind, cfg radram.Config, pages float6
 		return out, fmt.Errorf("run canceled: %w", err)
 	}
 	build := func() (*Machine, error) { return NewConventional(cfg), nil }
-	key := convCheckpointKey
 	if kind == ActivePage {
 		build = func() (*Machine, error) { return New(cfg) }
-		key = apCheckpointKey
 	}
 	cold := func() (*Machine, error) {
 		m, err := build()
@@ -156,7 +154,7 @@ func (r *Runner) Simulate(w Workload, kind Kind, cfg radram.Config, pages float6
 		return r.outcome(m, ""), nil
 	}
 	var m *Machine
-	ckpt, hit, err := r.Checkpoints.Do(key(w.Name(), pages, cfg), func() (*radram.Checkpoint, error) {
+	ckpt, hit, err := r.Checkpoints.Do(checkpointKey(kind, w.Name(), pages, cfg), func() (*radram.Checkpoint, error) {
 		out.Checkpoint = "cold"
 		var err error
 		if m, err = cold(); err != nil {

@@ -1,7 +1,4 @@
 package run
 
-// The checkpoint keys, for the external key-soundness test.
-var (
-	ConvCheckpointKey = convCheckpointKey
-	APCheckpointKey   = apCheckpointKey
-)
+// The checkpoint key, for the external key-soundness test.
+var CheckpointKey = checkpointKey

@@ -21,38 +21,34 @@ const (
 	unkeyed keying = "unkeyed"
 	// keyed: the key holds the field and the machine's outcome depends on it.
 	keyed keying = "keyed"
-	// overKeyed: the key holds the field but no run reads it, so two runs
-	// that differ only there both simulate instead of one branching from
-	// the other.
-	overKeyed keying = "over-keyed"
 	// unexercised: the key holds a field the machine reads, but array and
 	// database at 2 pages never reach it, so the outcome does not change.
 	unexercised keying = "unexercised"
 )
 
-// configKeying classifies every leaf field of radram.Config for
-// ConvCheckpointKey and APCheckpointKey, in that order. The over-keyed
-// fields are the known lost sharing: the cache names label error messages
-// only, and tier (b), the task-level processor every sweep runs on,
-// fetches no instructions, so the L1I is never accessed. The unexercised
-// ones are read at other sizes or by other benchmarks. Only matrix does
-// floating-point multiplies, and 128 KiB of data fits the L2 at either
-// size or associativity. At 2 pages the Active-Page side of array and
-// database misses the L1D at most six times, all first touches, hits the
-// same DRAM rows at twice the row size, and moves no data between pages,
-// so it takes no inter-page interrupt.
+// configKeying classifies every leaf field of radram.Config for the
+// conventional and the Active-Page checkpoint key, in that order. The
+// cache names label error messages only, and tier (b), the task-level
+// processor every sweep runs on, fetches no instructions, so the L1I is
+// never accessed: no key holds them. The unexercised fields are read at
+// other sizes or by other benchmarks. Only matrix does floating-point
+// multiplies, and 128 KiB of data fits the L2 at either size or
+// associativity. At 2 pages the Active-Page side of array and database
+// misses the L1D at most six times, all first touches, hits the same DRAM
+// rows at twice the row size, and moves no data between pages, so it
+// takes no inter-page interrupt.
 var configKeying = map[string][2]keying{
 	"CPU.ClockHz":              {keyed, keyed},
 	"CPU.FPMulLatency":         {unexercised, unexercised},
-	"Mem.L1I.Name":             {overKeyed, overKeyed},
-	"Mem.L1I.SizeBytes":        {overKeyed, overKeyed},
-	"Mem.L1I.LineBytes":        {overKeyed, overKeyed},
-	"Mem.L1I.Assoc":            {overKeyed, overKeyed},
-	"Mem.L1D.Name":             {overKeyed, overKeyed},
+	"Mem.L1I.Name":             {unkeyed, unkeyed},
+	"Mem.L1I.SizeBytes":        {unkeyed, unkeyed},
+	"Mem.L1I.LineBytes":        {unkeyed, unkeyed},
+	"Mem.L1I.Assoc":            {unkeyed, unkeyed},
+	"Mem.L1D.Name":             {unkeyed, unkeyed},
 	"Mem.L1D.SizeBytes":        {keyed, unexercised},
 	"Mem.L1D.LineBytes":        {keyed, unexercised},
 	"Mem.L1D.Assoc":            {keyed, unexercised},
-	"Mem.L2.Name":              {overKeyed, overKeyed},
+	"Mem.L2.Name":              {unkeyed, unkeyed},
 	"Mem.L2.SizeBytes":         {unexercised, unexercised},
 	"Mem.L2.LineBytes":         {keyed, keyed},
 	"Mem.L2.Assoc":             {unexercised, unexercised},
@@ -144,16 +140,18 @@ func perturb(t *testing.T, name string, v reflect.Value) {
 // field a key leaves out must leave that machine's outcome unchanged, or
 // the checkpoint cache would answer one configuration with another's
 // machine state. A field a key holds whose perturbation changes no
-// outcome must be listed as over-keyed (lost sharing, which the test logs)
-// or as unexercised. A field configKeying does not classify fails, so a
-// new configuration field is classified before it reaches a sweep.
+// outcome fails unless it is listed as unexercised: over-keying would
+// make two runs that differ only there both simulate instead of one
+// branching from the other. A field configKeying does not classify fails,
+// so a new configuration field is classified before it reaches a sweep.
 func TestCheckpointKeySoundness(t *testing.T) {
 	const pages = 2
 	base := radram.DefaultConfig().WithPageBytes(64 << 10)
 	benches := []apps.Benchmark{database.Benchmark{}, array.Benchmark{}}
 	baseConv, baseAP := machineOutcomes(t, base, benches)
 	keys := func(cfg radram.Config) [2]string {
-		return [2]string{run.ConvCheckpointKey("array", pages, cfg), run.APCheckpointKey("array", pages, cfg)}
+		return [2]string{run.CheckpointKey(run.Conventional, "array", pages, cfg),
+			run.CheckpointKey(run.ActivePage, "array", pages, cfg)}
 	}
 	baseKeys := keys(base)
 
@@ -183,13 +181,11 @@ func TestCheckpointKeySoundness(t *testing.T) {
 				got = unkeyed
 			case changed[m]:
 				got = keyed
-			case want[m] == unexercised:
-				got = unexercised
+			case want[m] != unexercised:
+				t.Errorf("%s: the %s key holds it, but no outcome depends on it", name, machine)
+				continue
 			default:
-				got = overKeyed
-			}
-			if got == overKeyed {
-				t.Logf("lost sharing: the %s key holds %s, which changes no outcome", machine, name)
+				got = unexercised
 			}
 			if classified && got != want[m] {
 				t.Errorf("%s on the %s machine is %s, configKeying says %s", name, machine, got, want[m])

@@ -104,11 +104,11 @@ type Run struct {
 	// log, created at submission (epoch = submission time) and emitted
 	// into by the executing worker; it is concurrency-safe, so handlers
 	// export it while the run is in flight. progress is the live tracker
-	// the worker's runner reports into from pickup on; a run completed
-	// from the cache never executes and has none. jobs is the run's
-	// simulation worker-pool width, for the ETA estimate. spec is the
-	// run's content address (SpecKey), keying the result store and the
-	// registry's leader index.
+	// the worker's runner reports into while the run is running; a cached
+	// run never executes and has none. jobs is the run's simulation
+	// worker-pool width, for the ETA estimate. spec is the run's content
+	// address (SpecKey), keying the result store and the registry's leader
+	// index.
 	trace    *obs.WallTracer
 	progress *run.Progress
 	jobs     int
@@ -118,34 +118,24 @@ type Run struct {
 // view returns a shallow copy of the run's JSON-visible fields, safe to
 // marshal after the registry lock is released. The artifacts are
 // intentionally shared: they are written once, when the run is marked
-// done, and never mutated after. The progress snapshot is taken here so
-// every view carries a consistent live reading; a tombstone carries the
-// tally evict stored.
+// done, and never mutated after. A running run's view reads its live
+// tracker; a terminal run carries the tally registry.finish froze.
 func (r *Run) view() Run {
 	v := *r
-	if r.Started != nil && !r.Evicted {
+	if r.State == StateRunning {
 		snap := r.progress.Snapshot()
 		v.Progress = &snap
-		if r.State == StateRunning {
-			v.EtaMS = snap.ETA(r.jobs).Milliseconds()
-		}
+		v.EtaMS = snap.ETA(r.jobs).Milliseconds()
 	}
 	return v
 }
 
 // evict reduces a terminal run to its tombstone: the lifecycle record and
-// the final progress tally. Everything else goes: the artifacts, the
-// trace, the spec (finish has dropped its leadership) and the progress
-// tracker, whose callbacks hold the trace. The tracker pointer is dropped,
-// never cleared: the abandoned dispatch of a timed-out run may still be
-// reporting into it.
+// the final progress tally. The artifacts, the trace and the spec (finish
+// has dropped its leadership) go.
 func (r *Run) evict() {
-	if r.Started != nil {
-		snap := r.progress.Snapshot()
-		r.Progress = &snap
-	}
 	r.Evicted = true
-	r.result, r.trace, r.progress, r.spec = nil, nil, nil, ""
+	r.result, r.trace, r.spec = nil, nil, ""
 }
 
 // tombstonesPerRetained bounds the tombstones a registry keeps, as a
@@ -177,6 +167,8 @@ type registry struct {
 	// either led, stored, or cold, never ambiguously two of those.
 	leaders map[string]string
 	results *lru.Cache[string, *cachedRun]
+	// closed is set, with the queue closed, when the server shuts down.
+	closed bool
 	// terminal lists terminal (done/failed), not-yet-evicted run ids in
 	// completion order — the eviction queue. tombstones lists evicted run
 	// ids in the same order — the queue of runs to forget.
@@ -206,13 +198,16 @@ func (g *registry) insert(r *Run) {
 // whose view it returns), a hit (its spec's result is stored, which it
 // returns; the caller finishes r with it), a miss (r becomes the spec's
 // leader, is published and queued, and its view is returned as queued:
-// no worker has seen it yet), or shed (the queue is full; r leaves no
-// trace). The disposition is the CacheResultHeader value, "" when shed.
-// Both lookups and the enqueue are non-blocking, so the critical section
-// is microseconds, and a spec is never queued twice by racing duplicates.
+// no worker has seen it yet), or shed (the queue is full: "", or closed:
+// "closed"; r leaves no trace). The disposition is the CacheResultHeader
+// value otherwise. Both lookups and the enqueue are non-blocking, so the
+// critical section is microseconds, and a spec is never queued twice.
 func (g *registry) admit(r *Run, queue chan<- *Run) (Run, *cachedRun, string) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
+	if g.closed {
+		return Run{}, nil, "closed"
+	}
 	if id, ok := g.leaders[r.spec]; ok {
 		return g.runs[id].view(), nil, "dedup"
 	}
@@ -230,6 +225,22 @@ func (g *registry) admit(r *Run, queue chan<- *Run) (Run, *cachedRun, string) {
 	return r.view(), nil, "miss"
 }
 
+// close closes admission and the queue in one transaction, so no admit
+// sends on the closed queue.
+func (g *registry) close(queue chan *Run) {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	g.closed = true
+	close(queue)
+}
+
+// isClosed reports whether admission has closed.
+func (g *registry) isClosed() bool {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	return g.closed
+}
+
 // start marks a queued run running, executing under prog from now on.
 func (g *registry) start(r *Run, now time.Time, prog *run.Progress) {
 	g.mu.Lock()
@@ -238,8 +249,9 @@ func (g *registry) start(r *Run, now time.Time, prog *run.Progress) {
 }
 
 // finish makes r terminal in one transaction: state st, finished at at,
-// after elapsed of execution, with the artifacts res when done. An
-// executed run's artifacts enter the result store before the spec's
+// after elapsed of execution, with the artifacts res when done, and the
+// final progress tally of a started run frozen in place of its tracker.
+// An executed run's artifacts enter the result store before the spec's
 // leadership is dropped, so there is no window where a duplicate
 // submission neither attaches to the run nor finds its result stored. A
 // record not yet published — a cache hit, whose artifacts came from the
@@ -252,6 +264,10 @@ func (g *registry) finish(r *Run, st State, errMsg string, at time.Time, elapsed
 		g.insert(r)
 	}
 	r.State, r.Error, r.Finished, r.ElapsedMS = st, errMsg, &at, elapsed.Milliseconds()
+	if r.Started != nil {
+		snap := r.progress.Snapshot()
+		r.Progress, r.progress = &snap, nil
+	}
 	r.result = res
 	if res != nil && !r.Cached {
 		g.results.Add(r.spec, res)

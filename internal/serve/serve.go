@@ -15,6 +15,7 @@ package serve
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"log/slog"
 	"net/http"
@@ -122,8 +123,7 @@ type Server struct {
 	// CacheBudget. The registry fills it as runs finish.
 	results *lru.Cache[string, *cachedRun]
 
-	draining atomic.Bool
-	workers  chan struct{} // closed when the worker pool has drained
+	workers chan struct{} // closed when the worker pool has drained
 
 	runsSubmitted atomic.Uint64
 	runsRejected  atomic.Uint64
@@ -220,9 +220,9 @@ func (s *Server) Start() {
 		go func() {
 			defer func() { done <- struct{}{} }()
 			for r := range s.queue {
-				if s.draining.Load() {
+				if s.reg.isClosed() {
 					// The daemon is shutting down: whatever is still queued
-					// is abandoned, visibly.
+					// fails, visibly.
 					s.finish(r, StateFailed, "daemon shutting down before run started", 0, nil)
 					continue
 				}
@@ -238,12 +238,11 @@ func (s *Server) Start() {
 	}()
 }
 
-// Shutdown drains the worker pool: new submissions are shed, queued runs
-// are marked failed, and in-flight runs finish (each bounded by
-// RunTimeout). It returns when the pool has drained or ctx expires.
+// Shutdown drains the worker pool: admission closes (new submissions are
+// shed), queued runs are marked failed, and in-flight runs finish (each
+// bounded by RunTimeout). It returns when the pool has drained or ctx expires.
 func (s *Server) Shutdown(ctx context.Context) error {
-	s.draining.Store(true)
-	close(s.queue)
+	s.reg.close(s.queue)
 	select {
 	case <-s.workers:
 		return nil
@@ -287,13 +286,13 @@ func (s *Server) ListenAndServe(ctx context.Context) error {
 }
 
 // finish is the one exit of every run — executed, answered from the
-// result store, or abandoned at shutdown: it makes r terminal, done with
-// the artifacts res or failed with errMsg, in one registry transaction
-// (registry.finish), which also stores a done run's result, drops the
-// spec's leadership and applies the retention cap; evictions are counted
-// in serve.runs_evicted. The terminal transition is logged into the run's
-// event log first, so a reader who sees the run terminal sees the entry.
-// It returns the run's view.
+// result store, or failed at shutdown: it counts r as completed or failed
+// and makes it terminal in one registry transaction (registry.finish),
+// which also freezes its progress tally, stores a done run's result, drops
+// the spec's leadership and applies the retention cap; evictions are
+// counted in serve.runs_evicted. The terminal transition is logged into
+// the run's event log first, so a reader who sees the run terminal sees
+// the entry. It returns the run's view.
 func (s *Server) finish(r *Run, st State, errMsg string, elapsed time.Duration, res *cachedRun) Run {
 	now := time.Now()
 	var attrs map[string]string
@@ -303,6 +302,8 @@ func (s *Server) finish(r *Run, st State, errMsg string, elapsed time.Duration, 
 	r.trace.Log(now, "run "+string(st), attrs)
 	if st == StateDone {
 		s.runsCompleted.Add(1)
+	} else {
+		s.runsFailed.Add(1)
 	}
 	view, n := s.reg.finish(r, st, errMsg, now, elapsed, res)
 	if n > 0 {
@@ -350,13 +351,14 @@ func failedSuffix(err error) string {
 	return ""
 }
 
-// execute runs one queued experiment on this worker, bounded by
-// RunTimeout. The run's wall-clock trace receives the whole lifecycle:
-// the queue-wait span closes at pickup (and feeds the serve.queue_wait
+// execute runs one queued experiment on this worker under a RunTimeout
+// deadline, which the run layer checks between machine runs: a run past it
+// fails "timed out" once its dispatch returns, so no run outlives its
+// worker. The run's wall-clock trace receives the whole lifecycle: the
+// queue-wait span closes at pickup (and feeds the serve.queue_wait
 // histogram), every sweep point and measurement lands as a span via the
 // progress tracker, and execute/artifact-write spans close at completion.
-// The run simulates with its own checkpoint cache (Request.dispatch), so
-// the shard keeps no machine state once it ends.
+// The run simulates with its own checkpoint cache (Request.dispatch).
 func (s *Server) execute(r *Run) {
 	now := time.Now()
 	trace := r.trace
@@ -371,52 +373,29 @@ func (s *Server) execute(r *Run) {
 	s.log.Info("run started", "id", r.ID, "request", r.Request.String(),
 		"queue_wait_ms", qw.Milliseconds())
 
-	type result struct {
-		res *cachedRun
-		err error
-	}
-	done := make(chan result, 1)
-	ctx, cancel := context.WithCancel(context.Background())
+	ctx, cancel := context.WithTimeout(context.Background(), s.cfg.RunTimeout)
 	defer cancel()
-	go func() {
-		var buf bytes.Buffer
-		metrics, err := r.Request.dispatch(ctx, &buf, s.cfg.JobsPerRun, prog)
-		done <- result{&cachedRun{buf.Bytes(), metrics.Snapshot(), metrics.Groups()}, err}
-	}()
-
-	timer := time.NewTimer(s.cfg.RunTimeout)
-	defer timer.Stop()
-	select {
-	case out := <-done:
-		elapsed := time.Since(now)
-		s.runNS.Observe(elapsed)
-		trace.Span(obs.TIDWallLifecycle, "serve", "execute", now, elapsed)
-		if out.err != nil {
-			s.runsFailed.Add(1)
-			s.finish(r, StateFailed, out.err.Error(), elapsed, nil)
-			s.log.Error("run failed", "id", r.ID, "err", out.err.Error(), "elapsed_ms", elapsed.Milliseconds())
-			return
-		}
-		wstart := time.Now()
-		s.agg.Add(out.res.metrics)
-		trace.SpanArg(obs.TIDWallLifecycle, "serve", "artifact_write",
-			wstart, time.Since(wstart), int64(len(out.res.output)))
-		s.finish(r, StateDone, "", elapsed, out.res)
-		s.log.Info("run done", "id", r.ID, "elapsed_ms", elapsed.Milliseconds(), "output_bytes", len(out.res.output))
-	case <-timer.C:
-		// Cancel the abandoned dispatch: the run layer checks the context
-		// before each experiment point and each machine run, so the
-		// goroutine stops once every worker finishes the machine run it is
-		// in (a few seconds at the largest accepted size) instead of
-		// simulating the rest of the run. Its result is discarded (done is
-		// buffered, so the send never blocks).
-		cancel()
-		trace.Span(obs.TIDWallLifecycle, "serve", "execute (timed out)", now, s.cfg.RunTimeout)
-		s.runsFailed.Add(1)
-		s.finish(r, StateFailed,
-			fmt.Sprintf("timed out after %s (simulation abandoned)", s.cfg.RunTimeout), s.cfg.RunTimeout, nil)
-		s.log.Error("run timed out", "id", r.ID, "timeout", s.cfg.RunTimeout.String())
+	var buf bytes.Buffer
+	metrics, err := r.Request.dispatch(ctx, &buf, s.cfg.JobsPerRun, prog)
+	elapsed := time.Since(now)
+	s.runNS.Observe(elapsed)
+	span := "execute"
+	if errors.Is(err, context.DeadlineExceeded) {
+		span, err = "execute (timed out)", fmt.Errorf("timed out after %s", s.cfg.RunTimeout)
 	}
+	trace.Span(obs.TIDWallLifecycle, "serve", span, now, elapsed)
+	if err != nil {
+		s.finish(r, StateFailed, err.Error(), elapsed, nil)
+		s.log.Error("run failed", "id", r.ID, "err", err.Error(), "elapsed_ms", elapsed.Milliseconds())
+		return
+	}
+	res := &cachedRun{buf.Bytes(), metrics.Snapshot(), metrics.Groups()}
+	wstart := time.Now()
+	s.agg.Add(res.metrics)
+	trace.SpanArg(obs.TIDWallLifecycle, "serve", "artifact_write",
+		wstart, time.Since(wstart), int64(len(res.output)))
+	s.finish(r, StateDone, "", elapsed, res)
+	s.log.Info("run done", "id", r.ID, "elapsed_ms", elapsed.Milliseconds(), "output_bytes", len(res.output))
 }
 
 // --- handlers ---
@@ -448,7 +427,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		WorkersTotal:  s.cfg.Workers,
 	}
 	code := http.StatusOK
-	if s.draining.Load() {
+	if s.reg.isClosed() {
 		h.Status, code = "draining", http.StatusServiceUnavailable
 	}
 	s.mw.WriteJSON(w, code, h)
@@ -509,19 +488,14 @@ func (s *Server) handleMetricsz(w http.ResponseWriter, r *http.Request) {
 
 // handleSubmit records a submission and answers with its run: a cold
 // run queued (X-AP-Cache: miss), the spec's in-flight leader (dedup), or
-// a run finished at once from the result store (hit). The registry
-// decides which in one transaction (registry.admit); a hit is then
-// recorded by one more (registry.finish), through the same exit as an
-// executed run.
+// a run finished at once from the result store (hit), or it sheds it with
+// 503. The registry decides which in one transaction (registry.admit); a
+// hit is then recorded by one more (registry.finish), through the same
+// exit as an executed run.
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	req, err := DecodeRequest(http.MaxBytesReader(w, r.Body, 1<<20))
 	if err != nil {
 		s.mw.WriteError(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	if s.draining.Load() {
-		s.runsRejected.Add(1)
-		s.mw.WriteError(w, http.StatusServiceUnavailable, "daemon is shutting down")
 		return
 	}
 
@@ -535,6 +509,10 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		trace: trace, jobs: s.cfg.JobsPerRun, spec: SpecKey(req)}
 	view, res, how := s.reg.admit(rn, s.queue)
 	switch how {
+	case "closed":
+		s.runsRejected.Add(1)
+		s.mw.WriteError(w, http.StatusServiceUnavailable, "daemon is shutting down")
+		return
 	case "":
 		s.runsRejected.Add(1)
 		s.mw.WriteError(w, http.StatusServiceUnavailable,

@@ -8,8 +8,10 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -324,7 +326,7 @@ func TestConcurrentScrape(t *testing.T) {
 }
 
 // TestRunTimeout checks a run that exceeds its budget is marked failed and
-// the worker survives the abandonment to pick up the next run.
+// the worker, once the run's dispatch has stopped, picks up the next run.
 func TestRunTimeout(t *testing.T) {
 	s, ts := newTestServer(t, Config{Workers: 1, JobsPerRun: 1, RunTimeout: 1 * time.Nanosecond}, true)
 
@@ -337,9 +339,9 @@ func TestRunTimeout(t *testing.T) {
 		t.Errorf("runs_failed = %d, want 1", got)
 	}
 
-	// The single worker must still be live after abandoning the timed-out
-	// simulation: a second run gets picked up and reaches its own terminal
-	// state (also a timeout, under this config).
+	// The single worker must still be live after the timed-out run: a
+	// second run gets picked up and reaches its own terminal state (also a
+	// timeout, under this config).
 	_, rn2 := submit(t, ts, `{"experiment":"array","quick":true}`)
 	if final := waitDone(t, ts, rn2.ID); final.State != StateFailed {
 		t.Errorf("post-timeout run: %s %s", final.State, final.Error)
@@ -350,7 +352,8 @@ func TestRunTimeout(t *testing.T) {
 }
 
 // TestShutdownFailsQueuedRuns checks draining marks still-queued runs
-// failed instead of silently dropping them, and healthz flips to 503.
+// failed instead of silently dropping them, counts them in runs_failed,
+// and flips healthz to 503.
 func TestShutdownFailsQueuedRuns(t *testing.T) {
 	s, ts := newTestServer(t, Config{QueueDepth: 4}, false)
 	var ids []string
@@ -360,26 +363,127 @@ func TestShutdownFailsQueuedRuns(t *testing.T) {
 		ids = append(ids, rn.ID)
 	}
 
-	// Start the pool only now, already draining: every queued run must be
-	// failed, none executed.
-	s.draining.Store(true)
+	// Start the pool only now, with admission already closed as Shutdown
+	// closes it: every queued run must be failed, none executed.
+	s.reg.close(s.queue)
 	s.Start()
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	if err := s.Shutdown(ctx); err != nil {
-		t.Fatal(err)
-	}
+	<-s.workers
 	for _, id := range ids {
 		rn, ok := s.reg.get(id)
 		if !ok || rn.State != StateFailed || !strings.Contains(rn.Error, "shutting down") {
 			t.Errorf("run %s: %+v", id, rn)
 		}
 	}
+	// Every submitted run is counted once it is terminal.
+	if sub, done, failed := s.runsSubmitted.Load(), s.runsCompleted.Load(), s.runsFailed.Load(); sub != 3 || done != 0 || failed != 3 {
+		t.Errorf("runs_submitted %d = runs_completed %d + runs_failed %d, want 3 = 0 + 3", sub, done, failed)
+	}
 	if code, _ := get(t, ts.URL+"/healthz"); code != http.StatusServiceUnavailable {
 		t.Errorf("draining healthz: HTTP %d, want 503", code)
 	}
 	if resp, _ := submit(t, ts, `{"experiment":"array","quick":true}`); resp.StatusCode != http.StatusServiceUnavailable {
 		t.Errorf("draining submit: HTTP %d, want 503", resp.StatusCode)
+	}
+}
+
+// TestTimedOutRunIsFinal: a run past its budget is marked failed only once
+// its dispatch has stopped, so its trace and progress never change after
+// it reads failed, not even while the worker executes the next run.
+func TestTimedOutRunIsFinal(t *testing.T) {
+	_, ts := newTestServer(t, Config{Workers: 1, JobsPerRun: 1, RunTimeout: 300 * time.Millisecond}, true)
+	const spec = `{"experiment":"array"}`
+	_, rn := submit(t, ts, spec)
+	if final := waitDone(t, ts, rn.ID); final.State != StateFailed || !strings.Contains(final.Error, "timed out") {
+		t.Fatalf("want a timeout failure, got %s: %s", final.State, final.Error)
+	}
+	read := func() (trace, progress []byte) {
+		t.Helper()
+		_, trace = get(t, ts.URL+"/api/v1/runs/"+rn.ID+"/trace")
+		_, progress = get(t, ts.URL+"/api/v1/runs/"+rn.ID+"/progress")
+		return trace, progress
+	}
+	trace, progress := read()
+
+	_, next := submit(t, ts, spec)
+	waitDone(t, ts, next.ID)
+	if gotTrace, gotProgress := read(); !bytes.Equal(gotTrace, trace) || !bytes.Equal(gotProgress, progress) {
+		t.Errorf("the failed run changed while the worker ran the next one:\ntrace %s\nthen  %s\nprogress %s\nthen     %s",
+			trace, gotTrace, progress, gotProgress)
+	}
+}
+
+// TestSubmitDuringShutdown races submissions against Shutdown. A
+// submission is admitted before admission closes (202) or refused or shed
+// after (503), never answered 500 by a send on the closed queue, and every
+// admitted run ends counted as completed or failed.
+func TestSubmitDuringShutdown(t *testing.T) {
+	var bodies []string
+	for _, backend := range []string{"radram", "simdram", "all"} {
+		for pb := 8 << 10; pb <= 512<<10; pb <<= 1 {
+			for flags := 0; flags < 8; flags++ {
+				bodies = append(bodies, fmt.Sprintf(
+					`{"experiment":"table1","backend":%q,"page_bytes":%d,"quick":%t,"regions":%t,"l2":%t}`,
+					backend, pb, flags&1 != 0, flags&2 != 0, flags&4 != 0))
+			}
+		}
+	}
+	const rounds, clients, perClient = 300, 8, 3
+	next := 0
+	for round := 0; round < rounds; round++ {
+		s := New(Config{Workers: 1, JobsPerRun: 1})
+		s.Start()
+		var (
+			wg       sync.WaitGroup
+			start    = make(chan struct{})
+			answered atomic.Int64
+			codes    [clients * perClient]int
+			handler  = s.Handler()
+		)
+		for c := 0; c < clients; c++ {
+			wg.Add(1)
+			go func(c, first int) {
+				defer wg.Done()
+				<-start
+				for i := 0; i < perClient; i++ {
+					body := bodies[(first+i)%len(bodies)]
+					w := httptest.NewRecorder()
+					handler.ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/api/v1/runs", strings.NewReader(body)))
+					codes[c*perClient+i] = w.Code
+					answered.Add(1)
+				}
+			}(c, next)
+			next += perClient
+		}
+		close(start)
+		// Each round shuts down after a different number of answers, so
+		// the shutdown lands at every point of the submission stream.
+		for answered.Load() < int64(round%len(codes)) {
+			runtime.Gosched()
+		}
+		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+		err := s.Shutdown(ctx)
+		cancel()
+		wg.Wait()
+		if err != nil {
+			t.Fatalf("round %d: shutdown: %v", round, err)
+		}
+		admitted := uint64(0)
+		for _, code := range codes {
+			switch code {
+			case http.StatusAccepted:
+				admitted++
+			case http.StatusServiceUnavailable:
+			default:
+				t.Errorf("round %d: HTTP %d, want 202 or 503", round, code)
+			}
+		}
+		if got := s.mw.Panics(); got != 0 {
+			t.Fatalf("round %d: %d handler panics", round, got)
+		}
+		if sub, done, failed := s.runsSubmitted.Load(), s.runsCompleted.Load(), s.runsFailed.Load(); sub != admitted || done+failed != sub {
+			t.Fatalf("round %d: %d admitted, runs_submitted %d, runs_completed %d, runs_failed %d",
+				round, admitted, sub, done, failed)
+		}
 	}
 }
 
