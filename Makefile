@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet bench microbench quickbench simdram-quick loadtest fleettest paper clean
+.PHONY: all build test race vet bench microbench simdram-quick loadtest fleettest paper clean
 
 all: build test
 
@@ -28,13 +28,6 @@ microbench:
 	$(GO) test -bench 'Access|Store|CPU|Slice|Stream' -benchmem -run '^$$' \
 		./internal/mem/ ./internal/cache/ ./internal/dram/ \
 		./internal/memsys/ ./internal/proc/
-
-# One-command check of the evaluation-loop speedup criterion: wall-clock of
-# the full quick sweep on a single worker.
-quickbench:
-	$(GO) build -o /tmp/apbench-quickbench ./cmd/apbench
-	@s=$$(date +%s%N); /tmp/apbench-quickbench -experiment all -quick -jobs 1 > /dev/null; \
-	e=$$(date +%s%N); echo "quick run: $$(( (e-s)/1000000 )) ms"
 
 # Reproduce the SIMDRAM CI gate locally: the quick array sweep on the
 # bit-serial backend must match the committed baseline exactly, and must

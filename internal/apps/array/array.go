@@ -198,8 +198,7 @@ type Conventional struct {
 	m    *radram.Machine
 	base uint64
 	n    int
-	// buf/elems are reusable scratch for memmove and Count.
-	buf   []byte
+	// elems is reusable scratch for Count.
 	elems []uint32
 }
 
@@ -237,12 +236,7 @@ func (a *Conventional) memmove(dst, src, count int) {
 	}
 	cpu := a.m.CPU
 	const chunkElems = 256
-	if cap(a.buf) < count*4 {
-		a.buf = make([]byte, count*4)
-	}
-	buf := a.buf[:count*4]
-	a.m.Store.Read(a.base+uint64(src)*4, buf) // functional move, not timed
-	a.m.Store.Write(a.base+uint64(dst)*4, buf)
+	a.m.Store.Move(a.base+uint64(dst)*4, a.base+uint64(src)*4, uint64(count)*4) // functional move, not timed
 
 	full := count / chunkElems
 	rem := count - full*chunkElems

@@ -18,8 +18,7 @@ type groupCheckpoint struct {
 // Checkpoint is a deep-copy snapshot of the Active-Page system's simulated
 // state: every group with its pages (completion times, written ranges,
 // Table 4 accounting), the owed mediation work, the system statistics, and
-// the dispatch/completion histograms. The copy buffer is scratch and is
-// not captured.
+// the dispatch/completion histograms.
 type Checkpoint struct {
 	groups           []groupCheckpoint
 	pendingMediation sim.Duration

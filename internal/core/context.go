@@ -156,9 +156,7 @@ func (ctx *PageContext) MediatedCopy(dstOff uint64, src uint64, n uint64) {
 	ctx.sys.pendingMediation += cost
 	available += cost
 
-	buf := ctx.sys.scratch(n)
-	ctx.sys.store.Read(src, buf)
-	ctx.sys.store.Write(ctx.Addr(dstOff), buf)
+	ctx.sys.store.Move(ctx.Addr(dstOff), src, n)
 	ctx.noteWrite(dstOff, n)
 
 	if available > ctx.readyAt {
@@ -210,9 +208,7 @@ func (ctx *PageContext) StreamedCopy(dstOff uint64, src uint64, n uint64, chunks
 		ctx.sys.Stats.InterPageTransfers++
 		ctx.sys.Stats.InterPageBytes += c
 	}
-	buf := ctx.sys.scratch(n)
-	ctx.sys.store.Read(src, buf)
-	ctx.sys.store.Write(ctx.Addr(dstOff), buf)
+	ctx.sys.store.Move(ctx.Addr(dstOff), src, n)
 	ctx.noteWrite(dstOff, n)
 }
 

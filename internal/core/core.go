@@ -213,9 +213,6 @@ type System struct {
 	// interrupts, paid at the processor's next wait.
 	pendingMediation sim.Duration
 
-	// copyBuf is the reusable bounce buffer for inter-page copies.
-	copyBuf []byte
-
 	// dispatchHist records per-activation processor dispatch time (T_A);
 	// completionHist records dispatch-to-completion latency — from the
 	// first control write to the activation's results becoming visible.
@@ -227,15 +224,6 @@ type System struct {
 	tracer *obs.Tracer
 
 	Stats Stats
-}
-
-// scratch returns a reusable buffer of length n. Inter-page copies are
-// synchronous and never nest, so one buffer per system suffices.
-func (g *System) scratch(n uint64) []byte {
-	if uint64(len(g.copyBuf)) < n {
-		g.copyBuf = make([]byte, n)
-	}
-	return g.copyBuf[:n]
 }
 
 // NewSystem builds an Active-Page memory system sharing the CPU's store and

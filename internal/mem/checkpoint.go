@@ -5,8 +5,8 @@ package mem
 // restored from it. Readers of a shared frame never copy it; a store copies
 // a shared frame on its first write to it (writeFrame), so no later write
 // on either side reaches the checkpoint, and one checkpoint can seed any
-// number of stores, concurrently. The frame cache and move buffer are pure
-// lookup/scratch structures with no observable state and are not captured.
+// number of stores, concurrently. The frame cache is a pure lookup
+// structure with no observable state and is not captured.
 type Checkpoint struct {
 	frames map[uint64][]byte
 }

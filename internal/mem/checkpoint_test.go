@@ -200,6 +200,39 @@ func TestCheckpointCopyOnWrite(t *testing.T) {
 	}
 }
 
+// TestMoveIntoSharedFrames moves bytes within frames a checkpoint shares,
+// with source and destination overlapping inside one frame and across
+// frames, in both directions. Each store reads its frames first, so their
+// frame-cache slots hold the shared frames when the move starts. Move
+// resolves every destination frame through writeFrame, so the stores copy
+// a frame before writing it and the checkpoint keeps its bytes; a move
+// that wrote through the frame it read would change the checkpoint.
+func TestMoveIntoSharedFrames(t *testing.T) {
+	moves := []struct{ dst, src, n uint64 }{
+		{frameBytes + 101, frameBytes + 100, 1000},
+		{frameBytes + 100, frameBytes + 101, 1000},
+		{frameBytes/2 + 1, frameBytes / 2, 3 * frameBytes},
+		{frameBytes / 2, frameBytes/2 + 7, 3 * frameBytes},
+	}
+	for i, mv := range moves {
+		rng := rand.New(rand.NewSource(int64(i)))
+		src := &model{NewStore(), make([]byte, cowSpan)}
+		init := make([]byte, 4*frameBytes)
+		rng.Read(init)
+		src.s.Write(0, init)
+		copy(src.ref, init)
+		ck := freeze(src)
+		br := ck.branch()
+		for _, m := range []*model{src, br} {
+			m.check(t, "store before the move")
+			m.s.Move(mv.dst, mv.src, mv.n)
+			copy(m.ref[mv.dst:mv.dst+mv.n], m.ref[mv.src:mv.src+mv.n])
+			m.check(t, "store after the move")
+		}
+		ck.verify(t, "checkpoint after the moves")
+	}
+}
+
 // TestCheckpointCopiesOnce pins the cost model: reads of a shared frame
 // never copy it, and a write copies it once, on the first write.
 func TestCheckpointCopiesOnce(t *testing.T) {

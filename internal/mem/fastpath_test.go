@@ -1,13 +1,82 @@
 package mem
 
 import (
+	"bytes"
+	"encoding/binary"
 	"math/rand"
 	"testing"
 )
 
+// eachSlicePath runs f once on the path the host takes and once on the
+// portable element-by-element path, forced by clearing littleEndian. On a
+// big-endian host the two are the same path and the first run is skipped.
+func eachSlicePath(t *testing.T, f func(t *testing.T)) {
+	t.Run("bulk", func(t *testing.T) {
+		if !littleEndian {
+			t.Skip("big-endian host: the typed slice accessors take the portable path")
+		}
+		f(t)
+	})
+	t.Run("portable", func(t *testing.T) {
+		saved := littleEndian
+		littleEndian = false
+		t.Cleanup(func() { littleEndian = saved })
+		f(t)
+	})
+}
+
+// sliceOps is one element width's scalar and slice accessors.
+type sliceOps[T uint16 | uint32 | uint64] struct {
+	write      func(*Store, uint64, T)
+	read       func(*Store, uint64) T
+	writeSlice func(*Store, uint64, []T)
+	readSlice  func(*Store, uint64, []T)
+}
+
+// checkSliceOps writes n random values at start through the slice
+// accessor into one store and through the scalar accessor into another.
+// The slice read must return the values, and the two stores must hold the
+// same bytes over the span and 8 bytes on either side. An empty slice
+// must not allocate a frame.
+func checkSliceOps[T uint16 | uint32 | uint64](t *testing.T, rng *rand.Rand, ops sliceOps[T], start uint64, n int) {
+	t.Helper()
+	size := uint64(binary.Size(T(0)))
+	a, b := NewStore(), NewStore()
+	src := make([]T, n)
+	for i := range src {
+		src[i] = T(rng.Uint64())
+	}
+	ops.writeSlice(a, start, src)
+	for i, v := range src {
+		ops.write(b, start+uint64(i)*size, v)
+	}
+	got := make([]T, n)
+	ops.readSlice(a, start, got)
+	if n == 0 && a.FootprintBytes() != 0 {
+		t.Fatalf("start %#x: an empty slice access allocated frames", start)
+	}
+	for i := range src {
+		if got[i] != src[i] {
+			t.Fatalf("start %#x n %d: slice read [%d] = %#x, want %#x", start, n, i, got[i], src[i])
+		}
+		if w := ops.read(b, start+uint64(i)*size); w != src[i] {
+			t.Fatalf("start %#x n %d: scalar read [%d] = %#x, want %#x", start, n, i, w, src[i])
+		}
+	}
+	lo := max(start, 8) - 8
+	hi := start + uint64(n)*size + 8
+	ab, bb := make([]byte, hi-lo), make([]byte, hi-lo)
+	a.Read(lo, ab)
+	b.Read(lo, bb)
+	if !bytes.Equal(ab, bb) {
+		t.Fatalf("start %#x n %d: slice and scalar writes left different bytes", start, n)
+	}
+}
+
 // TestSliceOpsMatchScalar proves each typed slice accessor moves exactly
-// the bytes the scalar loop would, including runs that straddle frame
-// boundaries.
+// the bytes the scalar loop would, on the bulk and on the portable path:
+// runs that start on, before and across a frame boundary, unaligned runs,
+// runs that end exactly on a frame boundary, and empty slices.
 func TestSliceOpsMatchScalar(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	// Start addresses that place elements on, before, and across the
@@ -15,74 +84,34 @@ func TestSliceOpsMatchScalar(t *testing.T) {
 	starts := []uint64{0, 3, frameBytes - 9, frameBytes - 8, frameBytes - 7,
 		frameBytes - 4, frameBytes - 2, frameBytes - 1, 5 * frameBytes, 123457}
 	const n = 300
-
+	widths := []struct {
+		name  string
+		size  uint64
+		check func(t *testing.T, start uint64, n int)
+	}{
+		{"u16", 2, func(t *testing.T, start uint64, n int) {
+			checkSliceOps(t, rng, sliceOps[uint16]{(*Store).WriteU16, (*Store).ReadU16, (*Store).WriteU16Slice, (*Store).ReadU16Slice}, start, n)
+		}},
+		{"u32", 4, func(t *testing.T, start uint64, n int) {
+			checkSliceOps(t, rng, sliceOps[uint32]{(*Store).WriteU32, (*Store).ReadU32, (*Store).WriteU32Slice, (*Store).ReadU32Slice}, start, n)
+		}},
+		{"u64", 8, func(t *testing.T, start uint64, n int) {
+			checkSliceOps(t, rng, sliceOps[uint64]{(*Store).WriteU64, (*Store).ReadU64, (*Store).WriteU64Slice, (*Store).ReadU64Slice}, start, n)
+		}},
+	}
 	for _, start := range starts {
-		t.Run("u16", func(t *testing.T) {
-			a, b := NewStore(), NewStore()
-			src := make([]uint16, n)
-			for i := range src {
-				src[i] = uint16(rng.Uint32())
-			}
-			a.WriteU16Slice(start, src)
-			for i, v := range src {
-				b.WriteU16(start+uint64(i)*2, v)
-			}
-			got := make([]uint16, n)
-			a.ReadU16Slice(start, got)
-			for i := range src {
-				if got[i] != src[i] {
-					t.Fatalf("start %#x: slice read [%d] = %#x, want %#x", start, i, got[i], src[i])
-				}
-				if w := b.ReadU16(start + uint64(i)*2); w != src[i] {
-					t.Fatalf("start %#x: scalar mirror [%d] = %#x, want %#x", start, i, w, src[i])
-				}
-				// Cross-check byte-level agreement of the two stores.
-				if x, y := a.ReadU16(start+uint64(i)*2), b.ReadU16(start+uint64(i)*2); x != y {
-					t.Fatalf("start %#x: stores diverge at %d: %#x vs %#x", start, i, x, y)
-				}
-			}
-		})
-		t.Run("u32", func(t *testing.T) {
-			a, b := NewStore(), NewStore()
-			src := make([]uint32, n)
-			for i := range src {
-				src[i] = rng.Uint32()
-			}
-			a.WriteU32Slice(start, src)
-			for i, v := range src {
-				b.WriteU32(start+uint64(i)*4, v)
-			}
-			got := make([]uint32, n)
-			a.ReadU32Slice(start, got)
-			for i := range src {
-				if got[i] != src[i] {
-					t.Fatalf("start %#x: slice read [%d] = %#x, want %#x", start, i, got[i], src[i])
-				}
-				if x, y := a.ReadU32(start+uint64(i)*4), b.ReadU32(start+uint64(i)*4); x != y {
-					t.Fatalf("start %#x: stores diverge at %d: %#x vs %#x", start, i, x, y)
-				}
-			}
-		})
-		t.Run("u64", func(t *testing.T) {
-			a, b := NewStore(), NewStore()
-			src := make([]uint64, n)
-			for i := range src {
-				src[i] = rng.Uint64()
-			}
-			a.WriteU64Slice(start, src)
-			for i, v := range src {
-				b.WriteU64(start+uint64(i)*8, v)
-			}
-			got := make([]uint64, n)
-			a.ReadU64Slice(start, got)
-			for i := range src {
-				if got[i] != src[i] {
-					t.Fatalf("start %#x: slice read [%d] = %#x, want %#x", start, i, got[i], src[i])
-				}
-				if x, y := a.ReadU64(start+uint64(i)*8), b.ReadU64(start+uint64(i)*8); x != y {
-					t.Fatalf("start %#x: stores diverge at %d: %#x vs %#x", start, i, x, y)
-				}
-			}
+		for _, w := range widths {
+			t.Run(w.name, func(t *testing.T) {
+				eachSlicePath(t, func(t *testing.T) {
+					w.check(t, start, n)
+					w.check(t, start, 0)
+				})
+			})
+		}
+	}
+	for _, w := range widths {
+		t.Run(w.name+"-ends-on-frame", func(t *testing.T) {
+			eachSlicePath(t, func(t *testing.T) { w.check(t, 2*frameBytes-n*w.size, n) })
 		})
 	}
 }
@@ -137,6 +166,29 @@ func TestScalarAccessorsZeroAllocs(t *testing.T) {
 	}); n != 0 {
 		t.Fatalf("scalar accessors allocate %v times per op", n)
 	}
+}
+
+// TestBulkOpsZeroAllocs pins the zero-allocation contract of the six
+// typed slice accessors and Move, on both slice paths, once their frames
+// exist: each span crosses a frame boundary, and the moves go both ways.
+func TestBulkOpsZeroAllocs(t *testing.T) {
+	eachSlicePath(t, func(t *testing.T) {
+		s := NewStore()
+		s.Fill(0, 4*frameBytes, 0x5A) // allocate the frames
+		u16, u32, u64 := make([]uint16, 700), make([]uint32, 700), make([]uint64, 700)
+		if n := testing.AllocsPerRun(100, func() {
+			s.ReadU16Slice(frameBytes-701, u16)
+			s.WriteU16Slice(frameBytes-3, u16)
+			s.ReadU32Slice(2*frameBytes-1001, u32)
+			s.WriteU32Slice(2*frameBytes-5, u32)
+			s.ReadU64Slice(3*frameBytes-2003, u64)
+			s.WriteU64Slice(3*frameBytes-9, u64)
+			s.Move(frameBytes+17, 100, frameBytes+300)
+			s.Move(100, frameBytes+17, frameBytes+300)
+		}); n != 0 {
+			t.Fatalf("bulk ops allocate %v times per run", n)
+		}
+	})
 }
 
 func BenchmarkStoreReadU32(b *testing.B) {

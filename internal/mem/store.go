@@ -5,12 +5,16 @@
 // physical memory. Both the processor model and Active-Page functions
 // manipulate bytes here; timing is accounted separately by the cache, bus,
 // DRAM, and logic models. Frames are allocated lazily so large, sparsely
-// touched address spaces stay cheap.
+// touched address spaces stay cheap. Bulk operations copy one frame span at
+// a time: Read and Write between a frame and host memory, Move from frame
+// to frame, and, on a little-endian host, the typed slice accessors through
+// a byte view of the slice.
 package mem
 
 import (
 	"encoding/binary"
 	"fmt"
+	"unsafe"
 )
 
 // DefaultPageBytes is the paper's Active-Page superpage size: 512 Kbytes,
@@ -67,8 +71,6 @@ type Store struct {
 	// with a private copy, which refills the entry's slot. frame == nil
 	// means the slot is empty.
 	fcache [frameCacheSlots]frameCacheEntry
-	// moveBuf is the reusable bounce buffer for Move.
-	moveBuf []byte
 }
 
 // NewStore returns an empty store.
@@ -148,34 +150,29 @@ func (s *Store) Write(addr uint64, p []byte) {
 	}
 }
 
-// Move copies n bytes from src to dst, handling overlap like copy.
+// Move copies n bytes from src to dst, handling overlap like copy. It
+// copies frame to frame, one span at a time, back to front when dst lies
+// inside the source range so that no byte is overwritten before it is read.
+// The destination resolves through writeFrame, so a frame shared with a
+// checkpoint is copied before the move writes it.
 func (s *Store) Move(dst, src uint64, n uint64) {
-	if n == 0 || dst == src {
+	if dst == src {
 		return
 	}
-	// Copy through a reusable bounce buffer in chunks. For overlapping
-	// forward moves (dst > src) copy back-to-front so earlier bytes are not
-	// clobbered.
-	const chunk = 64 * 1024
-	if uint64(len(s.moveBuf)) < min(n, chunk) {
-		s.moveBuf = make([]byte, min(n, chunk))
-	}
-	buf := s.moveBuf
-	if dst > src && dst < src+n {
-		rem := n
-		for rem > 0 {
-			c := min(rem, chunk)
-			rem -= c
-			s.Read(src+rem, buf[:c])
-			s.Write(dst+rem, buf[:c])
+	if dst < src || dst >= src+n {
+		for n > 0 {
+			doff, soff := dst&frameMask, src&frameMask
+			c := min(n, frameBytes-doff, frameBytes-soff)
+			copy(s.writeFrame(dst)[doff:doff+c], s.readFrame(src)[soff:])
+			dst, src, n = dst+c, src+c, n-c
 		}
 		return
 	}
-	for done := uint64(0); done < n; {
-		c := min(n-done, chunk)
-		s.Read(src+done, buf[:c])
-		s.Write(dst+done, buf[:c])
-		done += c
+	for n > 0 {
+		dend, send := (dst+n-1)&frameMask+1, (src+n-1)&frameMask+1
+		c := min(n, dend, send)
+		n -= c
+		copy(s.writeFrame(dst + n)[dend-c:dend], s.readFrame(src + n)[send-c:])
 	}
 }
 
@@ -267,122 +264,64 @@ func (s *Store) WriteU64(addr uint64, v uint64) {
 }
 
 // The typed slice accessors move whole arrays of fixed-width values in one
-// call, walking each frame once instead of bouncing every element through
-// the scalar path.
+// call. On a little-endian host a slice already holds the bytes the store
+// keeps, so each accessor is one Read or Write of the slice's byte view: one
+// copy per frame span. On other hosts each element goes through the scalar
+// accessor.
+
+// littleEndian reports whether the host's byte order is the store's. Tests
+// clear it to run the portable path.
+var littleEndian = binary.NativeEndian.Uint16([]byte{1, 0}) == 1
+
+// bytesOf views vs as its bytes in host order, without copying. It is the
+// package's only use of unsafe.
+func bytesOf[T uint16 | uint32 | uint64](vs []T) []byte {
+	return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(vs))), uintptr(len(vs))*unsafe.Sizeof(vs[0]))
+}
+
+// readSlice loads len(dst) consecutive values starting at addr; read is the
+// scalar accessor of T's width.
+func readSlice[T uint16 | uint32 | uint64](s *Store, addr uint64, dst []T, read func(*Store, uint64) T) {
+	if littleEndian {
+		s.Read(addr, bytesOf(dst))
+		return
+	}
+	size := uint64(binary.Size(T(0)))
+	for i := range dst {
+		dst[i] = read(s, addr+size*uint64(i))
+	}
+}
+
+// writeSlice stores the values of src consecutively starting at addr; write
+// is the scalar accessor of T's width.
+func writeSlice[T uint16 | uint32 | uint64](s *Store, addr uint64, src []T, write func(*Store, uint64, T)) {
+	if littleEndian {
+		s.Write(addr, bytesOf(src))
+		return
+	}
+	size := uint64(binary.Size(T(0)))
+	for i, v := range src {
+		write(s, addr+size*uint64(i), v)
+	}
+}
 
 // ReadU16Slice loads len(dst) consecutive 16-bit values starting at addr.
-func (s *Store) ReadU16Slice(addr uint64, dst []uint16) {
-	for len(dst) > 0 {
-		off := addr & frameMask
-		n := (frameBytes - off) / 2
-		if n == 0 { // value straddles the frame boundary
-			dst[0] = s.ReadU16(addr)
-			dst, addr = dst[1:], addr+2
-			continue
-		}
-		n = min(n, uint64(len(dst)))
-		f := s.readFrame(addr)
-		for i := uint64(0); i < n; i++ {
-			dst[i] = binary.LittleEndian.Uint16(f[off+2*i:])
-		}
-		dst, addr = dst[n:], addr+2*n
-	}
-}
+func (s *Store) ReadU16Slice(addr uint64, dst []uint16) { readSlice(s, addr, dst, (*Store).ReadU16) }
 
 // WriteU16Slice stores the values of src consecutively starting at addr.
-func (s *Store) WriteU16Slice(addr uint64, src []uint16) {
-	for len(src) > 0 {
-		off := addr & frameMask
-		n := (frameBytes - off) / 2
-		if n == 0 {
-			s.WriteU16(addr, src[0])
-			src, addr = src[1:], addr+2
-			continue
-		}
-		n = min(n, uint64(len(src)))
-		f := s.writeFrame(addr)
-		for i := uint64(0); i < n; i++ {
-			binary.LittleEndian.PutUint16(f[off+2*i:], src[i])
-		}
-		src, addr = src[n:], addr+2*n
-	}
-}
+func (s *Store) WriteU16Slice(addr uint64, src []uint16) { writeSlice(s, addr, src, (*Store).WriteU16) }
 
 // ReadU32Slice loads len(dst) consecutive 32-bit values starting at addr.
-func (s *Store) ReadU32Slice(addr uint64, dst []uint32) {
-	for len(dst) > 0 {
-		off := addr & frameMask
-		n := (frameBytes - off) / 4
-		if n == 0 {
-			dst[0] = s.ReadU32(addr)
-			dst, addr = dst[1:], addr+4
-			continue
-		}
-		n = min(n, uint64(len(dst)))
-		f := s.readFrame(addr)
-		for i := uint64(0); i < n; i++ {
-			dst[i] = binary.LittleEndian.Uint32(f[off+4*i:])
-		}
-		dst, addr = dst[n:], addr+4*n
-	}
-}
+func (s *Store) ReadU32Slice(addr uint64, dst []uint32) { readSlice(s, addr, dst, (*Store).ReadU32) }
 
 // WriteU32Slice stores the values of src consecutively starting at addr.
-func (s *Store) WriteU32Slice(addr uint64, src []uint32) {
-	for len(src) > 0 {
-		off := addr & frameMask
-		n := (frameBytes - off) / 4
-		if n == 0 {
-			s.WriteU32(addr, src[0])
-			src, addr = src[1:], addr+4
-			continue
-		}
-		n = min(n, uint64(len(src)))
-		f := s.writeFrame(addr)
-		for i := uint64(0); i < n; i++ {
-			binary.LittleEndian.PutUint32(f[off+4*i:], src[i])
-		}
-		src, addr = src[n:], addr+4*n
-	}
-}
+func (s *Store) WriteU32Slice(addr uint64, src []uint32) { writeSlice(s, addr, src, (*Store).WriteU32) }
 
 // ReadU64Slice loads len(dst) consecutive 64-bit values starting at addr.
-func (s *Store) ReadU64Slice(addr uint64, dst []uint64) {
-	for len(dst) > 0 {
-		off := addr & frameMask
-		n := (frameBytes - off) / 8
-		if n == 0 {
-			dst[0] = s.ReadU64(addr)
-			dst, addr = dst[1:], addr+8
-			continue
-		}
-		n = min(n, uint64(len(dst)))
-		f := s.readFrame(addr)
-		for i := uint64(0); i < n; i++ {
-			dst[i] = binary.LittleEndian.Uint64(f[off+8*i:])
-		}
-		dst, addr = dst[n:], addr+8*n
-	}
-}
+func (s *Store) ReadU64Slice(addr uint64, dst []uint64) { readSlice(s, addr, dst, (*Store).ReadU64) }
 
 // WriteU64Slice stores the values of src consecutively starting at addr.
-func (s *Store) WriteU64Slice(addr uint64, src []uint64) {
-	for len(src) > 0 {
-		off := addr & frameMask
-		n := (frameBytes - off) / 8
-		if n == 0 {
-			s.WriteU64(addr, src[0])
-			src, addr = src[1:], addr+8
-			continue
-		}
-		n = min(n, uint64(len(src)))
-		f := s.writeFrame(addr)
-		for i := uint64(0); i < n; i++ {
-			binary.LittleEndian.PutUint64(f[off+8*i:], src[i])
-		}
-		src, addr = src[n:], addr+8*n
-	}
-}
+func (s *Store) WriteU64Slice(addr uint64, src []uint64) { writeSlice(s, addr, src, (*Store).WriteU64) }
 
 // Geometry describes the superpage layout of an address space.
 type Geometry struct {

@@ -101,7 +101,7 @@ func TestMoveOverlappingBackward(t *testing.T) {
 
 func TestMoveLargeOverlapCrossesChunks(t *testing.T) {
 	s := NewStore()
-	n := uint64(200 * 1024) // larger than the 64K bounce chunk
+	n := uint64(200 * 1024) // thirteen frames, overlapping by all but 1 KiB
 	data := make([]byte, n)
 	rng := rand.New(rand.NewSource(7))
 	rng.Read(data)
@@ -157,27 +157,56 @@ func TestWriteReadRoundTripProperty(t *testing.T) {
 	}
 }
 
-// Property: Move behaves like Go's copy on an equivalent flat slice.
+// moveMatchesCopy fills a window of random bytes, moves n bytes from src
+// to dst, and reports whether the store reads back what Go's copy leaves in
+// a flat copy of the window.
+func moveMatchesCopy(seed int64, window, dst, src, n uint64) bool {
+	ref := make([]byte, window)
+	rand.New(rand.NewSource(seed)).Read(ref)
+	s := NewStore()
+	s.Write(0, ref)
+	s.Move(dst, src, n)
+	copy(ref[dst:dst+n], ref[src:src+n])
+	got := make([]byte, window)
+	s.Read(0, got)
+	return bytes.Equal(got, ref)
+}
+
+// Property: Move behaves like Go's copy on an equivalent flat slice, for
+// moves inside one frame and for moves that span at least three frames
+// between different in-frame offsets, in both directions, apart and
+// overlapping.
 func TestMoveMatchesCopyProperty(t *testing.T) {
-	f := func(seed int64, dstOff, srcOff uint16, n uint16) bool {
+	inFrame := func(seed int64, dstOff, srcOff uint16, n uint16) bool {
 		size := uint64(n)%5000 + 1
 		d, sr := uint64(dstOff)%8000, uint64(srcOff)%8000
-		ref := make([]byte, 16*1024)
-		rand.New(rand.NewSource(seed)).Read(ref)
-
-		s := NewStore()
-		s.Write(0, ref)
-		s.Move(d, sr, size)
-
-		want := make([]byte, len(ref))
-		copy(want, ref)
-		copy(want[d:d+size], want[sr:sr+size])
-
-		got := make([]byte, len(ref))
-		s.Read(0, got)
-		return bytes.Equal(got, want)
+		return moveMatchesCopy(seed, frameBytes, d, sr, size)
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
+	if err := quick.Check(inFrame, &quick.Config{MaxCount: 100}); err != nil {
+		t.Fatal(err)
+	}
+
+	const window = 8 * frameBytes
+	spans := []struct{ dst, src, n uint64 }{
+		{4*frameBytes + 7000, frameBytes + 100, 3*frameBytes + 123}, // up, apart
+		{3, 4*frameBytes + 5, 3*frameBytes + 999},                   // down, apart
+		{frameBytes/2 + 113, 100, 3*frameBytes + 1},                 // up, overlapping
+		{frameBytes + 33, frameBytes + 7777, 3 * frameBytes},        // down, overlapping
+		{frameBytes, frameBytes - 1, 3 * frameBytes},                // up by one byte
+		{frameBytes - 1, frameBytes, 3 * frameBytes},                // down by one byte
+		{3 * frameBytes, frameBytes, 3 * frameBytes},                // same in-frame offset
+	}
+	for i, c := range spans {
+		if !moveMatchesCopy(int64(i), window, c.dst, c.src, c.n) {
+			t.Errorf("Move(%#x, %#x, %#x) differs from copy", c.dst, c.src, c.n)
+		}
+	}
+	multiFrame := func(seed int64, dstOff, srcOff, n uint32) bool {
+		size := 3*frameBytes + uint64(n)%frameBytes
+		d, sr := uint64(dstOff)%(window-size+1), uint64(srcOff)%(window-size+1)
+		return moveMatchesCopy(seed, window, d, sr, size)
+	}
+	if err := quick.Check(multiFrame, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
 	}
 }
