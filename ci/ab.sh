@@ -24,6 +24,13 @@
 # It exits 1 if any run reports incorrect output, a failed operation or no
 # value for a metric.
 #
+# The per-run reports go to out/ under the run directory, beside
+# out/REVISIONS, which names what each side measured: "base commit HASH",
+# then "change commit HASH" or, for the working tree, "change tree HASH",
+# the git tree object of its snapshot. The reports cannot name it
+# themselves: the git archive trees have no .git, so perfbench reads their
+# revision as "unknown".
+#
 # Defaults: sweep-full, 10 pairs, seeds from 1, and a fresh directory under
 # ${TMPDIR:-/tmp}, which is kept for its per-run reports.
 set -euo pipefail
@@ -62,11 +69,14 @@ dir=${dir:-$(mktemp -d "${TMPDIR:-/tmp}/ab.XXXXXX")}
 # A reused directory keeps only run/.bench_build, the build cache.
 rm -rf "$dir/base" "$dir/change" "$dir/out" "$dir/index"
 mkdir -p "$dir/base" "$dir/change" "$dir/run" "$dir/out"
-base_name=$(git rev-parse --short "$1^{commit}")
-git archive "$base_name" | tar -x -C "$dir/base"
+base_rev=$(git rev-parse "$1^{commit}")
+base_name=$(git rev-parse --short "$base_rev")
+git archive "$base_rev" | tar -x -C "$dir/base"
 if [[ $# -eq 2 ]]; then
-  change_name=$(git rev-parse --short "$2^{commit}")
-  git archive "$change_name" | tar -x -C "$dir/change"
+  change_rev=$(git rev-parse "$2^{commit}")
+  change_name=$(git rev-parse --short "$change_rev")
+  git archive "$change_rev" | tar -x -C "$dir/change"
+  change_rev="commit $change_rev"
 else
   # Snapshot the working tree through a private index; the real index and
   # every ref stay as they are.
@@ -76,8 +86,10 @@ else
   tree=$(git write-tree)
   unset GIT_INDEX_FILE
   change_name="working tree"
+  change_rev="tree $tree"
   git archive "$tree" | tar -x -C "$dir/change"
 fi
+printf 'base commit %s\nchange %s\n' "$base_rev" "$change_rev" > "$dir/out/REVISIONS"
 
 # runside SIDE PAIR: swap SIDE's tree into the run directory, keeping the
 # build cache, and run one benchmark. Its stdout goes to out/SIDE-PAIR.txt,

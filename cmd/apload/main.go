@@ -27,12 +27,18 @@
 // a few hot specs dominate, a long tail stays cold — and -seed makes the
 // sequence reproducible.
 //
-// The exit status is nonzero if any submission is rejected, any run fails,
-// or any poll errors — so CI can use apload as a smoke gate on the daemon.
+// A shedding daemon's 503 is retried with backoff, but -timeout bounds each
+// run from its first submission attempt to its completion: a run still
+// shed at the deadline fails with the last 503 body and its request id.
+//
+// The exit status is nonzero if any submission is rejected, any run fails
+// or times out, or any poll errors — so CI can use apload as a smoke gate
+// on the daemon.
 package main
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -45,6 +51,10 @@ import (
 	"strings"
 	"sync"
 	"time"
+
+	"activepages/internal/fleet"
+	"activepages/internal/httpmw"
+	"activepages/internal/serve"
 )
 
 func main() {
@@ -53,10 +63,6 @@ func main() {
 		os.Exit(1)
 	}
 }
-
-// requestIDHeader is the fleet-wide request correlation header the
-// daemons stamp on every response (internal/httpmw.RequestIDHeader).
-const requestIDHeader = "X-AP-Request-Id"
 
 // printFleet renders the router's live fleet status as a one-line-per-
 // shard table: health, saturation, cache hit rate, and probe age.
@@ -70,21 +76,7 @@ func printFleet(addr string) error {
 	if resp.StatusCode != http.StatusOK {
 		return fmt.Errorf("fleet status: HTTP %d: %s", resp.StatusCode, strings.TrimSpace(string(data)))
 	}
-	var status struct {
-		Healthy  int `json:"healthy"`
-		Total    int `json:"total"`
-		Backends []struct {
-			Backend       string  `json:"backend"`
-			Instance      string  `json:"instance"`
-			Healthy       bool    `json:"healthy"`
-			QueueDepth    int     `json:"queue_depth"`
-			QueueCapacity int     `json:"queue_capacity"`
-			WorkersBusy   int     `json:"workers_busy"`
-			WorkersTotal  int     `json:"workers_total"`
-			CacheHitRate  float64 `json:"cache_hit_rate"`
-			LastProbeMS   int64   `json:"last_probe_ms"`
-		} `json:"backends"`
-	}
+	var status fleet.Status
 	if err := json.Unmarshal(data, &status); err != nil {
 		return fmt.Errorf("fleet status: %w", err)
 	}
@@ -114,6 +106,16 @@ func printFleet(addr string) error {
 		return fmt.Errorf("no healthy backends")
 	}
 	return nil
+}
+
+// sleep pauses for d, or until ctx ends if that comes first.
+func sleep(ctx context.Context, d time.Duration) {
+	t := time.NewTimer(d)
+	defer t.Stop()
+	select {
+	case <-t.C:
+	case <-ctx.Done():
+	}
 }
 
 // runResult is one submission's end-to-end outcome. queueWait and execute
@@ -214,8 +216,8 @@ func realMain() error {
 		nspecs     = flag.Int("specs", 8, "distinct specs in the -zipf population")
 		seed       = flag.Int64("seed", 1, "RNG seed for the -zipf request sequence")
 		poll       = flag.Duration("poll", 50*time.Millisecond, "status poll interval")
-		timeout    = flag.Duration("timeout", 5*time.Minute, "per-run completion deadline")
-		fleet      = flag.Bool("fleet", false, "print the router's fleet status (/api/v1/fleet) and exit")
+		timeout    = flag.Duration("timeout", 5*time.Minute, "per-run deadline, from its first submission attempt to completion")
+		fleetOnly  = flag.Bool("fleet", false, "print the router's fleet status (/api/v1/fleet) and exit")
 	)
 	flag.Parse()
 
@@ -231,7 +233,7 @@ func realMain() error {
 	case *timeout <= 0:
 		return fmt.Errorf("-timeout %s: want a deadline above 0", *timeout)
 	}
-	if *fleet {
+	if *fleetOnly {
 		return printFleet(*addr)
 	}
 
@@ -268,57 +270,68 @@ func realMain() error {
 		},
 	}
 
-	// runView is the slice of the daemon's run JSON the client consumes.
-	type runView struct {
-		ID        string     `json:"id"`
-		State     string     `json:"state"`
-		Error     string     `json:"error"`
-		Cached    bool       `json:"cached"`
-		Submitted time.Time  `json:"submitted"`
-		Started   *time.Time `json:"started"`
-		Finished  *time.Time `json:"finished"`
+	// do issues one request of a run under its deadline and reads the
+	// whole answer.
+	do := func(ctx context.Context, method, url string, body []byte) (*http.Response, []byte, error) {
+		req, err := http.NewRequestWithContext(ctx, method, url, bytes.NewReader(body))
+		if err != nil {
+			return nil, nil, err
+		}
+		if body != nil {
+			req.Header.Set("Content-Type", "application/json")
+		}
+		resp, err := client.Do(req)
+		if err != nil {
+			return nil, nil, err
+		}
+		data, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		return resp, data, err
 	}
 
-	// Shed-aware submission: a 503 (queue full) retries with backoff rather
-	// than failing, since load shedding is the daemon working as designed;
-	// any other non-202 is a hard failure. The accepted run view is
-	// returned whole: a cache hit is already terminal at submit time, and
-	// the caller then skips the poll loop entirely.
-	submit := func(body []byte) (runView, error) {
+	// Shed-aware submission: a 503 (queue full) retries with backoff until
+	// the run's deadline, since load shedding is the daemon working as
+	// designed; any other non-202 is a hard failure. The accepted run
+	// view is returned whole: a cache hit is already terminal at submit
+	// time, and the caller then skips the poll loop entirely.
+	submit := func(ctx context.Context, body []byte) (serve.Run, error) {
 		backoff := *poll
+		var shed error // the last 503, the failure if the deadline passes
 		for {
-			resp, err := client.Post(*addr+"/api/v1/runs", "application/json", bytes.NewReader(body))
+			resp, data, err := do(ctx, http.MethodPost, *addr+"/api/v1/runs", body)
 			if err != nil {
-				return runView{}, err
+				if shed != nil && ctx.Err() != nil {
+					err = fmt.Errorf("still shed at -timeout %s: %w", *timeout, shed)
+				}
+				return serve.Run{}, err
 			}
-			data, _ := io.ReadAll(resp.Body)
-			resp.Body.Close()
-			switch resp.StatusCode {
-			case http.StatusAccepted:
-				var run runView
+			if resp.StatusCode == http.StatusAccepted {
+				var run serve.Run
 				if err := json.Unmarshal(data, &run); err != nil || run.ID == "" {
-					return runView{}, fmt.Errorf("bad submit response: %s", data)
+					return serve.Run{}, fmt.Errorf("bad submit response: %s", data)
 				}
 				return run, nil
-			case http.StatusServiceUnavailable:
-				time.Sleep(backoff)
-				if backoff < time.Second {
-					backoff *= 2
-				}
-			default:
-				// The request id joins this failure to the router's and
-				// shard's access-log lines for the same interaction.
-				return runView{}, fmt.Errorf("submit: HTTP %d (request_id=%s): %s",
-					resp.StatusCode, resp.Header.Get(requestIDHeader), strings.TrimSpace(string(data)))
+			}
+			// The request id joins a failure to the router's and shard's
+			// access-log lines for the same interaction.
+			failure := fmt.Errorf("submit: HTTP %d (request_id=%s): %s",
+				resp.StatusCode, resp.Header.Get(httpmw.RequestIDHeader), strings.TrimSpace(string(data)))
+			if resp.StatusCode != http.StatusServiceUnavailable {
+				return serve.Run{}, failure
+			}
+			shed = failure
+			sleep(ctx, backoff)
+			if backoff < time.Second {
+				backoff *= 2
 			}
 		}
 	}
 
 	// finished extracts the terminal attribution from a run view, or
 	// reports that the run is still in flight.
-	finished := func(run runView) (queueWait, execute time.Duration, cached, terminal bool, err error) {
+	finished := func(run serve.Run) (queueWait, execute time.Duration, cached, terminal bool, err error) {
 		switch run.State {
-		case "done":
+		case serve.StateDone:
 			if run.Started != nil {
 				queueWait = run.Started.Sub(run.Submitted)
 				if run.Finished != nil {
@@ -326,7 +339,7 @@ func realMain() error {
 				}
 			}
 			return queueWait, execute, run.Cached, true, nil
-		case "failed":
+		case serve.StateFailed:
 			return 0, 0, false, true, fmt.Errorf("run %s failed: %s", run.ID, run.Error)
 		}
 		return 0, 0, false, false, nil
@@ -336,19 +349,19 @@ func realMain() error {
 	// returns the daemon-stamped queue-wait (submitted -> started) and
 	// execute (started -> finished) durations for the latency attribution,
 	// plus whether the run was answered from the result cache.
-	wait := func(id string) (queueWait, execute time.Duration, cached bool, err error) {
-		deadline := time.Now().Add(*timeout)
-		for time.Now().Before(deadline) {
-			resp, err := client.Get(*addr + "/api/v1/runs/" + id)
+	wait := func(ctx context.Context, id string) (queueWait, execute time.Duration, cached bool, err error) {
+		for {
+			resp, data, err := do(ctx, http.MethodGet, *addr+"/api/v1/runs/"+id, nil)
 			if err != nil {
+				if ctx.Err() != nil {
+					err = fmt.Errorf("run %s did not finish within -timeout %s", id, *timeout)
+				}
 				return 0, 0, false, err
 			}
-			data, _ := io.ReadAll(resp.Body)
-			resp.Body.Close()
 			if resp.StatusCode != http.StatusOK {
 				return 0, 0, false, fmt.Errorf("poll %s: HTTP %d: %s", id, resp.StatusCode, strings.TrimSpace(string(data)))
 			}
-			var run runView
+			var run serve.Run
 			if err := json.Unmarshal(data, &run); err != nil {
 				return 0, 0, false, fmt.Errorf("poll %s: %w", id, err)
 			}
@@ -356,9 +369,8 @@ func realMain() error {
 			if terminal || err != nil {
 				return qw, ex, cached, err
 			}
-			time.Sleep(*poll)
+			sleep(ctx, *poll)
 		}
-		return 0, 0, false, fmt.Errorf("run %s did not finish within %s", id, *timeout)
 	}
 
 	label := *experiment
@@ -394,9 +406,10 @@ func realMain() error {
 					body = specs[sampler.next()].body
 				}
 				t0 := time.Now()
+				ctx, cancel := context.WithTimeout(context.Background(), *timeout)
 				var qw, ex time.Duration
 				var cached bool
-				run, err := submit(body)
+				run, err := submit(ctx, body)
 				if err == nil {
 					// A cache hit (or failure) is terminal in the submit
 					// response itself; only runs still executing need the
@@ -404,9 +417,10 @@ func realMain() error {
 					var terminal bool
 					qw, ex, cached, terminal, err = finished(run)
 					if !terminal && err == nil {
-						qw, ex, cached, err = wait(run.ID)
+						qw, ex, cached, err = wait(ctx, run.ID)
 					}
 				}
+				cancel()
 				results[i] = runResult{id: run.ID, err: err, cached: cached,
 					elapsed: time.Since(t0), queueWait: qw, execute: ex}
 			}

@@ -2,10 +2,17 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"errors"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"os/exec"
+	"strings"
 	"testing"
+	"time"
+
+	"activepages/internal/httpmw"
 )
 
 // TestMain lets a test run this binary as apload itself: with
@@ -58,5 +65,37 @@ func TestRejectsBadFlags(t *testing.T) {
 				t.Errorf("output was printed before the error: %q", stdout.String())
 			}
 		})
+	}
+}
+
+// TestTimeoutBoundsShedRetries pins that -timeout bounds a run from its
+// first submission attempt: against a daemon that sheds every submission
+// with 503, the run fails once the deadline passes, naming the last 503
+// body and its request id, and apload exits 1.
+func TestTimeoutBoundsShedRetries(t *testing.T) {
+	shedding := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set(httpmw.RequestIDHeader, "rid-shed")
+		w.WriteHeader(http.StatusServiceUnavailable)
+		w.Write([]byte(`{"error":"queue full"}`))
+	}))
+	defer shedding.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), 15*time.Second)
+	defer cancel()
+	cmd := exec.CommandContext(ctx, os.Args[0], "-addr", shedding.URL, "-n", "1", "-timeout", "1s")
+	cmd.Env = append(os.Environ(), "APLOAD_RUN_MAIN=1")
+	var stderr bytes.Buffer
+	cmd.Stderr = &stderr
+	start := time.Now()
+	err := cmd.Run()
+	if ctx.Err() != nil {
+		t.Fatalf("apload -timeout 1s still retrying after %s", time.Since(start).Round(time.Second))
+	}
+	var exit *exec.ExitError
+	if !errors.As(err, &exit) || exit.ExitCode() != 1 {
+		t.Fatalf("exit: %v, want status 1; stderr:\n%s", err, stderr.String())
+	}
+	want := `apload: still shed at -timeout 1s: submit: HTTP 503 (request_id=rid-shed): {"error":"queue full"}` + "\n"
+	if !strings.HasPrefix(stderr.String(), want) {
+		t.Errorf("stderr:\n%s\nwant it to start with\n%s", stderr.String(), want)
 	}
 }

@@ -44,6 +44,16 @@
 // so one id joins the router's and shard's access logs, the run record,
 // and the routing trace for a single client interaction.
 //
+// The router's own reads of a shard — the merged listing, the federated
+// metrics behind /metrics, /api/v1/metricsz and /api/v1/fleet, and the
+// run view a trace splice aligns on — share the health prober's 2-second
+// timeout and end with the inbound request, so a shard that accepts
+// connections and never answers delays them by at most that timeout
+// (each such read counts in ap_router_proxy_errors). Proxied reads relay
+// long runs and keep a 15-minute timeout, but also end with the inbound
+// request. A read that ends because its client went away counts against
+// no shard.
+//
 // The router keeps no run state — all of it lives in the shards — so any
 // number of router replicas over the same backend list route identically;
 // only the routing traces of recently routed runs are retained in memory

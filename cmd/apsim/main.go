@@ -72,7 +72,7 @@ func realMain() error {
 	if *traceFile != "" {
 		convTr, radTr = obs.NewTracer(0), obs.NewTracer(0)
 		convTr.SetProcess(1, "conventional")
-		radTr.SetProcess(2, "radram")
+		radTr.SetProcess(2, rad.BackendName())
 		conv.EnableTracing(convTr)
 		rad.EnableTracing(radTr)
 	}

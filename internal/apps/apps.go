@@ -9,6 +9,7 @@
 package apps
 
 import (
+	"slices"
 	"time"
 
 	"activepages/internal/radram"
@@ -93,22 +94,14 @@ type Ported interface {
 }
 
 // Supports reports whether b runs on the named compute backend. Every
-// benchmark runs on RADram; other backends require the benchmark to
-// declare the port via Ported.
+// benchmark runs on the default backend, RADram; other backends require
+// the benchmark to declare the port via Ported.
 func Supports(b Benchmark, backendName string) bool {
-	if backendName == "" || backendName == "radram" {
+	if backendName == radram.DefaultBackend().Name() {
 		return true
 	}
 	p, ok := b.(Ported)
-	if !ok {
-		return false
-	}
-	for _, n := range p.PortedBackends() {
-		if n == backendName {
-			return true
-		}
-	}
-	return false
+	return ok && slices.Contains(p.PortedBackends(), backendName)
 }
 
 // Measure runs b at the given problem size through r.Simulate on the
@@ -163,12 +156,9 @@ func Measure(r *run.Runner, b Benchmark, cfg radram.Config, pages float64) (meas
 	return meas, nil
 }
 
-// apPrefix is the metrics namespace of the Active-Page machine: the
-// historical "rad." for the RADram backend, the backend's own name for
-// any other — so multi-backend aggregates never collide.
+// apPrefix is the metrics namespace of the Active-Page machine: its
+// backend's catalog namespace, so multi-backend aggregates never collide.
 func apPrefix(cfg radram.Config) string {
-	if name := cfg.BackendName(); name != "radram" {
-		return name + "."
-	}
-	return "rad."
+	b, _ := radram.LookupBackend(cfg.BackendName())
+	return b.Namespace + "."
 }

@@ -5,7 +5,6 @@ import (
 	"strings"
 
 	"activepages/internal/apps"
-	"activepages/internal/backend"
 	"activepages/internal/radram"
 	"activepages/internal/run"
 	"activepages/internal/simdram"
@@ -13,44 +12,23 @@ import (
 )
 
 // BackendNames lists the compute backends the -backend flag accepts
-// (besides the "all" meta-selector).
-func BackendNames() []string { return []string{"radram", "simdram"} }
-
-// BackendByName resolves a compute-backend selector. The empty name is
-// the historical default, RADram.
-func BackendByName(name string) (backend.ComputeBackend, error) {
-	switch name {
-	case "", "radram":
-		return radram.CostModel{}, nil
-	case "simdram":
-		return simdram.Default(), nil
+// (besides the "all" meta-selector), in catalog order.
+func BackendNames() []string {
+	var out []string
+	for _, b := range radram.Backends() {
+		out = append(out, b.Name())
 	}
-	return nil, fmt.Errorf("experiments: unknown backend %q (want %s, or all)",
+	return out
+}
+
+// BackendByName resolves a compute-backend selector to its catalog row.
+// The empty name is the default backend.
+func BackendByName(name string) (radram.Backend, error) {
+	if b, ok := radram.LookupBackend(name); ok {
+		return b, nil
+	}
+	return radram.Backend{}, fmt.Errorf("experiments: unknown backend %q (want %s, or all)",
 		name, strings.Join(BackendNames(), ", "))
-}
-
-// backendLabel is the display name of a backend in figure titles.
-func backendLabel(name string) string {
-	switch name {
-	case "", "radram":
-		return "RADram"
-	case "simdram":
-		return "SIMDRAM"
-	}
-	return name
-}
-
-// configFor returns cfg targeted at the named backend. The RADram name
-// returns cfg untouched, so the default pipeline stays byte-identical.
-func configFor(cfg radram.Config, name string) (radram.Config, error) {
-	if name == "" || name == "radram" {
-		return cfg, nil
-	}
-	b, err := BackendByName(name)
-	if err != nil {
-		return cfg, err
-	}
-	return cfg.WithBackend(b), nil
 }
 
 // backendBenchmarks filters the Figure 3 suite to the kernels ported to

@@ -42,10 +42,13 @@ type Options struct {
 // a refused run prints nothing and occupies no worker. Accepting a RADram
 // run allocates nothing: the fleet checks every request it routes.
 func Check(experiment, backend string) error {
+	backends := radram.Backends()
 	if backend != "all" {
-		if _, err := BackendByName(backend); err != nil {
+		b, err := BackendByName(backend)
+		if err != nil {
 			return err
 		}
+		backends = []radram.Backend{b}
 	}
 	if experiment == "all" || experiment == "backends" || slices.Contains(All, experiment) {
 		return nil
@@ -55,14 +58,10 @@ func Check(experiment, backend string) error {
 		return fmt.Errorf("unknown experiment %q (want all, backends, %s, or a benchmark: %s)",
 			experiment, strings.Join(All, ", "), strings.Join(BenchmarkNames(), ", "))
 	}
-	backends := []string{backend}
-	if backend == "all" {
-		backends = BackendNames()
-	}
 	for _, bk := range backends {
-		if !apps.Supports(b, bk) {
+		if !apps.Supports(b, bk.Name()) {
 			return fmt.Errorf("benchmark %q has no %s port (ported: %s)",
-				experiment, bk, strings.Join(portedNames(bk), ", "))
+				experiment, bk.Name(), strings.Join(portedNames(bk.Name()), ", "))
 		}
 	}
 	return nil
@@ -78,21 +77,17 @@ type block struct {
 }
 
 // render prints an experiment's blocks to out in order and writes every
-// figure as CSV into dir. Figures computed on a backend other than RADram
-// get the backend as a file-name suffix ("array-simdram.csv"), so a
-// multi-backend run keeps each backend's data.
-func render(out io.Writer, blocks []block, dir, backend string) error {
+// figure as CSV into dir, its file name ending in suffix: figures computed
+// on a backend other than the default are suffixed with the backend's name
+// ("array-simdram.csv"), so a multi-backend run keeps each backend's data.
+func render(out io.Writer, blocks []block, dir, suffix string) error {
 	for _, b := range blocks {
 		switch {
 		case b.table != nil:
 			b.table.WriteTo(out)
 		case b.figure != nil:
 			b.figure.WriteTo(out)
-			name := b.csv
-			if backend != "radram" {
-				name += "-" + backend
-			}
-			if err := writeCSV(dir, name, b.figure); err != nil {
+			if err := writeCSV(dir, b.csv+suffix, b.figure); err != nil {
 				return err
 			}
 		default:
@@ -130,28 +125,26 @@ func Dispatch(out io.Writer, r *run.Runner, experiment string, cfg radram.Config
 	if err := Check(experiment, opt.Backend); err != nil {
 		return err
 	}
-	bk := opt.Backend
-	if bk == "" {
-		bk = "radram"
-	}
 	// The backends study is inherently three-way; it ignores the backend
 	// selector.
 	if experiment == "backends" {
-		bk = "radram"
+		opt.Backend = ""
 	}
-	if bk == "all" {
-		for _, name := range BackendNames() {
-			fmt.Fprintf(out, "\n***** backend: %s *****\n", name)
+	if opt.Backend == "all" {
+		for _, b := range radram.Backends() {
+			fmt.Fprintf(out, "\n***** backend: %s *****\n", b.Name())
 			o := opt
-			o.Backend = name
+			o.Backend = b.Name()
 			if err := Dispatch(out, r, experiment, cfg, points, o); err != nil {
 				return err
 			}
 		}
 		return nil
 	}
-	if why, ok := radramOnly[experiment]; ok && bk != "radram" {
-		fmt.Fprintf(out, "%s: skipped for backend %s (%s)\n", experiment, bk, why)
+	b, _ := BackendByName(opt.Backend) // Check vetted the name
+	isDefault := b.Name() == radram.DefaultBackend().Name()
+	if why, ok := radramOnly[experiment]; ok && !isDefault {
+		fmt.Fprintf(out, "%s: skipped for backend %s (%s)\n", experiment, b.Name(), why)
 		return nil
 	}
 	if experiment == "all" {
@@ -162,9 +155,9 @@ func Dispatch(out io.Writer, r *run.Runner, experiment string, cfg radram.Config
 			}
 		}
 		// The three-way study joins the suite once a second backend is in
-		// play; the default RADram-only run stays exactly the historical
+		// play; the default backend's run stays exactly the historical
 		// output.
-		if bk == "radram" {
+		if isDefault {
 			return nil
 		}
 		fmt.Fprintf(out, "\n##### backends #####\n")
@@ -174,21 +167,21 @@ func Dispatch(out io.Writer, r *run.Runner, experiment string, cfg radram.Config
 	// sweeps schedule points (no-op without a tracker, so batch output is
 	// untouched).
 	r.ProgressTracker().SetLabel(experiment)
-	bcfg, err := configFor(cfg, bk)
+	blocks, err := experimentBlocks(r, experiment, cfg.WithBackend(b.Model), b.Label, points, opt)
 	if err != nil {
 		return err
 	}
-	blocks, err := experimentBlocks(r, experiment, bcfg, points, opt)
-	if err != nil {
-		return err
+	suffix := ""
+	if !isDefault {
+		suffix = "-" + b.Name()
 	}
-	return render(out, blocks, opt.CSVDir, bk)
+	return render(out, blocks, opt.CSVDir, suffix)
 }
 
 // experimentBlocks computes one experiment's output on cfg, which is
-// already targeted at the selected backend.
-func experimentBlocks(r *run.Runner, experiment string, cfg radram.Config, points []float64, opt Options) ([]block, error) {
-	label := backendLabel(cfg.BackendName())
+// already targeted at the selected backend; label names the backend in
+// figure titles.
+func experimentBlocks(r *run.Runner, experiment string, cfg radram.Config, label string, points []float64, opt Options) ([]block, error) {
 	switch experiment {
 	case "table1":
 		return []block{{table: Table1(cfg)}}, nil

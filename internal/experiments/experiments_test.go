@@ -12,6 +12,7 @@ import (
 	"activepages/internal/circuits"
 	"activepages/internal/logic"
 	"activepages/internal/radram"
+	"activepages/internal/report"
 	"activepages/internal/run"
 )
 
@@ -367,19 +368,52 @@ func TestEveryBenchmarkFitsMinimumPage(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, backend := range BackendNames() {
-			if !apps.Supports(b, backend) {
+		for _, backend := range radram.Backends() {
+			if !apps.Supports(b, backend.Name()) {
 				continue
 			}
-			cfg, err := configFor(base, backend)
-			if err != nil {
-				t.Fatal(err)
-			}
+			cfg := base.WithBackend(backend.Model)
 			for _, pages := range QuickPagePoints() {
 				if _, err := apps.Measure(nil, b, cfg, pages); err != nil {
-					t.Errorf("%s on %s, %g pages: %v", name, backend, pages, err)
+					t.Errorf("%s on %s, %g pages: %v", name, backend.Name(), pages, err)
 				}
 			}
+		}
+	}
+}
+
+// TestCatalogNamespaces measures a quick ported benchmark on every
+// catalog backend and checks where its metrics land: the conventional
+// machine's rows under "conv.", the Active-Page machine's under the row's
+// namespace and nowhere else, so report.BackendOf names the backend.
+func TestCatalogNamespaces(t *testing.T) {
+	b, err := BenchmarkByName("array")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, bk := range radram.Backends() {
+		if !apps.Supports(b, bk.Name()) {
+			t.Fatalf("array has no %s port", bk.Name())
+		}
+		r := run.Serial().WithMetrics()
+		if _, err := apps.Measure(r, b, DefaultConfig().WithBackend(bk.Model), QuickPagePoints()[0]); err != nil {
+			t.Fatalf("%s: %v", bk.Name(), err)
+		}
+		snap := r.Metrics.Groups()[b.Name()]
+		var ap int
+		for k := range snap {
+			switch {
+			case strings.HasPrefix(k, bk.Namespace+"."):
+				ap++
+			case !strings.HasPrefix(k, "conv."):
+				t.Errorf("%s: key %q is under neither conv. nor %s.", bk.Name(), k, bk.Namespace)
+			}
+		}
+		if ap == 0 {
+			t.Errorf("%s: no Active-Page rows under %s.", bk.Name(), bk.Namespace)
+		}
+		if got := report.BackendOf(snap); got != bk.Name() {
+			t.Errorf("%s: BackendOf = %q", bk.Name(), got)
 		}
 	}
 }

@@ -65,9 +65,10 @@ type Router struct {
 	cfg  Config
 	log  *slog.Logger
 	ring *ring
-	// client issues all proxied requests and prober the health probes.
-	// Probes get their own client because the proxy client's timeout is
-	// sized for long runs — a dead shard must fail a probe in seconds, not
+	// client issues all proxied requests, and prober the health probes
+	// and the router's own reads of a shard (readShard). Those get their
+	// own client because the proxy client's timeout is sized for long
+	// runs — a hung shard must fail a probe or a scrape in seconds, not
 	// minutes — and because building a client per probe (the old behavior)
 	// leaked a fresh transport's connection pool every sweep.
 	client, prober *http.Client
@@ -82,7 +83,7 @@ type Router struct {
 	cacheHits   atomic.Uint64 // backend answered from its result cache
 	cacheMisses atomic.Uint64 // backend queued a cold execution
 	cacheDedup  atomic.Uint64 // backend attached the submission to an in-flight run
-	proxyErrors atomic.Uint64 // proxied reads that failed at the transport
+	proxyErrors atomic.Uint64 // proxied reads and readShard reads that failed
 
 	// mw is the shared HTTP middleware layer (per-route histograms under
 	// "router.http.*", access logs, request-id stamping); traces keeps each
@@ -389,16 +390,8 @@ func runIDFromLocation(loc string) string {
 func (rt *Router) handleList(w http.ResponseWriter, r *http.Request) {
 	merged := serve.Listing{Counts: make(map[serve.State]int), Shards: make(map[string]int)}
 	for _, backend := range rt.cfg.Backends {
-		resp, err := rt.client.Get(backend + "/api/v1/runs")
-		if err != nil {
-			rt.proxyErrors.Add(1)
-			continue
-		}
 		var one serve.Listing
-		err = json.NewDecoder(io.LimitReader(resp.Body, 64<<20)).Decode(&one)
-		resp.Body.Close()
-		if err != nil {
-			rt.proxyErrors.Add(1)
+		if err := rt.readShard(r, backend, "/api/v1/runs", listingLimit, &one); err != nil {
 			continue
 		}
 		merged.Runs = append(merged.Runs, one.Runs...)
@@ -478,32 +471,94 @@ func (rt *Router) markUnhealthy(backend string) {
 	}
 }
 
-// do re-issues the inbound GET against one backend, forwarding the
-// conditional-request header so ETag revalidation (304) flows end to end
-// and the request id so the shard's access log joins the router's.
-func (rt *Router) do(r *http.Request, backend string) (*http.Response, error) {
-	req, err := http.NewRequest(http.MethodGet, backend+r.URL.Path, nil)
+// fetch re-issues the inbound GET against one backend under its context,
+// forwarding the conditional-request header so ETag revalidation (304)
+// flows end to end and the request id so the shard's access log joins the
+// router's. A transport failure counts in router.proxy_errors, marks the
+// shard unhealthy until the next probe and answers 502 — unless the
+// inbound request's own cancellation caused it: a client that went away
+// says nothing about the shard. ok is false when there is no response to
+// relay.
+func (rt *Router) fetch(w http.ResponseWriter, r *http.Request, backend string) (resp *http.Response, ok bool) {
+	req, err := shardRequest(r, backend, r.URL.Path)
+	if err == nil {
+		if inm := r.Header.Get("If-None-Match"); inm != "" {
+			req.Header.Set("If-None-Match", inm)
+		}
+		resp, err = rt.client.Do(req)
+	}
+	if err == nil {
+		return resp, true
+	}
+	if r.Context().Err() == nil {
+		rt.proxyErrors.Add(1)
+		rt.markUnhealthy(backend)
+		rt.mw.WriteError(w, http.StatusBadGateway, fmt.Sprintf("shard %s unreachable: %v", backend, err))
+	}
+	return nil, false
+}
+
+// shardRequest builds a GET of path on backend under the inbound
+// request's context, carrying its request id.
+func shardRequest(r *http.Request, backend, path string) (*http.Request, error) {
+	req, err := http.NewRequestWithContext(r.Context(), http.MethodGet, backend+path, nil)
 	if err != nil {
 		return nil, err
-	}
-	if inm := r.Header.Get("If-None-Match"); inm != "" {
-		req.Header.Set("If-None-Match", inm)
 	}
 	if rid := httpmw.RequestID(r.Context()); rid != "" {
 		req.Header.Set(httpmw.RequestIDHeader, rid)
 	}
-	return rt.client.Do(req)
+	return req, nil
+}
+
+// Caps on the bodies the router reads from a shard for itself
+// (readShard).
+const (
+	listingLimit  = 64 << 20 // GET /api/v1/runs
+	metricszLimit = 16 << 20 // GET /api/v1/metricsz
+	runViewLimit  = 1 << 20  // GET /api/v1/runs/{id}
+)
+
+// readShard is the router's own read of a shard — a listing, a metrics
+// scrape, a run view — for the inbound request r: it GETs path from
+// backend through the prober's short-timeout client and decodes the 200
+// answer, read up to limit bytes, into v, the shard's own wire type
+// (decodeShard). A shard that accepts connections and never answers costs
+// one probe timeout, not the proxy client's. A failure counts in
+// router.proxy_errors, unless the inbound request's cancellation caused
+// it.
+func (rt *Router) readShard(r *http.Request, backend, path string, limit int64, v any) (err error) {
+	defer func() {
+		if err != nil && r.Context().Err() == nil {
+			rt.proxyErrors.Add(1)
+		}
+	}()
+	req, err := shardRequest(r, backend, path)
+	if err != nil {
+		return err
+	}
+	resp, err := rt.prober.Do(req)
+	if err != nil {
+		return err
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		return fmt.Errorf("GET %s%s: HTTP %d", backend, path, resp.StatusCode)
+	}
+	return decodeShard(resp.Body, limit, v)
+}
+
+// decodeShard decodes a body the router reads from a shard for itself,
+// read up to limit bytes. The body comes from another process, so
+// FuzzDecodeMetricsz feeds it arbitrary bytes.
+func decodeShard(body io.Reader, limit int64, v any) error {
+	return json.NewDecoder(io.LimitReader(body, limit)).Decode(v)
 }
 
 func (rt *Router) proxy(w http.ResponseWriter, r *http.Request, backend string) {
-	resp, err := rt.do(r, backend)
-	if err != nil {
-		rt.proxyErrors.Add(1)
-		rt.markUnhealthy(backend)
-		rt.mw.WriteError(w, http.StatusBadGateway, fmt.Sprintf("shard %s unreachable: %v", backend, err))
-		return
+	if resp, ok := rt.fetch(w, r, backend); ok {
+		relay(w, resp)
 	}
-	relay(w, resp)
 }
 
 // ridHeaderKey is httpmw.RequestIDHeader in the canonical form http.Header

@@ -37,8 +37,8 @@ func FuzzDecodeMetricsz(f *testing.F) {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, body []byte) {
-		snap, err := decodeMetricsz(bytes.NewReader(body))
-		if err != nil {
+		var snap obs.Snapshot
+		if err := decodeShard(bytes.NewReader(body), metricszLimit, &snap); err != nil {
 			return
 		}
 		fleet := obs.Snapshot{}

@@ -1,7 +1,10 @@
 package fleet
 
 import (
+	"bytes"
+	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -9,14 +12,16 @@ import (
 	"regexp"
 	"strings"
 	"testing"
+	"time"
 
 	"activepages/internal/httpmw"
 	"activepages/internal/obs"
 	"activepages/internal/serve"
 )
 
-// getJSON fetches a router URL and decodes its JSON body into v.
-func getJSON(t *testing.T, url string, v any) {
+// getJSON fetches a router URL, decodes its JSON body into v and returns
+// the body.
+func getJSON(t *testing.T, url string, v any) []byte {
 	t.Helper()
 	resp, err := http.Get(url)
 	if err != nil {
@@ -30,6 +35,30 @@ func getJSON(t *testing.T, url string, v any) {
 	if err := json.Unmarshal(data, v); err != nil {
 		t.Fatalf("GET %s: %v\n%s", url, err, data)
 	}
+	return data
+}
+
+// jsonKeys lists the keys of the JSON object data in the order the body
+// lays them out.
+func jsonKeys(t *testing.T, data []byte) []string {
+	t.Helper()
+	dec := json.NewDecoder(bytes.NewReader(data))
+	if tok, err := dec.Token(); err != nil || tok != json.Delim('{') {
+		t.Fatalf("not a JSON object: %s", data)
+	}
+	var keys []string
+	for dec.More() {
+		tok, err := dec.Token()
+		if err != nil {
+			t.Fatalf("%v in %s", err, data)
+		}
+		keys = append(keys, tok.(string))
+		var value json.RawMessage
+		if err := dec.Decode(&value); err != nil {
+			t.Fatalf("%v in %s", err, data)
+		}
+	}
+	return keys
 }
 
 // TestFederatedMetricsExactMerge pins the federation invariant: the
@@ -194,7 +223,7 @@ func TestFleetTraceSplice(t *testing.T) {
 
 // TestFleetStatusEndpoint checks /api/v1/fleet reports per-shard health,
 // instance, saturation from the probed extended healthz, cache hit rate,
-// and probe age.
+// and probe age, under the wire keys and in the layout clients read.
 func TestFleetStatusEndpoint(t *testing.T) {
 	_, _, ts := startFleet(t, 2)
 	resp, rn := submitVia(t, ts, `{"experiment":"array","quick":true}`)
@@ -219,9 +248,23 @@ func TestFleetStatusEndpoint(t *testing.T) {
 			LastProbeMS   int64   `json:"last_probe_ms"`
 		} `json:"backends"`
 	}
-	getJSON(t, ts.URL+"/api/v1/fleet", &status)
+	data := getJSON(t, ts.URL+"/api/v1/fleet", &status)
 	if status.Healthy != 2 || status.Total != 2 || len(status.Backends) != 2 {
 		t.Fatalf("fleet status: %+v", status)
+	}
+	if got, want := jsonKeys(t, data), []string{"backends", "healthy", "total"}; !reflect.DeepEqual(got, want) {
+		t.Errorf("fleet status keys = %q, want %q", got, want)
+	}
+	var rows struct {
+		Backends []json.RawMessage `json:"backends"`
+	}
+	json.Unmarshal(data, &rows)
+	wantRow := []string{"backend", "instance", "healthy", "queue_depth", "queue_capacity",
+		"workers_busy", "workers_total", "cache_hit_rate", "last_probe_ms"}
+	for _, row := range rows.Backends {
+		if got := jsonKeys(t, row); !reflect.DeepEqual(got, wantRow) {
+			t.Errorf("fleet status row keys = %q, want %q", got, wantRow)
+		}
 	}
 	owner := instancePrefix(rn.ID)
 	seenOwner := false
@@ -245,6 +288,118 @@ func TestFleetStatusEndpoint(t *testing.T) {
 	}
 	if !seenOwner {
 		t.Errorf("no fleet row for owning instance %q", owner)
+	}
+}
+
+// TestHungShardDoesNotStallReads pins that the router's own reads of a
+// shard are bounded. One shard accepts connections and never answers;
+// the listing and the metrics federation behind /api/v1/metricsz,
+// /metrics and /api/v1/fleet must still answer from the other shard
+// within the probe timeout, and count each read of the hung shard in
+// router.proxy_errors.
+func TestHungShardDoesNotStallReads(t *testing.T) {
+	_, urls := startShards(t, 1, "b")
+	release := make(chan struct{})
+	hung := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		select {
+		case <-release:
+		case <-r.Context().Done():
+		}
+	}))
+	t.Cleanup(hung.Close)
+	rt := NewRouter(Config{Backends: []string{urls[0], hung.URL}})
+	ts := httptest.NewServer(rt.Handler())
+	t.Cleanup(ts.Close)
+	// Cleanups run last-in first-out: release the hung handlers before
+	// closing the servers, which wait for them.
+	t.Cleanup(func() { close(release) })
+
+	paths := []string{"/api/v1/runs", "/api/v1/metricsz", "/metrics", "/api/v1/fleet"}
+	client := &http.Client{Timeout: 10 * time.Second}
+	errs := make(chan error, len(paths))
+	for _, path := range paths {
+		go func() {
+			resp, err := client.Get(ts.URL + path)
+			if err == nil {
+				io.Copy(io.Discard, resp.Body)
+				resp.Body.Close()
+				if resp.StatusCode != http.StatusOK {
+					err = fmt.Errorf("HTTP %d", resp.StatusCode)
+				}
+			}
+			if err != nil {
+				err = fmt.Errorf("GET %s with a hung shard: %w", path, err)
+			}
+			errs <- err
+		}()
+	}
+	for range paths {
+		if err := <-errs; err != nil {
+			t.Error(err)
+		}
+	}
+	if got := rt.proxyErrors.Load(); got != uint64(len(paths)) {
+		t.Errorf("router.proxy_errors = %d, want %d: one per read of the hung shard", got, len(paths))
+	}
+}
+
+// TestClientCancelKeepsShardHealthy checks that a client giving up on a
+// read does not count against the shard that was answering it. The shard
+// holds every read until the router's request to it ends; each client
+// cancels once its read has reached the shard. The proxied reads (a run
+// view, a trace) and the router's own (the listing, the metrics
+// federation) must leave the shard healthy and router.proxy_errors at 0.
+func TestClientCancelKeepsShardHealthy(t *testing.T) {
+	arrived := make(chan struct{}, 1)
+	shard := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/healthz" {
+			json.NewEncoder(w).Encode(serve.Health{Status: "ok"})
+			return
+		}
+		arrived <- struct{}{}
+		<-r.Context().Done()
+	}))
+	t.Cleanup(shard.Close)
+	rt := NewRouter(Config{Backends: []string{shard.URL}})
+	if got := rt.ProbeHealth(); got != 1 {
+		t.Fatalf("ProbeHealth = %d healthy, want 1", got)
+	}
+	served := make(chan struct{}, 1)
+	h := rt.Handler()
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		h.ServeHTTP(w, r)
+		served <- struct{}{}
+	}))
+	t.Cleanup(ts.Close)
+
+	for _, path := range []string{"/api/v1/runs/r000001", "/api/v1/runs/r000001/trace", "/api/v1/runs", "/api/v1/metricsz"} {
+		ctx, cancel := context.WithCancel(context.Background())
+		req, err := http.NewRequestWithContext(ctx, http.MethodGet, ts.URL+path, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		go func() {
+			<-arrived
+			cancel()
+		}()
+		if resp, err := http.DefaultClient.Do(req); err == nil {
+			resp.Body.Close()
+			t.Fatalf("GET %s answered HTTP %d; want the client's cancellation", path, resp.StatusCode)
+		}
+		select {
+		case <-served:
+		case <-time.After(10 * time.Second):
+			t.Fatalf("GET %s: the router still serves the canceled read", path)
+		}
+		rt.mu.Lock()
+		healthy := rt.state[shard.URL].healthy
+		rt.mu.Unlock()
+		if !healthy {
+			t.Errorf("GET %s: a client's cancellation marked the shard unhealthy", path)
+		}
+		if got := rt.proxyErrors.Load(); got != 0 {
+			t.Errorf("GET %s: router.proxy_errors = %d after a client's cancellation, want 0", path, got)
+		}
 	}
 }
 

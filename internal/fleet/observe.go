@@ -6,14 +6,13 @@ package fleet
 // fleet status surface (/api/v1/fleet).
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
 	"time"
 
-	"activepages/internal/httpmw"
 	"activepages/internal/obs"
+	"activepages/internal/serve"
 )
 
 const (
@@ -42,11 +41,8 @@ func (rt *Router) handleRunTrace(w http.ResponseWriter, r *http.Request) {
 		rt.writeNoOwner(w, id)
 		return
 	}
-	resp, err := rt.do(r, backend)
-	if err != nil {
-		rt.proxyErrors.Add(1)
-		rt.markUnhealthy(backend)
-		rt.mw.WriteError(w, http.StatusBadGateway, fmt.Sprintf("shard %s unreachable: %v", backend, err))
+	resp, ok := rt.fetch(w, r, backend)
+	if !ok {
 		return
 	}
 	if resp.StatusCode != http.StatusOK {
@@ -56,6 +52,9 @@ func (rt *Router) handleRunTrace(w http.ResponseWriter, r *http.Request) {
 	base, err := io.ReadAll(io.LimitReader(resp.Body, 64<<20))
 	resp.Body.Close()
 	if err != nil {
+		if r.Context().Err() != nil {
+			return
+		}
 		rt.proxyErrors.Add(1)
 		rt.mw.WriteError(w, http.StatusBadGateway, fmt.Sprintf("shard trace read failed: %v", err))
 		return
@@ -71,39 +70,13 @@ func (rt *Router) handleRunTrace(w http.ResponseWriter, r *http.Request) {
 	// the routing hop's head start, and the splice clamps pre-epoch
 	// spans to the trace origin.
 	var shift time.Duration
-	if submitted, err := rt.runSubmitted(r, backend, id); err == nil {
-		shift = tr.Epoch().Sub(submitted)
+	var run serve.Run
+	if err := rt.readShard(r, backend, "/api/v1/runs/"+id, runViewLimit, &run); err == nil {
+		shift = tr.Epoch().Sub(run.Submitted)
 	}
 	if err := tr.SpliceChrome(w, base, shift); err != nil {
 		rt.log.Debug("trace splice failed", "id", id, "err", err.Error())
 	}
-}
-
-// runSubmitted fetches one run's Submitted stamp from its shard, for the
-// trace splice's epoch alignment.
-func (rt *Router) runSubmitted(r *http.Request, backend, id string) (time.Time, error) {
-	req, err := http.NewRequest(http.MethodGet, backend+"/api/v1/runs/"+id, nil)
-	if err != nil {
-		return time.Time{}, err
-	}
-	if rid := httpmw.RequestID(r.Context()); rid != "" {
-		req.Header.Set(httpmw.RequestIDHeader, rid)
-	}
-	resp, err := rt.client.Do(req)
-	if err != nil {
-		return time.Time{}, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return time.Time{}, fmt.Errorf("run view: HTTP %d", resp.StatusCode)
-	}
-	var v struct {
-		Submitted time.Time `json:"submitted"`
-	}
-	if err := json.NewDecoder(io.LimitReader(resp.Body, 1<<20)).Decode(&v); err != nil {
-		return time.Time{}, err
-	}
-	return v.Submitted, nil
 }
 
 // shardScrape is one shard's federation reading: the instance label its
@@ -113,39 +86,23 @@ type shardScrape struct {
 	snap     obs.Snapshot
 }
 
-// gatherFleet scrapes every reachable shard's /api/v1/metricsz once and
-// returns the exact merge (counters and histogram buckets sum, "_max"
-// gauges take the maximum — obs.Snapshot.Merge's rules, here finally
-// exercised across process boundaries) plus each shard's own snapshot,
-// keyed by backend URL.
-func (rt *Router) gatherFleet() (obs.Snapshot, map[string]shardScrape) {
+// gatherFleet scrapes every reachable shard's /api/v1/metricsz once, for
+// the inbound request r, and returns the exact merge (counters and
+// histogram buckets sum, "_max" gauges take the maximum —
+// obs.Snapshot.Merge's rules, here finally exercised across process
+// boundaries) plus each shard's own snapshot, keyed by backend URL.
+func (rt *Router) gatherFleet(r *http.Request) (obs.Snapshot, map[string]shardScrape) {
 	fleet := obs.Snapshot{}
 	shards := make(map[string]shardScrape, len(rt.cfg.Backends))
 	for i, backend := range rt.cfg.Backends {
-		resp, err := rt.client.Get(backend + "/api/v1/metricsz")
-		if err != nil {
-			rt.proxyErrors.Add(1)
-			continue
-		}
-		snap, err := decodeMetricsz(resp.Body)
-		resp.Body.Close()
-		if err != nil {
-			rt.proxyErrors.Add(1)
+		var snap obs.Snapshot
+		if err := rt.readShard(r, backend, "/api/v1/metricsz", metricszLimit, &snap); err != nil {
 			continue
 		}
 		fleet.Merge(snap)
 		shards[backend] = shardScrape{instance: rt.instanceLabel(backend, i), snap: snap}
 	}
 	return fleet, shards
-}
-
-// decodeMetricsz decodes one shard's /api/v1/metricsz body, read up to
-// 16 MiB. The body comes from another process, so FuzzDecodeMetricsz feeds
-// it arbitrary bytes and renders whatever it accepts.
-func decodeMetricsz(body io.Reader) (obs.Snapshot, error) {
-	var snap obs.Snapshot
-	err := json.NewDecoder(io.LimitReader(body, 16<<20)).Decode(&snap)
-	return snap, err
 }
 
 // instanceLabel names a shard in federated metric keys: its probed
@@ -166,7 +123,7 @@ func (rt *Router) instanceLabel(backend string, i int) string {
 // Prometheus exposition.
 func (rt *Router) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	snap := rt.live.Snapshot()
-	fleet, shards := rt.gatherFleet()
+	fleet, shards := rt.gatherFleet(r)
 	snap.Merge(fleet.WithPrefix("fleet."))
 	for _, sc := range shards {
 		snap.Merge(sc.snap.WithPrefix("shard_" + sc.instance + "."))
@@ -181,7 +138,7 @@ func (rt *Router) handleMetrics(w http.ResponseWriter, r *http.Request) {
 // scrape, fleet always equals the exact merge of the shards in the same
 // response — the invariant the federation tests pin.
 func (rt *Router) handleMetricsz(w http.ResponseWriter, r *http.Request) {
-	fleet, scrapes := rt.gatherFleet()
+	fleet, scrapes := rt.gatherFleet(r)
 	shards := make(map[string]obs.Snapshot, len(scrapes))
 	for _, sc := range scrapes {
 		shards[sc.instance] = sc.snap
@@ -193,8 +150,18 @@ func (rt *Router) handleMetricsz(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// fleetBackend is one shard's row in the /api/v1/fleet status report.
-type fleetBackend struct {
+// Status is the body of GET /api/v1/fleet, which apload -fleet decodes
+// too. The fields are declared in alphabetical key order: the body's
+// layout is part of the API.
+type Status struct {
+	Backends []ShardStatus `json:"backends"`
+	// Healthy counts the shards the last probe found healthy, of Total.
+	Healthy int `json:"healthy"`
+	Total   int `json:"total"`
+}
+
+// ShardStatus is one shard's row in the fleet Status.
+type ShardStatus struct {
 	Backend  string `json:"backend"`
 	Instance string `json:"instance,omitempty"`
 	Healthy  bool   `json:"healthy"`
@@ -216,14 +183,13 @@ type fleetBackend struct {
 // queue and worker saturation (from the last health probe), cache hit
 // rate (from an on-demand metrics scrape), and probe age.
 func (rt *Router) handleFleet(w http.ResponseWriter, r *http.Request) {
-	_, scrapes := rt.gatherFleet()
+	_, scrapes := rt.gatherFleet(r)
 	now := time.Now()
-	backends := make([]fleetBackend, 0, len(rt.cfg.Backends))
-	healthy := 0
+	status := Status{Backends: make([]ShardStatus, 0, len(rt.cfg.Backends)), Total: len(rt.cfg.Backends)}
 	rt.mu.Lock()
 	for _, b := range rt.cfg.Backends {
 		st := rt.state[b]
-		fb := fleetBackend{
+		fb := ShardStatus{
 			Backend:       b,
 			Instance:      st.instance,
 			Healthy:       st.healthy,
@@ -245,14 +211,10 @@ func (rt *Router) handleFleet(w http.ResponseWriter, r *http.Request) {
 			}
 		}
 		if st.healthy {
-			healthy++
+			status.Healthy++
 		}
-		backends = append(backends, fb)
+		status.Backends = append(status.Backends, fb)
 	}
 	rt.mu.Unlock()
-	rt.mw.WriteJSON(w, http.StatusOK, map[string]any{
-		"healthy":  healthy,
-		"total":    len(rt.cfg.Backends),
-		"backends": backends,
-	})
+	rt.mw.WriteJSON(w, http.StatusOK, status)
 }

@@ -232,16 +232,6 @@ func (fs *foldScratch) pushBoundary(b foldBoundary) {
 	fs.bounds[0], fs.bounds[1], fs.bounds[2] = fs.bounds[1], fs.bounds[2], b
 }
 
-// StrideStream simulates n elemBytes-wide accesses of the given kind at
-// base, base+stride, base+2·stride, …, folding the steady state when the
-// stream is long enough, and returns the total latency — exactly the sum n
-// scalar AccessRange calls would have returned, with identical final
-// hierarchy state, statistics, and histograms.
-func (h *Hierarchy) StrideStream(base, elemBytes uint64, stride int64, n uint64, kind AccessKind) sim.Duration {
-	accs := [1]StreamAcc{{Size: elemBytes, Count: 1, Kind: kind}}
-	return h.StreamRun(base, stride, n, accs[:])
-}
-
 // StreamRun simulates n iterations of a fixed-stride access pattern:
 // iteration i performs every entry of accs at base + i·stride + Off. It is
 // exactly equivalent — in returned latency, statistics, histograms, and

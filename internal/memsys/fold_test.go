@@ -35,9 +35,15 @@ var foldStrides = []int64{
 	3, 7, 513, // odd and misaligned: enormous periods, scalar fallback
 }
 
+// single is the access pattern of a stride stream: one elemBytes-wide
+// access of the given kind per iteration.
+func single(elemBytes uint64, kind AccessKind) []StreamAcc {
+	return []StreamAcc{{Size: elemBytes, Count: 1, Kind: kind}}
+}
+
 // TestStrideStreamMatchesReference drives twin hierarchies — one folding,
 // one in Reference mode stepped scalar access by scalar access — through
-// random stride streams interleaved with random scalar traffic, and
+// random stride streams (single-access StreamRun patterns) interleaved with random scalar traffic, and
 // requires identical latency totals, statistics, and histogram snapshots
 // after every stream. The interleaved traffic means any hidden state the
 // fold failed to reconstruct (cache lines, LRU, DRAM open rows) surfaces as
@@ -60,13 +66,13 @@ func TestStrideStreamMatchesReference(t *testing.T) {
 			kind = Write
 		}
 		n := uint64(rng.Intn(12000) + 1)
-		got := fast.StrideStream(base, w, stride, n, kind)
+		got := fast.StreamRun(base, stride, n, single(w, kind))
 		var want sim.Duration
 		for i := uint64(0); i < n; i++ {
 			want += ref.AccessRange(base+uint64(stride)*i, w, kind)
 		}
 		if got != want {
-			t.Fatalf("round %d: StrideStream(%#x,%d,%d,%d) = %v, want %v",
+			t.Fatalf("round %d: stride stream (%#x,%d,%d,%d) = %v, want %v",
 				round, base, w, stride, n, got, want)
 		}
 		statesEqual(t, round, fast, ref)
@@ -151,8 +157,8 @@ func TestStreamRunMultiAccessMatchesReference(t *testing.T) {
 func TestStreamFoldZeroAllocs(t *testing.T) {
 	h := New(DefaultConfig())
 	run := func() {
-		h.StrideStream(0, 4, 4096, 4096, Read)
-		h.StrideStream(1<<26, 8, -8192, 2048, Write)
+		h.StreamRun(0, 4096, 4096, single(4, Read))
+		h.StreamRun(1<<26, -8192, 2048, single(8, Write))
 	}
 	run() // grow the scratch buffers once
 	if h.Folds.Folded == 0 {
@@ -182,13 +188,13 @@ func TestStreamWrapRunsScalar(t *testing.T) {
 		{^uint64(0) - 1<<22, 4, 4096, 4096, Read}, // ascends past the top
 	}
 	for i, c := range cases {
-		got := fast.StrideStream(c.base, c.w, c.stride, c.n, c.kind)
+		got := fast.StreamRun(c.base, c.stride, c.n, single(c.w, c.kind))
 		var want sim.Duration
 		for j := uint64(0); j < c.n; j++ {
 			want += ref.AccessRange(c.base+uint64(c.stride)*j, c.w, c.kind)
 		}
 		if got != want {
-			t.Fatalf("case %d: wrapped StrideStream = %v, want %v", i, got, want)
+			t.Fatalf("case %d: wrapped stride stream = %v, want %v", i, got, want)
 		}
 		if fast.Folds.Folded != 0 {
 			t.Fatalf("case %d: wrapping stream folded: %+v", i, fast.Folds)
@@ -213,13 +219,13 @@ func TestFoldFreshSubarrayGuard(t *testing.T) {
 		ref.AccessRange(j*sub+64, 4, Read)
 	}
 	base, stride, n := sub/2, int64(sub/2), uint64(40)
-	got := fast.StrideStream(base, 4, stride, n, Read)
+	got := fast.StreamRun(base, stride, n, single(4, Read))
 	var want sim.Duration
 	for i := uint64(0); i < n; i++ {
 		want += ref.AccessRange(base+uint64(stride)*i, 4, Read)
 	}
 	if got != want {
-		t.Fatalf("StrideStream over pre-opened fresh subarrays = %v, want %v", got, want)
+		t.Fatalf("stride stream over pre-opened fresh subarrays = %v, want %v", got, want)
 	}
 	statesEqual(t, 0, fast, ref)
 	if !bytes.Equal(snapshotJSON(t, fast), snapshotJSON(t, ref)) {
@@ -231,7 +237,7 @@ func TestFoldFreshSubarrayGuard(t *testing.T) {
 func TestStreamForceModes(t *testing.T) {
 	h := New(DefaultConfig())
 	h.Reference = true
-	h.StrideStream(0, 4, 4096, 4096, Read)
+	h.StreamRun(0, 4096, 4096, single(4, Read))
 	if h.Folds.Folded != 0 || h.Folds.FoldedIters != 0 {
 		t.Fatalf("Reference hierarchy folded: %+v", h.Folds)
 	}
@@ -243,11 +249,11 @@ func TestStreamForceModes(t *testing.T) {
 func BenchmarkStrideStream(b *testing.B) {
 	b.Run("folded", func(b *testing.B) {
 		h := New(DefaultConfig())
-		h.StrideStream(0, 4, 4096, 16384, Read)
+		h.StreamRun(0, 4096, 16384, single(4, Read))
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			_ = h.StrideStream(0, 4, 4096, 16384, Read)
+			_ = h.StreamRun(0, 4096, 16384, single(4, Read))
 		}
 	})
 	b.Run("scalar", func(b *testing.B) {
@@ -256,7 +262,7 @@ func BenchmarkStrideStream(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			_ = h.StrideStream(0, 4, 4096, 16384, Read)
+			_ = h.StreamRun(0, 4096, 16384, single(4, Read))
 		}
 	})
 }
@@ -296,11 +302,11 @@ func BenchmarkStreamLineRuns(b *testing.B) {
 // WithoutDiag strips them.
 func TestFoldDiagCounters(t *testing.T) {
 	h := New(DefaultConfig())
-	h.StrideStream(0, 8, 65536, 20000, Read)           // long, short-period stride: folds
-	h.StrideStream(0, 8, 7, 5000, Read)                // odd stride: enormous period
-	h.StrideStream(0, 8, 8, 3, Read)                   // too short
-	h.StrideStream(^uint64(0)-64, 8, 8192, 4096, Read) // would wrap
-	h.StrideStream(0, 8, 0, 100, Read)                 // zero stride: ineligible
+	h.StreamRun(0, 65536, 20000, single(8, Read))           // long, short-period stride: folds
+	h.StreamRun(0, 7, 5000, single(8, Read))                // odd stride: enormous period
+	h.StreamRun(0, 8, 3, single(8, Read))                   // too short
+	h.StreamRun(^uint64(0)-64, 8192, 4096, single(8, Read)) // would wrap
+	h.StreamRun(0, 0, 100, single(8, Read))                 // zero stride: ineligible
 
 	f := h.Folds
 	if f.Folded == 0 {

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"strconv"
-	"sync/atomic"
 
 	"activepages/internal/sim"
 )
@@ -83,10 +82,8 @@ type Tracer struct {
 	// procName labels this tracer's machine in multi-machine trace files.
 	procName string
 	// dropped counts ring overwrites — every event the full ring discarded
-	// to make room — as a first-class counter, registrable as a metric
-	// (Observe) and stamped into Chrome exports. Atomic so a live scrape
-	// may read it while the simulation emits.
-	dropped atomic.Uint64
+	// to make room — and is stamped into Chrome exports.
+	dropped uint64
 }
 
 // DefaultTraceEvents is the default ring capacity: enough to hold the tail
@@ -141,7 +138,7 @@ func (t *Tracer) Instant(tid int32, cat, name string, at sim.Time) {
 
 func (t *Tracer) emit(ev TraceEvent) {
 	if t.events.push(ev) {
-		t.dropped.Add(1)
+		t.dropped++
 	}
 }
 
@@ -153,24 +150,12 @@ func (t *Tracer) Len() int {
 	return len(t.events.buf)
 }
 
-// Dropped reports how many events the ring has overwritten. Safe to read
-// while the traced simulation is still emitting.
+// Dropped reports how many events the ring has overwritten.
 func (t *Tracer) Dropped() uint64 {
 	if t == nil {
 		return 0
 	}
-	return t.dropped.Load()
-}
-
-// Observe registers the tracer's drop counter as the diagnostic metric
-// "diag.trace_dropped_events", so ring overflow is visible in metrics
-// snapshots and /metrics instead of only on stderr. A nil tracer ignores
-// the registration.
-func (t *Tracer) Observe(r *Registry) {
-	if t == nil {
-		return
-	}
-	r.Counter(DiagPrefix+"trace_dropped_events", t.dropped.Load)
+	return t.dropped
 }
 
 // Events returns the retained events in emission order (oldest first). The

@@ -138,22 +138,29 @@ func TestTrackNames(t *testing.T) {
 	}
 }
 
-// TestTracerObserveRegistersDrops checks ring overflow is visible as a
-// diagnostic metric, not just through the Dropped accessor.
-func TestTracerObserveRegistersDrops(t *testing.T) {
+// TestTracerReportsDropsInChromeTrace checks ring overflow is visible
+// inside the exported trace, not just through the Dropped accessor: a
+// tracer that dropped events carries a trace_dropped_events metadata
+// record with the count, and one that dropped none carries no record.
+func TestTracerReportsDropsInChromeTrace(t *testing.T) {
+	const record = `{"ph":"M","pid":1,"name":"trace_dropped_events","args":{"dropped":3}}`
 	tr := NewTracer(2)
-	r := New()
-	tr.Observe(r)
-	if got := r.Snapshot()[DiagPrefix+"trace_dropped_events"]; got != 0 {
-		t.Fatalf("fresh tracer drops = %d, want 0", got)
+	var b strings.Builder
+	tr.Instant(TIDCPU, "c", "e", 0)
+	if err := WriteChrome(&b, tr); err != nil {
+		t.Fatal(err)
 	}
-	for i := 0; i < 5; i++ {
+	if strings.Contains(b.String(), "trace_dropped_events") {
+		t.Errorf("trace without drops carries a drop record:\n%s", b.String())
+	}
+	for i := 1; i < 5; i++ {
 		tr.Instant(TIDCPU, "c", "e", sim.Time(i))
 	}
-	if got := r.Snapshot()[DiagPrefix+"trace_dropped_events"]; got != 3 {
-		t.Fatalf("drops = %d, want 3", got)
+	b.Reset()
+	if err := WriteChrome(&b, tr); err != nil {
+		t.Fatal(err)
 	}
-	if !IsDiag(DiagPrefix + "trace_dropped_events") {
-		t.Error("trace drop counter should be diagnostic")
+	if tr.Dropped() != 3 || !strings.Contains(b.String(), record) {
+		t.Errorf("Dropped = %d, trace:\n%s\nwant 3 and the record %s", tr.Dropped(), b.String(), record)
 	}
 }

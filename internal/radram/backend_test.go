@@ -82,3 +82,41 @@ func TestBindCostMatchesReconfiguration(t *testing.T) {
 		t.Errorf("BindCost = %v, want %v", got, want)
 	}
 }
+
+// TestCatalog pins the backend catalog's invariants: names and
+// namespaces are distinct, the empty selector and DefaultConfig name the
+// first row, and an unknown selector resolves to nothing.
+func TestCatalog(t *testing.T) {
+	names, namespaces := map[string]bool{}, map[string]bool{}
+	for _, b := range Backends() {
+		if b.Name() == "" || b.Label == "" || b.Namespace == "" || b.Namespace == "conv" {
+			t.Errorf("row %q: label %q, namespace %q", b.Name(), b.Label, b.Namespace)
+		}
+		if names[b.Name()] || namespaces[b.Namespace] {
+			t.Errorf("row %q: name or namespace %q repeats", b.Name(), b.Namespace)
+		}
+		names[b.Name()], namespaces[b.Namespace] = true, true
+		if got, ok := LookupBackend(b.Name()); !ok || got.Name() != b.Name() {
+			t.Errorf("LookupBackend(%q) = %q, %v", b.Name(), got.Name(), ok)
+		}
+	}
+	def := Backends()[0]
+	if got, ok := LookupBackend(""); !ok || got.Name() != def.Name() || DefaultBackend().Name() != def.Name() {
+		t.Errorf(`LookupBackend("") = %q, %v; DefaultBackend() = %q; want %q`,
+			got.Name(), ok, DefaultBackend().Name(), def.Name())
+	}
+	if got := DefaultConfig().BackendName(); got != def.Name() {
+		t.Errorf("DefaultConfig installs %q, want the default %q", got, def.Name())
+	}
+	if _, ok := LookupBackend("RADram"); ok {
+		t.Error(`LookupBackend("RADram") resolved; selectors are the lower-case names`)
+	}
+}
+
+// TestNewRefusesConfigWithoutBackend checks that a configuration with no
+// compute backend is an error, not a silent RADram machine.
+func TestNewRefusesConfigWithoutBackend(t *testing.T) {
+	if _, err := New(DefaultConfig().WithBackend(nil)); err == nil {
+		t.Fatal("New accepted a configuration without a backend")
+	}
+}

@@ -52,33 +52,25 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// DefaultConfig returns the Table 1 reference machine with the RADram
-// compute backend installed.
+// DefaultConfig returns the Table 1 reference machine with the default
+// backend's cost model installed.
 func DefaultConfig() Config {
-	cfg := Config{
+	return Config{
 		CPU: proc.DefaultConfig(),
 		Mem: memsys.DefaultConfig(),
 		AP:  core.DefaultConfig(),
-	}
-	cfg.AP.Backend = CostModel{}
-	return cfg
+	}.WithBackend(DefaultBackend().Model)
 }
 
 // WithBackend returns the configuration with a different compute backend
-// installed in the Active-Page system (nil restores the RADram model in
-// New).
+// installed in the Active-Page system.
 func (c Config) WithBackend(b backend.ComputeBackend) Config {
 	c.AP.Backend = b
 	return c
 }
 
 // BackendName reports which compute backend the configuration selects.
-func (c Config) BackendName() string {
-	if c.AP.Backend == nil {
-		return CostModel{}.Name()
-	}
-	return c.AP.Backend.Name()
-}
+func (c Config) BackendName() string { return c.AP.Backend.Name() }
 
 // WithL1D returns the configuration with the L1 data cache resized
 // (Figure 5 sweep: 32K-256K).
@@ -139,13 +131,9 @@ func NewConventional(cfg Config) *Machine {
 	return &Machine{Config: cfg, Store: store, Hier: hier, CPU: cpu}
 }
 
-// New builds a machine with an Active-Page memory system. The compute
-// backend is cfg.AP.Backend; a nil backend selects the RADram cost model,
-// so hand-built Configs keep their historical meaning.
+// New builds a machine with an Active-Page memory system on the compute
+// backend cfg.AP.Backend; a configuration without one is refused.
 func New(cfg Config) (*Machine, error) {
-	if cfg.AP.Backend == nil {
-		cfg.AP.Backend = CostModel{}
-	}
 	m := NewConventional(cfg)
 	ap, err := core.NewSystem(cfg.AP, m.CPU)
 	if err != nil {

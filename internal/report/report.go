@@ -22,12 +22,14 @@ import (
 	"strings"
 
 	"activepages/internal/obs"
+	"activepages/internal/radram"
 	"activepages/internal/tabler"
 )
 
 // Phase is one machine's simulated-time breakdown within a benchmark.
 type Phase struct {
-	// Machine identifies the configuration: "conv" or "rad".
+	// Machine identifies the configuration: "conv", or the Active-Page
+	// machine's backend namespace ("rad", "simdram").
 	Machine string
 	// All durations are summed nanoseconds over the runs that contributed.
 	TotalNS     int64
@@ -64,36 +66,29 @@ type Report struct {
 }
 
 // machinePrefixes are the snapshot prefixes one benchmark run produces:
-// apps.Measure tags the conventional machine "conv." and the
-// Active-Page machine with its backend namespace — the historical "rad."
-// for RADram, the backend's own name otherwise.
-var machinePrefixes = []string{"conv", "rad", "simdram"}
-
-// BackendOf identifies which Active-Page backend produced a snapshot by
-// looking for each machine namespace among the metric keys ("rad." is
-// RADram's historical prefix). A snapshot that merged runs from several
-// backends reports them joined with "+"; one with no Active-Page rows at
-// all returns "".
-func BackendOf(s obs.Snapshot) string {
-	found := map[string]bool{}
-	for k := range s {
-		for _, m := range machinePrefixes {
-			if m == "conv" {
-				continue
-			}
-			if strings.HasPrefix(k, m+".") || strings.Contains(k, "."+m+".") {
-				found[m] = true
-			}
-		}
+// apps.Measure tags the conventional machine "conv." and the Active-Page
+// machine with its backend's catalog namespace.
+var machinePrefixes = func() []string {
+	out := []string{"conv"}
+	for _, b := range radram.Backends() {
+		out = append(out, b.Namespace)
 	}
+	return out
+}()
+
+// BackendOf names the Active-Page backends that produced a snapshot, by
+// looking for each backend's namespace among the metric keys. A snapshot
+// that merged runs from several backends reports them joined with "+";
+// one with no Active-Page rows at all returns "".
+func BackendOf(s obs.Snapshot) string {
 	var out []string
-	for _, m := range machinePrefixes {
-		if found[m] {
-			name := m
-			if m == "rad" {
-				name = "radram"
+	for _, b := range radram.Backends() {
+		ns, inner := b.Namespace+".", "."+b.Namespace+"."
+		for k := range s {
+			if strings.HasPrefix(k, ns) || strings.Contains(k, inner) {
+				out = append(out, b.Name())
+				break
 			}
-			out = append(out, name)
 		}
 	}
 	return strings.Join(out, "+")

@@ -62,15 +62,12 @@ func NewCheckpointCache(budgetBytes uint64) *CheckpointCache {
 // dispatch/interrupt costs and bind charging are zeroed too, so sweeps
 // over those knobs share one conventional run per point — the
 // prefix-key = config-minus-swept-knob rule. An Active-Page key names the
-// backend's concrete type and parameters (a nil backend normalizes to the
-// RADram cost model, matching radram.New).
+// backend's concrete type and parameters.
 func checkpointKey(kind Kind, bench string, pages float64, cfg radram.Config) string {
 	cfg.Mem.L1I = cache.Config{}
 	cfg.Mem.L1D.Name, cfg.Mem.L2.Name = "", ""
 	if kind == Conventional {
 		cfg.AP = core.Config{PageBytes: cfg.AP.PageBytes}
-	} else if cfg.AP.Backend == nil {
-		cfg.AP.Backend = radram.CostModel{}
 	}
 	b := cfg.AP.Backend
 	cfg.AP.Backend = nil
@@ -87,7 +84,7 @@ type Workload interface {
 
 // Kind selects which machine of a measured pair Simulate runs: the one
 // with a conventional memory system, or the one with the configuration's
-// Active-Page backend (RADram when unset).
+// Active-Page backend.
 type Kind int
 
 // The two machines of a measured pair.

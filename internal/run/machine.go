@@ -48,7 +48,8 @@ func NewConventional(cfg radram.Config) *Machine {
 	return wrap(radram.NewConventional(cfg))
 }
 
-// New builds a machine with a RADram Active-Page memory system.
+// New builds a machine with an Active-Page memory system on the
+// configuration's backend.
 func New(cfg radram.Config) (*Machine, error) {
 	rm, err := radram.New(cfg)
 	if err != nil {
@@ -68,8 +69,7 @@ func MustNew(cfg radram.Config) *Machine {
 
 // NewPair builds the conventional/Active-Page machine pair every
 // application study measures: two fully isolated instances of the same
-// configuration, the Active-Page side on the configuration's backend
-// (RADram when unset).
+// configuration, the Active-Page side on the configuration's backend.
 func NewPair(cfg radram.Config) (conv, ap *Machine, err error) {
 	conv = NewConventional(cfg)
 	if ap, err = New(cfg); err != nil {
@@ -80,16 +80,6 @@ func NewPair(cfg radram.Config) (conv, ap *Machine, err error) {
 
 // Snapshot reads the machine's merged metrics.
 func (m *Machine) Snapshot() obs.Snapshot { return m.Metrics.Snapshot() }
-
-// EnableTracing wires a simulated-time tracer through the machine (see
-// radram.Machine.EnableTracing) and additionally registers the tracer's
-// ring-overflow counter into the machine's registry, so dropped trace
-// events surface in the metrics snapshot as "diag.trace_dropped_events"
-// instead of vanishing silently.
-func (m *Machine) EnableTracing(tr *obs.Tracer) {
-	m.Machine.EnableTracing(tr)
-	tr.Observe(m.Metrics)
-}
 
 // Cluster is an SMP machine: n processors sharing one backing store and
 // memory hierarchy, each with its own timeline and its own Active-Page
@@ -108,9 +98,6 @@ type Cluster struct {
 
 // NewCluster builds an n-processor SMP machine from cfg.
 func NewCluster(cfg radram.Config, n int) (*Cluster, error) {
-	if cfg.AP.Backend == nil {
-		cfg.AP.Backend = radram.CostModel{}
-	}
 	c := &Cluster{
 		Config:  cfg,
 		Store:   mem.NewStore(),

@@ -33,6 +33,7 @@ import (
 
 	"activepages/internal/experiments"
 	"activepages/internal/obs"
+	"activepages/internal/radram"
 )
 
 // CacheResultHeader is set on every submit response to report how the
@@ -49,7 +50,7 @@ const DefaultCacheBudget = 256 << 20
 
 // SpecKey returns the content address of a run request: a sha256 over the
 // canonical spec. Normalization covers defaults only — an empty backend is
-// the RADram default and an explicit page size equal to the scaled default
+// the catalog's default (RADram) and an explicit page size equal to the scaled default
 // is the default — so requests that dispatch identically key identically.
 // Presentation knobs (regions, l2) are keyed verbatim even for experiments
 // that ignore them: over-keying costs a redundant cold run, under-keying
@@ -62,7 +63,7 @@ func SpecKey(req Request) string {
 	}
 	bk := req.Backend
 	if bk == "" {
-		bk = "radram"
+		bk = radram.DefaultBackend().Name()
 	}
 	// The canonical bytes are "v1|%s|quick=%t|pb=%d|regions=%t|l2=%t|
 	// backend=%s", built without fmt: the router and the shard both key

@@ -28,6 +28,7 @@ import (
 	"activepages/internal/httpmw"
 	"activepages/internal/lru"
 	"activepages/internal/obs"
+	"activepages/internal/radram"
 	"activepages/internal/report"
 	"activepages/internal/run"
 )
@@ -433,29 +434,21 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	s.mw.WriteJSON(w, code, h)
 }
 
-// backendSlices maps each Active-Page backend name to the machine
-// prefix its run metrics carry inside a snapshot (apps.Measure tags
-// RADram machines with the historical "rad.").
-var backendSlices = []struct{ name, prefix string }{
-	{"radram", "rad."},
-	{"simdram", "simdram."},
-}
-
 // MetricsSnapshot returns everything /metrics renders: the live service
 // registry, the aggregate of every completed run under the "run."
-// prefix, and each backend's slice of that aggregate re-keyed under the
-// backend's own name (so RADram rows surface as ap_radram_* and SIMDRAM
-// rows as ap_simdram_* in the exposition). Safe to call while runs are
-// in flight.
+// prefix, and each backend's slice of that aggregate re-keyed from its
+// catalog namespace to its name (so RADram rows surface as ap_radram_*
+// and SIMDRAM rows as ap_simdram_* in the exposition). Safe to call while
+// runs are in flight.
 func (s *Server) MetricsSnapshot() obs.Snapshot {
 	snap := s.live.Snapshot()
 	agg := s.agg.Snapshot()
 	snap.Merge(agg.WithPrefix("run."))
-	for _, b := range backendSlices {
-		sub := obs.Snapshot{}
+	for _, b := range radram.Backends() {
+		ns, sub := b.Namespace+".", obs.Snapshot{}
 		for k, v := range agg {
-			if strings.HasPrefix(k, b.prefix) {
-				sub[b.name+"."+strings.TrimPrefix(k, b.prefix)] = v
+			if rest, ok := strings.CutPrefix(k, ns); ok {
+				sub[b.Name()+"."+rest] = v
 			}
 		}
 		snap.Merge(sub)
@@ -477,13 +470,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 // snapshot merge rules (counters sum, _max keys max, histogram buckets
 // sum) instead of re-parsing Prometheus text.
 func (s *Server) handleMetricsz(w http.ResponseWriter, r *http.Request) {
-	j, err := s.MetricsSnapshot().JSON()
-	if err != nil {
-		s.mw.WriteError(w, http.StatusInternalServerError, err.Error())
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.Write(append(j, '\n'))
+	s.mw.WriteJSON(w, http.StatusOK, s.MetricsSnapshot())
 }
 
 // handleSubmit records a submission and answers with its run: a cold

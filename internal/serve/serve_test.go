@@ -15,8 +15,47 @@ import (
 	"testing"
 	"time"
 
+	"activepages/internal/radram"
 	"activepages/internal/report"
 )
+
+// TestMetricsSnapshotPerBackend runs the quick array sweep on every
+// catalog backend and checks MetricsSnapshot re-keys each backend's slice
+// of the run aggregate from its namespace to its name, and no other
+// backend's.
+func TestMetricsSnapshotPerBackend(t *testing.T) {
+	for _, bk := range radram.Backends() {
+		s, ts := newTestServer(t, Config{Workers: 1, JobsPerRun: 2}, true)
+		resp, rn := submit(t, ts, `{"experiment":"array","quick":true,"backend":"`+bk.Name()+`"}`)
+		if resp.StatusCode != http.StatusAccepted {
+			t.Fatalf("%s: submit: HTTP %d", bk.Name(), resp.StatusCode)
+		}
+		if final := waitDone(t, ts, rn.ID); final.State != StateDone {
+			t.Fatalf("%s: run finished %s: %s", bk.Name(), final.State, final.Error)
+		}
+		agg, snap := s.agg.Snapshot(), s.MetricsSnapshot()
+		rekeyed := 0
+		for k, v := range agg {
+			if rest, ok := strings.CutPrefix(k, bk.Namespace+"."); ok {
+				rekeyed++
+				if got := snap[bk.Name()+"."+rest]; got != v {
+					t.Errorf("%s: %s.%s = %d, want %s's %d", bk.Name(), bk.Name(), rest, got, k, v)
+				}
+			}
+		}
+		if rekeyed == 0 {
+			t.Errorf("%s: no run rows under %s.", bk.Name(), bk.Namespace)
+		}
+		for _, other := range radram.Backends() {
+			for k := range snap {
+				if other.Name() != bk.Name() && strings.HasPrefix(k, other.Name()+".") {
+					t.Errorf("%s run: snapshot has %s rows (%s)", bk.Name(), other.Name(), k)
+					break
+				}
+			}
+		}
+	}
+}
 
 // newTestServer builds a server with a small, fast configuration and an
 // httptest frontend. Workers start only when start is set, so queue
