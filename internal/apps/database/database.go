@@ -71,38 +71,30 @@ func recordsFor(m *radram.Machine, pages float64) int {
 // Run implements apps.Benchmark.
 func (Benchmark) Run(m *radram.Machine, pages float64) error {
 	n := recordsFor(m, pages)
-	in := inputs.Get(n, func() input { return newInput(n) })
+	book := workload.SharedAddressBook(seed, n)
 	query := workload.QueryName()
+	want := wants.Get(n, func() int { return workload.CountLastName(book, query) })
 
 	var got int
 	if m.AP == nil {
-		got = runConventional(m, in.book, n, query)
+		got = runConventional(m, book, n, query)
 	} else {
-		g, err := runRADram(m, in.book, n, query)
+		g, err := runRADram(m, book, n, query)
 		if err != nil {
 			return err
 		}
 		got = g
 	}
-	if got != in.want {
-		return fmt.Errorf("database: counted %d matches, want %d", got, in.want)
+	if got != want {
+		return fmt.Errorf("database: counted %d matches, want %d", got, want)
 	}
 	return nil
 }
 
-// inputs memoizes the benchmark's address book and reference count per
-// record count (shared, read-only; see workload.Memo).
-var inputs workload.Memo[int, input]
-
-type input struct {
-	book []byte
-	want int
-}
-
-func newInput(n int) input {
-	book := workload.SharedAddressBook(seed, n)
-	return input{book: book, want: workload.CountLastName(book, workload.QueryName())}
-}
+// wants memoizes the reference count per record count. The book itself is
+// a prefix of the seed's one book (workload.SharedAddressBook); both are
+// shared and read-only (see workload.Memo).
+var wants workload.Memo[int, int]
 
 // runConventional scans the records on the processor. Almost every record
 // fails the very first word compare (the early exit of a hand-coded
@@ -113,7 +105,9 @@ func newInput(n int) input {
 // take the original word-by-word loop.
 func runConventional(m *radram.Machine, book []byte, n int, query string) int {
 	base := uint64(layout.DataBase)
-	m.Store.Write(base, book) // load the database image (setup, not timed)
+	// Load the database image (setup, not timed). The scan only reads it,
+	// so the store shares the book's frames and copies none.
+	m.Store.Map(base, book)
 
 	qw := layout.PackQueryWords(query, workload.LastNameBytes)
 	cpu := m.CPU
@@ -215,11 +209,12 @@ func runRADram(m *radram.Machine, book []byte, n int, query string) (int, error)
 	if err != nil {
 		return 0, err
 	}
-	// Block the records into pages (setup, not timed).
+	// Block the records into pages (setup, not timed). The circuit only
+	// reads them, so each page shares the book's frames.
 	for p := 0; p < nPages; p++ {
 		first := p * perPage
 		last := min(n, first+perPage)
-		m.Store.Write(pagesList[p].Base+layout.HeaderBytes,
+		m.Store.Map(pagesList[p].Base+layout.HeaderBytes,
 			book[first*workload.RecordBytes:last*workload.RecordBytes])
 	}
 	return QueryPages(m.AP, pagesList, perPage, n, query)

@@ -1,7 +1,8 @@
 package database
 
 import (
-	"reflect"
+	"bytes"
+	"runtime"
 	"testing"
 
 	"activepages/internal/apps/layout"
@@ -98,8 +99,10 @@ func TestSearchIsEarlyExit(t *testing.T) {
 }
 
 // TestMemoReadOnly runs the benchmark on both machines at two sizes, then
-// checks every memo entry against a fresh generation: a run that wrote into
-// a shared book or answer would poison every later run of that size.
+// checks every memo entry and the shared book against a fresh generation:
+// a run that wrote into a shared book or answer would poison every later
+// run of that size. The stores map the book, so a write that reached a
+// mapped frame instead of its copy fails here too.
 func TestMemoReadOnly(t *testing.T) {
 	for _, pages := range []float64{0.5, 2} {
 		for _, m := range []*radram.Machine{radram.NewConventional(cfg()), radram.MustNew(cfg())} {
@@ -109,16 +112,49 @@ func TestMemoReadOnly(t *testing.T) {
 		}
 	}
 	entries := 0
-	inputs.Range(func(n int, in input) bool {
+	wants.Range(func(n int, want int) bool {
 		entries++
 		book := workload.AddressBook(seed, n)
-		fresh := input{book: book, want: workload.CountLastName(book, workload.QueryName())}
-		if !reflect.DeepEqual(in, fresh) {
-			t.Errorf("%d records: memo entry differs from a fresh generation", n)
+		if !bytes.Equal(workload.SharedAddressBook(seed, n), book) {
+			t.Errorf("%d records: shared book differs from a fresh generation", n)
+		}
+		if fresh := workload.CountLastName(book, workload.QueryName()); want != fresh {
+			t.Errorf("%d records: memoized count %d, fresh count %d", n, want, fresh)
 		}
 		return true
 	})
 	if entries < 2 {
 		t.Fatalf("memo holds %d entries, want at least 2", entries)
+	}
+}
+
+// TestRunsMapTheBook checks that a run shares the memoized book's frames
+// instead of copying them into its store: a conventional run, and a RADram
+// run whose 64 KiB pages each hold three whole frames of records, must
+// each allocate less than half the book's bytes. Copying the book costs at
+// least all of them.
+func TestRunsMapTheBook(t *testing.T) {
+	const pages = 64
+	machines := map[string]func() *radram.Machine{
+		"conventional": func() *radram.Machine { return radram.NewConventional(cfg()) },
+		"radram":       func() *radram.Machine { return radram.MustNew(cfg()) },
+	}
+	for kind, mk := range machines {
+		// A first run generates the book and warms the memo.
+		if err := (Benchmark{}).Run(mk(), pages); err != nil {
+			t.Fatal(err)
+		}
+		m := mk()
+		book := len(workload.SharedAddressBook(seed, recordsFor(m, pages)))
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if err := (Benchmark{}).Run(m, pages); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		if got := after.TotalAlloc - before.TotalAlloc; got >= uint64(book)/2 {
+			t.Errorf("%s run allocated %d bytes for a %d-byte book: it copied the book",
+				kind, got, book)
+		}
 	}
 }

@@ -156,14 +156,15 @@ func newInput(mat *workload.SparseMatrix) *input {
 // Conventional implementation.
 
 // Conventional CSR layout at DataBase: colA ints, then values as float64
-// bits, per row, laid out contiguously.
+// bits, per row, laid out contiguously. The merge walk only reads them, so
+// the store maps the memoized words.
 func runConventional(m *radram.Machine, in *input) []float64 {
 	mat, nPairs := in.mat, len(in.want)
 	base := uint64(layout.DataBase)
 	colBase := base
 	valBase := base + uint64(mat.NNZ())*4
-	m.Store.WriteU32Slice(colBase, in.cols)
-	m.Store.WriteU64Slice(valBase, in.vals)
+	m.Store.MapU32Slice(colBase, in.cols)
+	m.Store.MapU64Slice(valBase, in.vals)
 
 	cpu := m.CPU
 	out := make([]float64, nPairs)

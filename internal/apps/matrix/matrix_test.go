@@ -100,7 +100,8 @@ func TestPairBytes(t *testing.T) {
 // TestMemoReadOnly runs both variants on both machines at two sizes, then
 // checks every memo entry against a fresh generation: a run that wrote into
 // a shared matrix, answer or word slice would poison every later run of
-// that size.
+// that size. The conventional store maps the word slices, so a write that
+// reached a mapped frame instead of its copy fails here too.
 func TestMemoReadOnly(t *testing.T) {
 	for _, v := range []Variant{Boeing, Simplex} {
 		for _, pages := range []float64{0.5, 2} {

@@ -105,6 +105,8 @@ func TestClamp(t *testing.T) {
 // TestMemoReadOnly runs both kernels on both machines at two sizes, then
 // checks every memo entry against a fresh generation: a run that wrote into
 // a shared image or reference would poison every later run of that size.
+// The stores map the image (and the conventional run the reference), so a
+// write that reached a mapped frame instead of its copy fails here too.
 func TestMemoReadOnly(t *testing.T) {
 	for _, b := range []apps.Benchmark{Benchmark{}, Total{}} {
 		for _, pages := range []float64{0.5, 2} {

@@ -40,10 +40,10 @@ func TestSaturate(t *testing.T) {
 func TestConventionalMatchesReferenceDirect(t *testing.T) {
 	m := radram.NewConventional(cfg())
 	f := workload.NewMPEGFrame(9, 50)
-	got := runConventional(m, f)
+	got := runConventional(m, inputOf(f))
 	want := f.ApplyCorrectionReference()
 	for i := range want {
-		if got[i] != want[i] {
+		if int16(got[i]) != want[i] {
 			t.Fatalf("sample %d = %d, want %d", i, got[i], want[i])
 		}
 	}
@@ -52,13 +52,13 @@ func TestConventionalMatchesReferenceDirect(t *testing.T) {
 func TestRADramMatchesReferenceDirect(t *testing.T) {
 	m := radram.MustNew(cfg())
 	f := workload.NewMPEGFrame(9, 700) // > one page of blocks
-	got, err := runRADram(m, f)
+	got, err := runRADram(m, inputOf(f))
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := f.ApplyCorrectionReference()
 	for i := range want {
-		if got[i] != want[i] {
+		if int16(got[i]) != want[i] {
 			t.Fatalf("sample %d = %d, want %d", i, got[i], want[i])
 		}
 	}
@@ -72,7 +72,7 @@ func TestWideInstructionsPerPage(t *testing.T) {
 	// instruction that is 3 activations for a full page.
 	m := radram.MustNew(cfg())
 	f := workload.NewMPEGFrame(9, hwPerPage(m)/64) // exactly one page
-	if _, err := runRADram(m, f); err != nil {
+	if _, err := runRADram(m, inputOf(f)); err != nil {
 		t.Fatal(err)
 	}
 	if got := m.AP.Stats.Activations; got != 3 {
@@ -97,7 +97,9 @@ func TestRADramBeatsConventionalPerHalfword(t *testing.T) {
 
 // TestMemoReadOnly runs the benchmark on both machines at two sizes, then
 // checks every memo entry against a fresh generation: a run that wrote into
-// a shared frame or answer would poison every later run of that size.
+// a shared frame or answer would poison every later run of that size. The
+// stores map the frame's halfwords, so a write that reached a mapped store
+// frame instead of its copy fails here too.
 func TestMemoReadOnly(t *testing.T) {
 	for _, pages := range []float64{0.5, 2} {
 		for _, m := range []*radram.Machine{radram.NewConventional(cfg()), radram.MustNew(cfg())} {

@@ -77,13 +77,50 @@ func (s Stats) MissRate() float64 {
 	return 0
 }
 
+// line is one way of a set: its tag, and one word packing the valid bit
+// (bit 0), the dirty bit (bit 1) and the LRU stamp (bits 2 and up). The
+// stamp is the cache clock at the line's last access; the smallest stamp
+// in a set is the victim. An invalid line is the zero line. At 16 bytes,
+// against 24 for separate fields, a 4-way set fills one 64-byte host cache
+// line. The stamp keeps the clock's low 62 bits: the clock advances once
+// per simulated access, and no run comes near 2^62 of them.
 type line struct {
-	tag   uint64
-	valid bool
-	dirty bool
-	// lru is a per-set sequence number; the smallest is the victim.
-	lru uint64
+	tag  uint64
+	meta uint64
 }
+
+const (
+	validBit = 1 << 0
+	dirtyBit = 1 << 1
+	lruShift = 2
+)
+
+func (l line) valid() bool { return l.meta&validBit != 0 }
+func (l line) dirty() bool { return l.meta&dirtyBit != 0 }
+func (l line) lru() uint64 { return l.meta >> lruShift }
+
+// dirtyIf is dirtyBit for a write and 0 for a read.
+func dirtyIf(write bool) uint64 {
+	if write {
+		return dirtyBit
+	}
+	return 0
+}
+
+// filled is a valid line holding tag, stamped with clock, dirty if a write
+// filled it.
+func filled(tag, clock uint64, write bool) line {
+	return line{tag: tag, meta: clock<<lruShift | dirtyIf(write) | validBit}
+}
+
+// touch records a hit on a valid line: it restamps the line with clock
+// and, for a write, sets its dirty bit.
+func (l *line) touch(clock uint64, write bool) {
+	l.meta = clock<<lruShift | l.meta&dirtyBit | dirtyIf(write) | validBit
+}
+
+// hits reports whether l is a valid line holding tag.
+func (l line) hits(tag uint64) bool { return l.valid() && l.tag == tag }
 
 // Cache is one level of a write-back, write-allocate cache.
 type Cache struct {
@@ -220,21 +257,15 @@ func (c *Cache) Access(addr uint64, write bool) Result {
 	// MRU fast path: repeated accesses to the hottest way of a set skip the
 	// associativity scan. Hitting any way is the same state transition
 	// whichever order the ways are probed in, so this cannot change stats.
-	if l := &c.lines[base+uint64(c.mru[set])]; l.valid && l.tag == tag {
-		l.lru = c.clock
-		if write {
-			l.dirty = true
-		}
+	if l := &c.lines[base+uint64(c.mru[set])]; l.hits(tag) {
+		l.touch(c.clock, write)
 		c.Stats.Hits++
 		return Result{Hit: true}
 	}
 	ways := c.lines[base : base+c.assoc]
 	for i := range ways {
-		if ways[i].valid && ways[i].tag == tag {
-			ways[i].lru = c.clock
-			if write {
-				ways[i].dirty = true
-			}
+		if ways[i].hits(tag) {
+			ways[i].touch(c.clock, write)
 			c.mru[set] = int32(i)
 			c.Stats.Hits++
 			return Result{Hit: true}
@@ -247,21 +278,21 @@ func (c *Cache) Access(addr uint64, write bool) Result {
 	// Choose a victim: an invalid way if any, else LRU.
 	victim := 0
 	for i := range ways {
-		if !ways[i].valid {
+		if !ways[i].valid() {
 			victim = i
 			break
 		}
-		if ways[i].lru < ways[victim].lru {
+		if ways[i].lru() < ways[victim].lru() {
 			victim = i
 		}
 	}
 	res := Result{}
-	if ways[victim].valid && ways[victim].dirty {
+	if ways[victim].valid() && ways[victim].dirty() {
 		res.Writeback = true
 		res.WritebackAddr = c.lineAddr(set, ways[victim].tag)
 		c.Stats.Writebacks++
 	}
-	ways[victim] = line{tag: tag, valid: true, dirty: write, lru: c.clock}
+	ways[victim] = filled(tag, c.clock, write)
 	c.mru[set] = int32(victim)
 	// Widen the extent to the filled line. Only a 1-byte line at the last
 	// address overflows la+1; InvalidateRange can never reach that line.
@@ -279,15 +310,12 @@ func (c *Cache) Access(addr uint64, write bool) Result {
 func (c *Cache) AccessFast(addr uint64, write bool) bool {
 	set, tag := c.locate(addr)
 	m := set*c.assoc + uint64(c.mru[set])
-	if !c.lines[m].valid || c.lines[m].tag != tag {
+	if !c.lines[m].hits(tag) {
 		return false
 	}
 	c.own()
 	c.clock++
-	c.lines[m].lru = c.clock
-	if write {
-		c.lines[m].dirty = true
-	}
+	c.lines[m].touch(c.clock, write)
 	c.Stats.Hits++
 	return true
 }
@@ -306,12 +334,9 @@ func (c *Cache) RepeatHit(addr uint64, n uint64, write bool) {
 	c.own()
 	ways := c.ways(set)
 	for i := range ways {
-		if ways[i].valid && ways[i].tag == tag {
+		if ways[i].hits(tag) {
 			c.clock += n
-			ways[i].lru = c.clock
-			if write {
-				ways[i].dirty = true
-			}
+			ways[i].touch(c.clock, write)
 			c.mru[set] = int32(i)
 			c.Stats.Hits += n
 			return
@@ -347,11 +372,8 @@ func (c *Cache) StreamRepeat(addrs, counts []uint64, writes []bool, k uint64) ui
 		ways := c.ways(set)
 		prefix += counts[j]
 		for i := range ways {
-			if ways[i].valid && ways[i].tag == tag {
-				ways[i].lru = base + prefix
-				if writes[j] {
-					ways[i].dirty = true
-				}
+			if ways[i].hits(tag) {
+				ways[i].touch(base+prefix, writes[j])
 				c.mru[set] = int32(i)
 				break
 			}
@@ -372,7 +394,7 @@ func (c *Cache) lineAddr(set, tag uint64) uint64 {
 func (c *Cache) Lookup(addr uint64) bool {
 	set, tag := c.locate(addr)
 	for _, w := range c.ways(set) {
-		if w.valid && w.tag == tag {
+		if w.hits(tag) {
 			return true
 		}
 	}
@@ -395,7 +417,7 @@ func (c *Cache) InvalidateRange(addr, size uint64) uint64 {
 		set, tag := c.locate(la << c.lineShift)
 		ways := c.ways(set)
 		for i := range ways {
-			if ways[i].valid && ways[i].tag == tag {
+			if ways[i].hits(tag) {
 				c.own() // ways may be shared: write through c.lines
 				c.lines[set*c.assoc+uint64(i)] = line{}
 				dropped++
@@ -413,7 +435,7 @@ func (c *Cache) Flush() uint64 {
 	c.own()
 	var dirty uint64
 	for i := range c.lines {
-		if c.lines[i].valid && c.lines[i].dirty {
+		if c.lines[i].valid() && c.lines[i].dirty() {
 			dirty++
 		}
 		c.lines[i] = line{}
@@ -426,7 +448,7 @@ func (c *Cache) Flush() uint64 {
 func (c *Cache) ResidentLines() int {
 	n := 0
 	for _, l := range c.lines {
-		if l.valid {
+		if l.valid() {
 			n++
 		}
 	}

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func tiny() *Cache {
@@ -33,6 +34,15 @@ func TestConfigValidate(t *testing.T) {
 		if err := good.Validate(); err != nil {
 			t.Errorf("valid config rejected: %v", err)
 		}
+	}
+}
+
+// TestLineIs16Bytes pins the packed line: a tag and one word for the
+// valid bit, dirty bit and LRU stamp, so a 4-way set fills one 64-byte
+// host cache line and a 1 MiB L2 of 32-byte lines takes 512 KiB of lines.
+func TestLineIs16Bytes(t *testing.T) {
+	if got := unsafe.Sizeof(line{}); got != 16 {
+		t.Fatalf("a cache line takes %d bytes, want 16", got)
 	}
 }
 

@@ -14,7 +14,10 @@ type Checkpoint struct {
 }
 
 // Bytes estimates the checkpoint's host-memory footprint, for checkpoint
-// cache accounting.
+// cache accounting. It charges 32 bytes a line, twice what a packed line
+// takes, so it bounds the footprint from above. The charge decides which
+// cached runs a sweep evicts and so which of its runs simulate cold; it
+// stays as it is so that every sweep's diag.checkpoint_* counts do too.
 func (c Checkpoint) Bytes() uint64 {
 	return uint64(len(c.lines))*32 + uint64(len(c.mru))*4
 }

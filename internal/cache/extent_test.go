@@ -13,7 +13,7 @@ import (
 func droppable(c *Cache, addr, size uint64) uint64 {
 	var n uint64
 	for i, l := range c.lines {
-		if !l.valid {
+		if !l.valid() {
 			continue
 		}
 		a := c.lineAddr(uint64(i)/c.assoc, l.tag)
@@ -44,7 +44,7 @@ func TestInvalidateRangeMatchesScanProperty(t *testing.T) {
 			case k < 16:
 				// Aim at a resident line most of the time, anywhere otherwise.
 				addr := base + uint64(rng.Intn(16<<10))
-				if i := rng.Intn(len(c.lines)); c.lines[i].valid && rng.Intn(4) > 0 {
+				if i := rng.Intn(len(c.lines)); c.lines[i].valid() && rng.Intn(4) > 0 {
 					addr = c.lineAddr(uint64(i)/c.assoc, c.lines[i].tag) - uint64(rng.Intn(64))
 				}
 				size := uint64(1 + rng.Intn(1024))

@@ -83,6 +83,12 @@ func (c *Cache) SnapshotInto(s *FoldSnapshot) {
 	s.stats = c.Stats
 }
 
+// shifted is l one stream period later: its tag advanced by tagShift and
+// its stamp by clockDelta, its valid and dirty bits kept.
+func (l line) shifted(tagShift int64, clockDelta uint64) line {
+	return line{l.tag + uint64(tagShift), l.meta + clockDelta<<lruShift}
+}
+
 // touchedBit reports whether set s is marked in the bitmap.
 func touchedBit(touched []uint64, s uint64) bool {
 	return touched[s>>6]&(1<<(s&63)) != 0
@@ -125,21 +131,19 @@ func (c *Cache) VerifyFoldShift(prev *FoldSnapshot, touched []uint64, tagShift i
 		}
 		nOld, nCur := 0, 0
 		for i := range cur {
-			if cur[i].valid {
+			if cur[i].valid() {
 				nCur++
 			}
 		}
 		for i := range old {
-			if !old[i].valid {
+			if !old[i].valid() {
 				continue
 			}
 			nOld++
-			want := old[i].tag + uint64(tagShift)
-			wantLRU := old[i].lru + clockDelta
+			want := old[i].shifted(tagShift, clockDelta)
 			found := false
 			for j := range cur {
-				if !used[j] && cur[j].valid && cur[j].tag == want &&
-					cur[j].lru == wantLRU && cur[j].dirty == old[i].dirty {
+				if !used[j] && cur[j] == want {
 					used[j] = true
 					found = true
 					break
@@ -156,10 +160,10 @@ func (c *Cache) VerifyFoldShift(prev *FoldSnapshot, touched []uint64, tagShift i
 		// shifted image of the previous MRU line (or at an invalid way on
 		// both sides — AccessFast misses either way).
 		pm, cm := old[prev.mru[s]], cur[c.mru[s]]
-		if pm.valid != cm.valid {
+		if pm.valid() != cm.valid() {
 			return false
 		}
-		if pm.valid && (cm.tag != pm.tag+uint64(tagShift) || cm.lru != pm.lru+clockDelta) {
+		if w := pm.shifted(tagShift, clockDelta); pm.valid() && (cm.tag != w.tag || cm.lru() != w.lru()) {
 			return false
 		}
 	}
@@ -182,9 +186,9 @@ func (c *Cache) ApplyFoldShift(touched []uint64, tagShift int64, clockDelta, per
 		}
 		ways := c.ways(s)
 		for i := range ways {
-			if ways[i].valid {
+			if ways[i].valid() {
 				ways[i].tag += dTag
-				ways[i].lru += dLRU
+				ways[i].meta += dLRU << lruShift
 			}
 		}
 	}

@@ -54,7 +54,7 @@ func runSMPDatabase(r *run.Runner, cfg radram.Config, pages float64, nProc int) 
 
 	// Shared data: one address book blocked into pages, as the database
 	// study lays it out, grown where needed to give every processor a
-	// record.
+	// record. The search only reads it, so the pages map the book.
 	perPage := int((cfg.AP.PageBytes - layout.HeaderBytes) / workload.RecordBytes)
 	nRecords := max(int(pages*float64(perPage)), nProc)
 	book := workload.SharedAddressBook(1998, nRecords)
@@ -77,7 +77,7 @@ func runSMPDatabase(r *run.Runner, cfg radram.Config, pages float64, nProc int) 
 		owned[w] = append(owned[w], p)
 		lo := pg * perPage
 		hi := min(nRecords, lo+perPage)
-		cl.Store.Write(vaddr+layout.HeaderBytes,
+		cl.Store.Map(vaddr+layout.HeaderBytes,
 			book[lo*workload.RecordBytes:hi*workload.RecordBytes])
 	}
 

@@ -389,11 +389,12 @@ func runIDFromLocation(loc string) string {
 // shard's runs group together), per-state counts summed.
 func (rt *Router) handleList(w http.ResponseWriter, r *http.Request) {
 	merged := serve.Listing{Counts: make(map[serve.State]int), Shards: make(map[string]int)}
-	for _, backend := range rt.cfg.Backends {
-		var one serve.Listing
-		if err := rt.readShard(r, backend, "/api/v1/runs", listingLimit, &one); err != nil {
+	listings, errs := readShards[serve.Listing](rt, r, "/api/v1/runs", listingLimit)
+	for i, backend := range rt.cfg.Backends {
+		if errs[i] != nil {
 			continue
 		}
+		one := listings[i]
 		merged.Runs = append(merged.Runs, one.Runs...)
 		for st, n := range one.Counts {
 			merged.Counts[st] += n
@@ -546,6 +547,25 @@ func (rt *Router) readShard(r *http.Request, backend, path string, limit int64, 
 		return fmt.Errorf("GET %s%s: HTTP %d", backend, path, resp.StatusCode)
 	}
 	return decodeShard(resp.Body, limit, v)
+}
+
+// readShards reads path from every backend at once (readShard) and waits
+// for all of them, so shards that never answer cost one probe timeout
+// together, not one each. vs[i] holds backend i's answer when errs[i] is
+// nil; callers merge in backend order.
+func readShards[T any](rt *Router, r *http.Request, path string, limit int64) (vs []T, errs []error) {
+	vs = make([]T, len(rt.cfg.Backends))
+	errs = make([]error, len(rt.cfg.Backends))
+	var wg sync.WaitGroup
+	for i, backend := range rt.cfg.Backends {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			errs[i] = rt.readShard(r, backend, path, limit, &vs[i])
+		}()
+	}
+	wg.Wait()
+	return vs, errs
 }
 
 // decodeShard decodes a body the router reads from a shard for itself,

@@ -291,23 +291,29 @@ func TestFleetStatusEndpoint(t *testing.T) {
 	}
 }
 
-// TestHungShardDoesNotStallReads pins that the router's own reads of a
-// shard are bounded. One shard accepts connections and never answers;
-// the listing and the metrics federation behind /api/v1/metricsz,
-// /metrics and /api/v1/fleet must still answer from the other shard
-// within the probe timeout, and count each read of the hung shard in
+// TestHungShardDoesNotStallReads pins that the router's own reads of its
+// shards are bounded and concurrent. Three shards accept connections and
+// never answer; the listing and the metrics federation behind
+// /api/v1/metricsz, /metrics and /api/v1/fleet must still answer from the
+// live shard within 4 s, where reading the hung shards one after another
+// takes three 2 s probe timeouts, and count each read of a hung shard in
 // router.proxy_errors.
 func TestHungShardDoesNotStallReads(t *testing.T) {
+	const hungShards = 3
 	_, urls := startShards(t, 1, "b")
 	release := make(chan struct{})
-	hung := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		select {
-		case <-release:
-		case <-r.Context().Done():
-		}
-	}))
-	t.Cleanup(hung.Close)
-	rt := NewRouter(Config{Backends: []string{urls[0], hung.URL}})
+	backends := urls[:1]
+	for range hungShards {
+		hung := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			select {
+			case <-release:
+			case <-r.Context().Done():
+			}
+		}))
+		t.Cleanup(hung.Close)
+		backends = append(backends, hung.URL)
+	}
+	rt := NewRouter(Config{Backends: backends})
 	ts := httptest.NewServer(rt.Handler())
 	t.Cleanup(ts.Close)
 	// Cleanups run last-in first-out: release the hung handlers before
@@ -319,16 +325,19 @@ func TestHungShardDoesNotStallReads(t *testing.T) {
 	errs := make(chan error, len(paths))
 	for _, path := range paths {
 		go func() {
+			start := time.Now()
 			resp, err := client.Get(ts.URL + path)
 			if err == nil {
 				io.Copy(io.Discard, resp.Body)
 				resp.Body.Close()
 				if resp.StatusCode != http.StatusOK {
 					err = fmt.Errorf("HTTP %d", resp.StatusCode)
+				} else if d := time.Since(start); d >= 4*time.Second {
+					err = fmt.Errorf("answered after %v: the hung shards were read one at a time", d)
 				}
 			}
 			if err != nil {
-				err = fmt.Errorf("GET %s with a hung shard: %w", path, err)
+				err = fmt.Errorf("GET %s with %d hung shards: %w", path, hungShards, err)
 			}
 			errs <- err
 		}()
@@ -338,8 +347,8 @@ func TestHungShardDoesNotStallReads(t *testing.T) {
 			t.Error(err)
 		}
 	}
-	if got := rt.proxyErrors.Load(); got != uint64(len(paths)) {
-		t.Errorf("router.proxy_errors = %d, want %d: one per read of the hung shard", got, len(paths))
+	if got, want := rt.proxyErrors.Load(), uint64(hungShards*len(paths)); got != want {
+		t.Errorf("router.proxy_errors = %d, want %d: one per read of a hung shard", got, want)
 	}
 }
 

@@ -86,21 +86,21 @@ type shardScrape struct {
 	snap     obs.Snapshot
 }
 
-// gatherFleet scrapes every reachable shard's /api/v1/metricsz once, for
-// the inbound request r, and returns the exact merge (counters and
-// histogram buckets sum, "_max" gauges take the maximum —
+// gatherFleet scrapes every reachable shard's /api/v1/metricsz once, all
+// shards at once, for the inbound request r, and returns the exact merge
+// (counters and histogram buckets sum, "_max" gauges take the maximum —
 // obs.Snapshot.Merge's rules, here finally exercised across process
 // boundaries) plus each shard's own snapshot, keyed by backend URL.
 func (rt *Router) gatherFleet(r *http.Request) (obs.Snapshot, map[string]shardScrape) {
 	fleet := obs.Snapshot{}
 	shards := make(map[string]shardScrape, len(rt.cfg.Backends))
+	snaps, errs := readShards[obs.Snapshot](rt, r, "/api/v1/metricsz", metricszLimit)
 	for i, backend := range rt.cfg.Backends {
-		var snap obs.Snapshot
-		if err := rt.readShard(r, backend, "/api/v1/metricsz", metricszLimit, &snap); err != nil {
+		if errs[i] != nil {
 			continue
 		}
-		fleet.Merge(snap)
-		shards[backend] = shardScrape{instance: rt.instanceLabel(backend, i), snap: snap}
+		fleet.Merge(snaps[i])
+		shards[backend] = shardScrape{instance: rt.instanceLabel(backend, i), snap: snaps[i]}
 	}
 	return fleet, shards
 }

@@ -169,33 +169,62 @@ func (f frozen) verify(t *testing.T, what string) {
 // frame through the read path would write into a shared frame and corrupt
 // the checkpoints; running one writer per subtest makes it the first to
 // write each shared frame, so each writer is checked on its own.
+//
+// Each writer runs twice: over contents written and scrambled by random
+// writes, and over contents mapped (Store.Map) from a prefix of a larger
+// buffer at an unaligned address, which the writer under test is the first
+// to write, before and after the checkpoints. The mapped buffer must stay
+// unchanged as well.
 func TestCheckpointCopyOnWrite(t *testing.T) {
 	for wi, w := range storeWriters {
 		t.Run(w.name, func(t *testing.T) {
-			rng := rand.New(rand.NewSource(int64(wi)))
-			src := &model{NewStore(), make([]byte, cowSpan)}
-			init := make([]byte, 4*frameBytes)
-			rng.Read(init)
-			src.s.Write(0, init)
-			copy(src.ref, init)
-			for i := 0; i < 32; i++ {
-				storeWriters[rng.Intn(len(storeWriters))].apply(src, rng)
-			}
-
-			ck := freeze(src)
-			br := ck.branch()
-			brCk := freeze(br)
-			br2 := brCk.branch()
-			for i := 0; i < 24; i++ {
-				for _, m := range []*model{src, br, br2} {
-					w.apply(m, rng)
+			for _, mapped := range []bool{false, true} {
+				name := "written"
+				if mapped {
+					name = "mapped"
 				}
+				t.Run(name, func(t *testing.T) {
+					rng := rand.New(rand.NewSource(int64(wi)))
+					src := &model{NewStore(), make([]byte, cowSpan)}
+					init := make([]byte, 4*frameBytes)
+					rng.Read(init)
+					initWant := bytes.Clone(init)
+					if mapped {
+						// Frames 1 and 2 are shared with init, frames 0
+						// and 3 hold a partial head and tail.
+						p := init[:len(init)-1000]
+						src.s.Map(300, p)
+						copy(src.ref[300:], p)
+						for i := 0; i < 16; i++ {
+							w.apply(src, rng)
+						}
+					} else {
+						src.s.Write(0, init)
+						copy(src.ref, init)
+						for i := 0; i < 32; i++ {
+							storeWriters[rng.Intn(len(storeWriters))].apply(src, rng)
+						}
+					}
+
+					ck := freeze(src)
+					br := ck.branch()
+					brCk := freeze(br)
+					br2 := brCk.branch()
+					for i := 0; i < 24; i++ {
+						for _, m := range []*model{src, br, br2} {
+							w.apply(m, rng)
+						}
+					}
+					src.check(t, "source after its writes")
+					br.check(t, "branch after its writes")
+					br2.check(t, "branch of a branch checkpoint after its writes")
+					ck.verify(t, "source checkpoint")
+					brCk.verify(t, "branch checkpoint")
+					if !bytes.Equal(init, initWant) {
+						t.Fatal("a store write reached the mapped buffer")
+					}
+				})
 			}
-			src.check(t, "source after its writes")
-			br.check(t, "branch after its writes")
-			br2.check(t, "branch of a branch checkpoint after its writes")
-			ck.verify(t, "source checkpoint")
-			brCk.verify(t, "branch checkpoint")
 		})
 	}
 }

@@ -8,7 +8,8 @@
 // touched address spaces stay cheap. Bulk operations copy one frame span at
 // a time: Read and Write between a frame and host memory, Move from frame
 // to frame, and, on a little-endian host, the typed slice accessors through
-// a byte view of the slice.
+// a byte view of the slice. Map places a read-only host buffer without
+// copying the frames it covers whole; they are copied on first write.
 package mem
 
 import (
@@ -48,8 +49,9 @@ type frame struct {
 	b []byte
 	// gen is the store generation in which this store allocated or copied
 	// b. While it equals Store.gen, b is the store's own; any other value
-	// means b may be shared with a checkpoint, or with other stores
-	// restored from one, and must be copied before it is written.
+	// means b may be shared with a checkpoint, with other stores restored
+	// from one, or with the caller's buffer Map took it from, and must be
+	// copied before it is written.
 	gen uint64
 }
 
@@ -60,16 +62,16 @@ type Store struct {
 	// frames holds every frame ever touched; frames are never dropped.
 	frames map[uint64]frame
 	// gen is the current write generation, always >= 1. Checkpoint advances
-	// it, which demotes every frame to shared at once; restored frames
-	// carry gen 0 and so start out shared.
+	// it, which demotes every frame to shared at once; restored and mapped
+	// frames carry gen 0 and so start out shared.
 	gen uint64
 	// fcache is a direct-mapped cache of resolved frames, indexed by the low
 	// bits of the frame number, so runs of accesses over a few frames — the
 	// overwhelmingly common case on the simulator's load/store path — skip
 	// the map lookup. An entry stays valid for reads until Restore replaces
 	// the frame map, which clears the cache, or a write replaces the frame
-	// with a private copy, which refills the entry's slot. frame == nil
-	// means the slot is empty.
+	// with a private copy, or Map with a caller's bytes, either of which
+	// refills the entry's slot. frame == nil means the slot is empty.
 	fcache [frameCacheSlots]frameCacheEntry
 }
 
@@ -148,6 +150,31 @@ func (s *Store) Write(addr uint64, p []byte) {
 		p = p[n:]
 		addr += uint64(n)
 	}
+}
+
+// Map places p in the store at addr with Write's result, but shares every
+// frame p covers whole instead of copying it. The store adopts those bytes
+// of p as a restored frame (gen 0), so its first write to one copies it
+// (writeFrame), and neither the store nor any checkpoint of it ever writes
+// p. A head or tail frame that p covers only in part is written as Write
+// would: p may be a prefix of a larger buffer whose bytes past len(p) are
+// not the zeros the rest of that frame must read.
+//
+// The caller must never change p while a store or a checkpoint may still
+// map it; Map is for read-only values, such as the workload memos'.
+func (s *Store) Map(addr uint64, p []byte) {
+	if off := addr & frameMask; off != 0 {
+		n := min(uint64(len(p)), frameBytes-off)
+		s.Write(addr, p[:n])
+		addr, p = addr+n, p[n:]
+	}
+	for ; len(p) >= frameBytes; addr, p = addr+frameBytes, p[frameBytes:] {
+		idx := addr / frameBytes
+		b := p[:frameBytes:frameBytes]
+		s.frames[idx] = frame{b: b}
+		s.fcache[idx&(frameCacheSlots-1)] = frameCacheEntry{frame: b, idx: idx}
+	}
+	s.Write(addr, p)
 }
 
 // Move copies n bytes from src to dst, handling overlap like copy. It
@@ -265,9 +292,9 @@ func (s *Store) WriteU64(addr uint64, v uint64) {
 
 // The typed slice accessors move whole arrays of fixed-width values in one
 // call. On a little-endian host a slice already holds the bytes the store
-// keeps, so each accessor is one Read or Write of the slice's byte view: one
-// copy per frame span. On other hosts each element goes through the scalar
-// accessor.
+// keeps, so each accessor is one Read, Write or Map of the slice's byte
+// view: one copy per frame span, or none for the frames Map shares. On
+// other hosts each element goes through the scalar accessor.
 
 // littleEndian reports whether the host's byte order is the store's. Tests
 // clear it to run the portable path.
@@ -305,6 +332,18 @@ func writeSlice[T uint16 | uint32 | uint64](s *Store, addr uint64, src []T, writ
 	}
 }
 
+// mapSlice places the values of src consecutively starting at addr: on a
+// little-endian host it maps src's bytes (Map), elsewhere it writes them
+// through write, the scalar accessor of T's width, since the store's bytes
+// are not src's.
+func mapSlice[T uint16 | uint32 | uint64](s *Store, addr uint64, src []T, write func(*Store, uint64, T)) {
+	if littleEndian {
+		s.Map(addr, bytesOf(src))
+		return
+	}
+	writeSlice(s, addr, src, write)
+}
+
 // ReadU16Slice loads len(dst) consecutive 16-bit values starting at addr.
 func (s *Store) ReadU16Slice(addr uint64, dst []uint16) { readSlice(s, addr, dst, (*Store).ReadU16) }
 
@@ -322,6 +361,18 @@ func (s *Store) ReadU64Slice(addr uint64, dst []uint64) { readSlice(s, addr, dst
 
 // WriteU64Slice stores the values of src consecutively starting at addr.
 func (s *Store) WriteU64Slice(addr uint64, src []uint64) { writeSlice(s, addr, src, (*Store).WriteU64) }
+
+// MapU16Slice places the values of src like WriteU16Slice, sharing whole
+// frames with src where the host's byte order allows (see Map).
+func (s *Store) MapU16Slice(addr uint64, src []uint16) { mapSlice(s, addr, src, (*Store).WriteU16) }
+
+// MapU32Slice places the values of src like WriteU32Slice, sharing whole
+// frames with src where the host's byte order allows (see Map).
+func (s *Store) MapU32Slice(addr uint64, src []uint32) { mapSlice(s, addr, src, (*Store).WriteU32) }
+
+// MapU64Slice places the values of src like WriteU64Slice, sharing whole
+// frames with src where the host's byte order allows (see Map).
+func (s *Store) MapU64Slice(addr uint64, src []uint64) { mapSlice(s, addr, src, (*Store).WriteU64) }
 
 // Geometry describes the superpage layout of an address space.
 type Geometry struct {

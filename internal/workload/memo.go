@@ -9,11 +9,11 @@ import "sync"
 // inputs and reference answers removes their repeated generation from the
 // measured wall-clock without touching anything simulated.
 //
-// Every value a Memo returns is SHARED AND READ-ONLY: callers copy it (for
-// example into the simulated store, which always copies) rather than mutate
-// it. Each application package that owns a Memo pins this with a test that
-// compares every entry against a fresh generation after running its
-// benchmarks.
+// Every value a Memo returns is SHARED AND READ-ONLY: callers never mutate
+// it. The simulated store maps such a value (mem.Store.Map) and copies a
+// frame of it only on the store's first write to that frame. Each
+// application package that owns a Memo pins this with a test that compares
+// every entry against a fresh generation after running its benchmarks.
 //
 // Entries are never evicted. Keys are problem sizes: the experiments' fixed
 // size axes at the power-of-two page sizes core.Config.Validate accepts (at

@@ -10,8 +10,9 @@
 package workload
 
 import (
-	"fmt"
 	"math/rand"
+	"strconv"
+	"sync"
 )
 
 // rng returns the package's deterministic generator for a seed.
@@ -68,38 +69,83 @@ var states = []string{"ca", "wa", "tx", "ma", "or", "il", "co", "mi", "ny"}
 
 // AddressBook builds n records into a flat byte image.
 func AddressBook(seed int64, n int) []byte {
-	r := rng(seed)
-	buf := make([]byte, n*RecordBytes)
-	for i := 0; i < n; i++ {
-		rec := buf[i*RecordBytes : (i+1)*RecordBytes]
-		putField(rec, FieldLastName, LastNameBytes, lastNames[r.Intn(len(lastNames))])
-		putField(rec, FieldFirstName, FirstNameBytes, firstNames[r.Intn(len(firstNames))])
-		putField(rec, FieldStreet, StreetBytes,
-			fmt.Sprintf("%d %s", 1+r.Intn(9999), streets[r.Intn(len(streets))]))
-		putField(rec, FieldCity, CityBytes, cities[r.Intn(len(cities))])
-		putField(rec, FieldState, StateBytes, states[r.Intn(len(states))])
-		putField(rec, FieldPhone, PhoneBytes,
-			fmt.Sprintf("%03d-%03d-%04d", 200+r.Intn(800), r.Intn(1000), r.Intn(10000)))
+	return (&bookStream{r: rng(seed)}).book(n)
+}
+
+// bookStream is one seed's address book, generated as far as the largest
+// book served from it. Each record draws from the generator after the
+// records before it, so a book of n records is the first n records of
+// every larger book from its seed, and every size is served as a prefix
+// view of one buffer.
+type bookStream struct {
+	mu  sync.Mutex
+	r   *rand.Rand
+	buf []byte // the records generated so far
+}
+
+// book returns the first n records, generating only those past the ones
+// the stream holds. When they do not fit its buffer, the stream moves to
+// one of at least twice the capacity, which stays below twice the largest
+// book served. The views it has returned keep the old buffer, and in
+// either buffer nothing ever writes a byte a returned view covers.
+func (s *bookStream) book(n int) []byte {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	size := n * RecordBytes
+	if have := len(s.buf); size > have {
+		if size > cap(s.buf) {
+			grown := make([]byte, have, max(size, 2*cap(s.buf)))
+			copy(grown, s.buf)
+			s.buf = grown
+		}
+		s.buf = s.buf[:size]
+		for off := have; off < size; off += RecordBytes {
+			putRecord(s.buf[off:off+RecordBytes], s.r)
+		}
 	}
-	return buf
+	return s.buf[:size:size]
 }
 
-// books memoizes AddressBook for the database study and the SMP
+// putRecord fills one record from r. The fields draw in a fixed order, the
+// street number before the street and the phone's groups left to right.
+func putRecord(rec []byte, r *rand.Rand) {
+	var scratch [StreetBytes]byte
+	putField(rec, FieldLastName, LastNameBytes, lastNames[r.Intn(len(lastNames))])
+	putField(rec, FieldFirstName, FirstNameBytes, firstNames[r.Intn(len(firstNames))])
+	street := strconv.AppendInt(scratch[:0], int64(1+r.Intn(9999)), 10)
+	street = append(append(street, ' '), streets[r.Intn(len(streets))]...)
+	putField(rec, FieldStreet, StreetBytes, street)
+	putField(rec, FieldCity, CityBytes, cities[r.Intn(len(cities))])
+	putField(rec, FieldState, StateBytes, states[r.Intn(len(states))])
+	phone := appendPadded(scratch[:0], 200+r.Intn(800), 3)
+	phone = appendPadded(append(phone, '-'), r.Intn(1000), 3)
+	phone = appendPadded(append(phone, '-'), r.Intn(10000), 4)
+	putField(rec, FieldPhone, PhoneBytes, phone)
+}
+
+// appendPadded appends v >= 0 in decimal, zero-padded to width digits, as
+// the %0*d verb prints it.
+func appendPadded(b []byte, v, width int) []byte {
+	for t := 10; width > 1; t, width = t*10, width-1 {
+		if v < t {
+			b = append(b, '0')
+		}
+	}
+	return strconv.AppendInt(b, int64(v), 10)
+}
+
+// books holds one stream per seed for the database study and the SMP
 // experiment, which draw books from the same seed.
-var books Memo[bookKey, []byte]
+var books Memo[int64, *bookStream]
 
-type bookKey struct {
-	seed int64
-	n    int
-}
-
-// SharedAddressBook is a memoized AddressBook. The returned image is shared:
-// treat it as read-only.
+// SharedAddressBook is AddressBook served from the seed's one stream. The
+// returned image is shared: treat it as read-only.
 func SharedAddressBook(seed int64, n int) []byte {
-	return books.Get(bookKey{seed, n}, func() []byte { return AddressBook(seed, n) })
+	return books.Get(seed, func() *bookStream { return &bookStream{r: rng(seed)} }).book(n)
 }
 
-func putField(rec []byte, off, width int, s string) {
+// putField writes s into the width-byte field at off, NUL-padded.
+func putField[S string | []byte](rec []byte, off, width int, s S) {
 	field := rec[off : off+width]
 	for i := range field {
 		field[i] = 0
